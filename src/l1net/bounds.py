@@ -11,6 +11,7 @@ networks sampled inside the ball.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -19,11 +20,12 @@ import numpy as np
 from .net import (
     Architecture,
     Network,
+    _gaussian_layers,
     forward,
     grad_input,
     laplacian_input,
 )
-from .sparsity import project_l1
+from .sparsity import _layer_views, project_l1
 
 __all__ = [
     "AuditRow",
@@ -204,18 +206,7 @@ class BoundReport:
     log_factor_clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lip_param": self.lip_param,
-            "lip_l2pn": self.lip_l2pn,
-            "sup_model": self.sup_model,
-            "grad_l1": self.grad_l1,
-            "divergence": self.divergence,
-            "c1": self.c1,
-            "rademacher": self.rademacher,
-            "model_convergence": self.model_convergence,
-            "derivative_convergence": self.derivative_convergence,
-            "log_factor_clamped": self.log_factor_clamped,
-        }
+        return dataclasses.asdict(self)
 
 
 def bound_report(inputs: BoundInputs, b1_exponent: int = 1) -> BoundReport:
@@ -260,32 +251,28 @@ class BoundAudit:
         return int(sum(row.violations for row in self.rows))
 
     def to_csv(self) -> str:
-        lines = ["bound_name,trials,violations,worst_ratio"]
-        for row in self.rows:
-            lines.append(
-                "%s,%d,%d,%.17g"
-                % (row.bound_name, row.trials, row.violations, row.worst_ratio)
-            )
-        return "\n".join(lines) + "\n"
+        return _rows_to_csv(AuditRow, self.rows)
+
+
+_CSV_FORMATS = {"str": "%s", "int": "%d", "float": "%.17g"}
+
+
+def _rows_to_csv(cls, rows, header=None) -> str:
+    """CSV text, one line per dataclass row of type ``cls``; the header
+    defaults to the field names, and floats print exactly (``%.17g``)."""
+    fields = dataclasses.fields(cls)
+    fmt = ",".join(_CSV_FORMATS[f.type] for f in fields)
+    lines = [header or ",".join(f.name for f in fields)]
+    lines.extend(fmt % tuple(getattr(row, f.name) for f in fields) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _sample_ball_net(arch: Architecture, r: float, rng) -> Network:
     """Layerwise N(0, 2/fan_in) draw projected onto the L1 ball."""
-    sizes = arch.layer_sizes
-    parts = []
-    for l in range(arch.depth):
-        fan_in = sizes[l]
-        parts.append(
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(sizes[l + 1], fan_in)).ravel()
-        )
-    flat = project_l1(np.concatenate(parts), r)
-    layers = []
-    offset = 0
-    for l in range(arch.depth):
-        size = sizes[l + 1] * sizes[l]
-        layers.append(flat[offset:offset + size].reshape(sizes[l + 1], sizes[l]))
-        offset += size
-    return Network(tuple(layers), arch.activation)
+    layers = _gaussian_layers(arch.layer_sizes, rng)
+    flat = project_l1(np.concatenate([w.ravel() for w in layers]), r)
+    shapes = [w.shape for w in layers]
+    return Network(tuple(_layer_views(flat, shapes)), arch.activation)
 
 
 def _zero_net(arch: Architecture) -> Network:

@@ -37,6 +37,7 @@ from . import __version__
 from .bounds import (
     Architecture,
     BoundInputs,
+    _rows_to_csv,
     bound_report,
     verify_bounds,
 )
@@ -59,6 +60,7 @@ from .evaluate import (
 from .net import (
     Activation,
     Network,
+    _gaussian_layers,
     forward,
     forward_batch,
     grad_input,
@@ -139,6 +141,23 @@ class VerifyConfig:
     green_tol: float = 0.05
     slack: float = 1e-9
 
+    def __post_init__(self):
+        for name, low in (("trials", 1), ("hidden", 1), ("green_m", 10_000),
+                          ("green_pairs", 1)):
+            if int(getattr(self, name)) < low:
+                raise ConfigError(f"verify.{name} must be at least {low}")
+        if not self.depths or any(int(L) < 2 for L in self.depths):
+            raise ConfigError("verify.depths must be non-empty with every L >= 2")
+        if not self.dims or any(int(d) < 1 for d in self.dims):
+            raise ConfigError("verify.dims must be non-empty and positive")
+        for name in ("fd_grad_step", "fd_lap_step", "fd_grad_tol", "fd_lap_tol",
+                     "green_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"verify.{name} must be positive and finite")
+        for name in ("radius", "slack"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"verify.{name} must be non-negative and finite")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -190,16 +209,24 @@ class ExperimentConfig:
 # -- config file handling -----------------------------------------------------
 
 
-def _take(obj: dict, section: str, allowed: dict):
+# The JSON layout groups the teacher shape under "teacher" and spells the
+# radius rule as {"absolute": r} or {"teacher_multiplier": m}; every other
+# key is a dataclass field name, with tuples as lists and activations as
+# their string values.  Absent keys keep the dataclass defaults.
+_TEACHER_KEYS = ("d", "s", "h")
+_RULE_KEYS = {"absolute": "absolute", "teacher_multiple": "teacher_multiplier"}
+
+
+def _check_keys(obj, section: str, allowed):
     """Strict key check: unknown keys are config errors, not typos to ignore."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {section}: {', '.join(sorted(unknown))}"
         )
-    merged = dict(allowed)
-    merged.update(obj)
-    return merged
+    return obj
 
 
 def _parse_radius_rule(obj) -> RadiusRule:
@@ -208,21 +235,41 @@ def _parse_radius_rule(obj) -> RadiusRule:
             'radius_rule must be {"absolute": r} or {"teacher_multiplier": m}'
         )
     ((key, value),) = obj.items()
-    if key == "absolute":
-        return RadiusRule("absolute", float(value))
-    if key == "teacher_multiplier":
-        return RadiusRule("teacher_multiple", float(value))
-    raise ConfigError(f"unknown radius_rule key {key!r}")
+    kind = {name: kind for kind, name in _RULE_KEYS.items()}.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown radius_rule key {key!r}")
+    return RadiusRule(kind, float(value))
 
 
-def _parse_activations(values) -> tuple:
-    acts = []
-    for v in values:
-        try:
-            acts.append(Activation(v))
-        except ValueError:
-            raise ConfigError(f"unknown activation {v!r}") from None
-    return tuple(acts)
+def _parse_activation(value) -> Activation:
+    try:
+        return Activation(value)
+    except ValueError:
+        raise ConfigError(f"unknown activation {value!r}") from None
+
+
+def _parse_value(default, value, key: str):
+    """Convert one JSON value to the type of the field default it replaces."""
+    if isinstance(default, RadiusRule):
+        return _parse_radius_rule(value)
+    if dataclasses.is_dataclass(default):
+        return _parse_section(type(default), value, key)
+    if isinstance(default, tuple):
+        return tuple(_parse_value(default[0], v, key) for v in value)
+    if isinstance(default, Activation):
+        return _parse_activation(value)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    return value if value == default else int(value)  # batch_size: "full" or a count
+
+
+def _parse_section(cls, obj, section: str):
+    _check_keys(obj, section, [f.name for f in dataclasses.fields(cls)])
+    defaults = cls()
+    return cls(**{
+        key: _parse_value(getattr(defaults, key), value, key)
+        for key, value in obj.items()
+    })
 
 
 def load_config(path=None) -> ExperimentConfig:
@@ -240,113 +287,35 @@ def load_config(path=None) -> ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-
-    top = _take(raw, "config", {
-        "teacher": {}, "data": {}, "train": {}, "n_grid": [50, 60, 70, 80, 90, 100],
-        "n_test": 10_000, "repeats": 100, "activations": ["softplus", "relu"],
-        "depths": [2, 3], "radius_rule": {"teacher_multiplier": 1.1},
-        "master_seed": 0, "b0": 1.0, "b1_exponent": 1, "verify": {},
-    })
-    teacher = _take(top["teacher"], "teacher", {"d": 100, "s": 5, "h": 10})
-    data = _take(top["data"], "data", {
-        "x_std": 1.0, "noise_std": 0.1, "cutoff_factor": 10.0, "mean": 0.0,
-    })
-    train = _take(top["train"], "train", {
-        "step_size": 0.05, "iterations": 1000, "batch_size": "full",
-    })
-    verify = _take(top["verify"], "verify", {
-        "trials": 1000, "radius": 5.0, "depths": [2, 3, 4], "dims": [5, 100],
-        "hidden": 10, "green_m": 1_000_000, "green_pairs": 2,
-        "fd_grad_step": 1e-4, "fd_lap_step": 1e-3,
-        "fd_grad_tol": 1e-5, "fd_lap_tol": 1e-4,
-        "green_tol": 0.05, "slack": 1e-9,
-    })
-    batch = train["batch_size"]
-    if batch != "full":
-        batch = int(batch)
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"teacher"}
+    raw = dict(_check_keys(raw, "config", keys - set(_TEACHER_KEYS)))
+    raw.update(_check_keys(raw.pop("teacher", {}), "teacher", _TEACHER_KEYS))
     try:
-        return ExperimentConfig(
-            d=int(teacher["d"]),
-            s=int(teacher["s"]),
-            h=int(teacher["h"]),
-            data=DataSpec(
-                x_std=float(data["x_std"]),
-                noise_std=float(data["noise_std"]),
-                cutoff_factor=float(data["cutoff_factor"]),
-                mean=float(data["mean"]),
-            ),
-            train=TrainTemplate(
-                step_size=float(train["step_size"]),
-                iterations=int(train["iterations"]),
-                batch_size=batch,
-            ),
-            n_grid=tuple(int(n) for n in top["n_grid"]),
-            n_test=int(top["n_test"]),
-            repeats=int(top["repeats"]),
-            activations=_parse_activations(top["activations"]),
-            depths=tuple(int(L) for L in top["depths"]),
-            radius_rule=_parse_radius_rule(top["radius_rule"]),
-            master_seed=int(top["master_seed"]),
-            b0=float(top["b0"]),
-            b1_exponent=int(top["b1_exponent"]),
-            verify=VerifyConfig(
-                trials=int(verify["trials"]),
-                radius=float(verify["radius"]),
-                depths=tuple(int(L) for L in verify["depths"]),
-                dims=tuple(int(d) for d in verify["dims"]),
-                hidden=int(verify["hidden"]),
-                green_m=int(verify["green_m"]),
-                green_pairs=int(verify["green_pairs"]),
-                fd_grad_step=float(verify["fd_grad_step"]),
-                fd_lap_step=float(verify["fd_lap_step"]),
-                fd_grad_tol=float(verify["fd_grad_tol"]),
-                fd_lap_tol=float(verify["fd_lap_tol"]),
-                green_tol=float(verify["green_tol"]),
-                slack=float(verify["slack"]),
-            ),
-        )
+        return _parse_section(ExperimentConfig, raw, "config")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
 
 
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Activation):
+        return value.value
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical JSON-ready echo of a config (used in run metadata)."""
-    rule_key = "absolute" if cfg.radius_rule.kind == "absolute" else "teacher_multiplier"
-    return {
-        "teacher": {"d": cfg.d, "s": cfg.s, "h": cfg.h},
-        "data": {
-            "x_std": cfg.data.x_std, "noise_std": cfg.data.noise_std,
-            "cutoff_factor": cfg.data.cutoff_factor, "mean": cfg.data.mean,
-        },
-        "train": {
-            "step_size": cfg.train.step_size, "iterations": cfg.train.iterations,
-            "batch_size": cfg.train.batch_size,
-        },
-        "n_grid": list(cfg.n_grid),
-        "n_test": cfg.n_test,
-        "repeats": cfg.repeats,
-        "activations": [a.value for a in cfg.activations],
-        "depths": list(cfg.depths),
-        "radius_rule": {rule_key: cfg.radius_rule.value},
-        "master_seed": cfg.master_seed,
-        "b0": cfg.b0,
-        "b1_exponent": cfg.b1_exponent,
-        "verify": {
-            "trials": cfg.verify.trials, "radius": cfg.verify.radius,
-            "depths": list(cfg.verify.depths), "dims": list(cfg.verify.dims),
-            "hidden": cfg.verify.hidden, "green_m": cfg.verify.green_m,
-            "green_pairs": cfg.verify.green_pairs,
-            "fd_grad_step": cfg.verify.fd_grad_step,
-            "fd_lap_step": cfg.verify.fd_lap_step,
-            "fd_grad_tol": cfg.verify.fd_grad_tol,
-            "fd_lap_tol": cfg.verify.fd_lap_tol,
-            "green_tol": cfg.verify.green_tol, "slack": cfg.verify.slack,
-        },
-    }
+    doc = _to_json(cfg)
+    doc["teacher"] = {key: doc.pop(key) for key in _TEACHER_KEYS}
+    doc["radius_rule"] = {_RULE_KEYS[cfg.radius_rule.kind]: cfg.radius_rule.value}
+    return doc
 
 
 # -- seeding ------------------------------------------------------------------
@@ -524,25 +493,13 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
 
 
 def trials_to_csv(trials) -> str:
-    lines = ["n,repeat,activation,L,seed,pred_l2,grad_l2,final_train_loss,l1_norm_final"]
-    for t in trials:
-        lines.append(
-            "%d,%d,%s,%d,%d,%.17g,%.17g,%.17g,%.17g"
-            % (t.n, t.repeat_index, t.activation, t.L, t.seed,
-               t.pred_l2, t.grad_l2, t.final_train_loss, t.l1_norm_final)
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_to_csv(TrialResult, trials, header=(
+        "n,repeat,activation,L,seed,pred_l2,grad_l2,final_train_loss,l1_norm_final"
+    ))
 
 
 def aggregates_to_csv(rows) -> str:
-    lines = ["n,activation,L,pred_l2_mean,pred_l2_std,grad_l2_mean,grad_l2_std"]
-    for a in rows:
-        lines.append(
-            "%d,%s,%d,%.17g,%.17g,%.17g,%.17g"
-            % (a.n, a.activation, a.L, a.pred_l2_mean, a.pred_l2_std,
-               a.grad_l2_mean, a.grad_l2_std)
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_to_csv(AggregateRow, rows)
 
 
 # -- bound report -------------------------------------------------------------
@@ -604,11 +561,7 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
                 "L": L,
                 "n": n,
                 "b0_source": b0_source,
-                "inputs": {
-                    "r": inputs.r, "L": inputs.L, "P": inputs.P, "n": inputs.n,
-                    "R": inputs.R, "b0": inputs.b0, "b1": inputs.b1,
-                    "x_inf_sq": inputs.x_inf_sq,
-                },
+                "inputs": dataclasses.asdict(inputs),
                 "report": report.to_dict(),
             })
     return entries
@@ -633,16 +586,17 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     through zero) is measured against ``max(1, |exact|)``.
     """
     v = cfg.verify
-    worst = {"grad_params": 0.0, "grad_input": 0.0, "laplacian_input": 0.0}
-    bad = {name: 0 for name in worst}
+    tols = {
+        "grad_params": v.fd_grad_tol,
+        "grad_input": v.fd_grad_tol,
+        "laplacian_input": v.fd_lap_tol,
+    }
+    worst = {name: 0.0 for name in tols}
+    bad = {name: 0 for name in tols}
     sizes = arch.layer_sizes
     for stream in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(stream)
-        layers = [
-            rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=(sizes[l + 1], sizes[l]))
-            for l in range(arch.depth)
-        ]
-        net = Network(tuple(layers), arch.activation)
+        net = Network(tuple(_gaussian_layers(sizes, rng)), arch.activation)
         x = sample_truncated_normal(
             cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
             size=sizes[0],
@@ -653,43 +607,29 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         approx = finite_diff_grad_params(net, x, v.fd_grad_step)
         num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
         den = max(float(np.abs(e).max()) for e in exact)
-        err = num / max(den, 1e-12)
-        worst["grad_params"] = max(worst["grad_params"], err)
-        bad["grad_params"] += err > v.fd_grad_tol
-
         exact_g = grad_input(net, trace)
         approx_g = finite_diff_gradient(net, x, v.fd_grad_step)
-        err = float(np.abs(approx_g - exact_g).max()) / max(
-            float(np.abs(exact_g).max()), 1e-12
-        )
-        worst["grad_input"] = max(worst["grad_input"], err)
-        bad["grad_input"] += err > v.fd_grad_tol
-
         exact_l = laplacian_input(net, trace)
         approx_l = finite_diff_laplacian(net, x, v.fd_lap_step)
-        err = abs(approx_l - exact_l) / max(1.0, abs(exact_l))
-        worst["laplacian_input"] = max(worst["laplacian_input"], err)
-        bad["laplacian_input"] += err > v.fd_lap_tol
+        errs = {
+            "grad_params": num / max(den, 1e-12),
+            "grad_input": float(np.abs(approx_g - exact_g).max())
+            / max(float(np.abs(exact_g).max()), 1e-12),
+            "laplacian_input": abs(approx_l - exact_l) / max(1.0, abs(exact_l)),
+        }
+        for name, err in errs.items():
+            worst[name] = max(worst[name], err)
+            bad[name] += err > tols[name]
 
-    tols = {
-        "grad_params": v.fd_grad_tol,
-        "grad_input": v.fd_grad_tol,
-        "laplacian_input": v.fd_lap_tol,
-    }
     tag = f"L{arch.depth}_d{sizes[0]}"
     return [
         SuiteRow(f"fd_{name}_{tag}", trials, int(bad[name]), worst[name] / tols[name])
-        for name in ("grad_params", "grad_input", "laplacian_input")
+        for name in tols
     ]
 
 
 def _small_green_net(d: int, rng) -> Network:
-    sizes = (d, 6, 1)
-    layers = [
-        rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=(sizes[l + 1], sizes[l]))
-        for l in range(2)
-    ]
-    return Network(tuple(layers), Activation.SOFTPLUS)
+    return Network(tuple(_gaussian_layers((d, 6, 1), rng)), Activation.SOFTPLUS)
 
 
 def run_verification(cfg: ExperimentConfig, bound_scale=None) -> tuple:
@@ -740,13 +680,7 @@ def run_verification(cfg: ExperimentConfig, bound_scale=None) -> tuple:
 
 
 def suites_to_csv(rows) -> str:
-    lines = ["suite,trials,violations,worst_ratio"]
-    for row in rows:
-        lines.append(
-            "%s,%d,%d,%.17g"
-            % (row.suite, row.trials, row.violations, row.worst_ratio)
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_to_csv(SuiteRow, rows)
 
 
 # -- argument parsing and entry point ------------------------------------------
@@ -820,17 +754,23 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _write(out_dir, name: str, content) -> str:
+    """Write text, or a dict as indented sorted JSON, to ``out_dir/name``."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(content)
+    return path
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     outcome = run_experiment(cfg, jobs=max(1, args.jobs))
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "trials.csv"), "w", encoding="ascii") as fh:
-        fh.write(trials_to_csv(outcome.trials))
-    with open(os.path.join(args.out, "aggregate.csv"), "w", encoding="ascii") as fh:
-        fh.write(aggregates_to_csv(outcome.aggregates))
-    with open(os.path.join(args.out, "metadata.json"), "w", encoding="ascii") as fh:
-        json.dump(outcome.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(args.out, "trials.csv", trials_to_csv(outcome.trials))
+    _write(args.out, "aggregate.csv", aggregates_to_csv(outcome.aggregates))
+    _write(args.out, "metadata.json", outcome.metadata)
     print(f"wrote {len(outcome.trials)} trials to {args.out}/trials.csv")
     print(f"wrote {len(outcome.aggregates)} aggregate rows to {args.out}/aggregate.csv")
     if outcome.all_diverged_cells:
@@ -845,11 +785,7 @@ def _cmd_bounds(args) -> int:
     cfg = _load(args)
     model = load_network(args.model) if args.model else None
     entries = report_bounds(cfg, trained=model, b0_override=args.b0)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "bounds.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"reports": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = _write(args.out, "bounds.json", {"reports": entries})
     print(f"wrote {len(entries)} bound reports to {path}")
     return 0
 
@@ -858,10 +794,7 @@ def _cmd_verify(args) -> int:
     cfg = _load(args)
     scale = {"grad_l1": 0.5} if args.inject_bound_bug else None
     rows, ok = run_verification(cfg, bound_scale=scale)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "verify.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(suites_to_csv(rows))
+    path = _write(args.out, "verify.csv", suites_to_csv(rows))
     for row in rows:
         status = "ok" if row.violations == 0 else "FAIL"
         print(f"{status:4s} {row.suite}: {row.violations}/{row.trials} violations, "
@@ -884,10 +817,7 @@ def _cmd_datagen(args) -> int:
         raise ConfigError("--depth must be at least 2")
     act = Activation.SOFTPLUS
     if args.activation is not None:
-        try:
-            act = Activation(args.activation)
-        except ValueError:
-            raise ConfigError(f"unknown activation {args.activation!r}") from None
+        act = _parse_activation(args.activation)
     teacher, _, _, spec = _cell_data(cfg, L, act)
     ss = _seed_seq(cfg.master_seed, 2, _ACT_CODE[act], L, n, 0)
     data_ss, _ = ss.spawn(2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Activation, Network, forward_batch
+from .net import Activation, Network, _gaussian_layers, forward_batch
 
 __all__ = [
     "DataSpec",
@@ -158,11 +158,7 @@ def make_teacher(spec: TeacherSpec, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    sizes = (spec.d,) + (spec.h,) * (spec.L - 1) + (1,)
-    layers = []
-    for l in range(spec.L):
-        fan_in = sizes[l]
-        layers.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(sizes[l + 1], fan_in)))
+    layers = _gaussian_layers((spec.d,) + (spec.h,) * (spec.L - 1) + (1,), rng)
     layers[0][:, spec.s:] = 0.0
     return Network(tuple(layers), activation)
 

@@ -5,11 +5,16 @@ A network is an immutable stack of weight matrices ``theta_l`` of shape
 
     f(x) = theta_L s(theta_{L-1} s( ... s(theta_1 x) ... ))
 
-where ``s`` acts elementwise.  There are no bias terms.  ``forward`` caches
-the per-layer activations together with the first and second activation
-derivatives in a :class:`ForwardTrace`; the gradient and Laplacian routines
-consume that trace and evaluate the closed-form chain rule directly, with
-no autodiff tape.
+where ``s`` acts elementwise.  There are no bias terms.  Every evaluation
+and derivative routine is a view of one batched core: a forward value pass
+that caches ``s'(z_l)`` and ``s''(z_l)`` per layer, one backward
+vector-Jacobian product for input and weight gradients, and a Laplacian
+propagated forward layer by layer together with the input Jacobian
+(second-order Taylor-mode differentiation, the "Forward Laplacian"), so
+every contraction is a matrix multiply and there is no autodiff tape.  The
+single-sample routines (``forward``, which caches a :class:`ForwardTrace`,
+then ``grad_input``, ``grad_params`` and ``laplacian_input``) are the
+``m = 1`` rows of the batched ones.
 
 Supported activations:
 
@@ -196,6 +201,14 @@ class Architecture:
         return int(sum(sizes[i + 1] * sizes[i] for i in range(len(sizes) - 1)))
 
 
+def _gaussian_layers(sizes, rng) -> list:
+    """Layerwise N(0, 2/fan_in) weight draws for the widths ``sizes``."""
+    return [
+        rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=(sizes[l + 1], sizes[l]))
+        for l in range(len(sizes) - 1)
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Cached quantities from one forward pass at a single input.
@@ -223,123 +236,121 @@ def forward(net: Network, x) -> ForwardTrace:
         raise ValueError(
             f"input must be a vector of length {net.input_dim}, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
-    a = _freeze(x)
-    acts = [a]
-    zs, fds, sds = [], [], []
-    for theta in net.layers[:-1]:
-        z = theta @ a
-        value, first, second = _act_terms(net.activation, z)
-        zs.append(_freeze(z))
-        fds.append(_freeze(first))
-        sds.append(_freeze(second))
-        a = _freeze(value)
-        acts.append(a)
-    out = float((net.layers[-1] @ a)[0])
+    X = _check_batch(net, x[np.newaxis, :])
+    acts, zs, fds, sds = (
+        tuple(_freeze(a[0]) for a in arrays)
+        for arrays in _hidden_batch(net.layers, net.activation, X)
+    )
     return ForwardTrace(
-        input=acts[0],
-        activations=tuple(acts),
-        preactivations=tuple(zs),
-        first_derivs=tuple(fds),
-        second_derivs=tuple(sds),
-        output=out,
-        network=net,
+        input=acts[0], activations=acts, preactivations=zs, first_derivs=fds,
+        second_derivs=sds, output=float(net.layers[-1][0] @ acts[-1]), network=net,
     )
 
 
-def _require_trace(net: Network, trace: ForwardTrace):
+def _require_trace(net: Network, trace: ForwardTrace) -> list:
+    """Check that ``trace`` came from ``net``; return its activations and
+    slopes ``s'``, ``s''`` as lists of (1, d_l) rows for the batched core."""
     if trace.network is not net:
         raise ValueError("trace was not produced by forward() on this network")
+    cached = (trace.activations, trace.first_derivs, trace.second_derivs)
+    return [[v[np.newaxis, :] for v in vectors] for vectors in cached]
 
 
 def grad_params(net: Network, trace: ForwardTrace) -> list:
     """Exact gradient of the output w.r.t. every weight matrix.
 
-    Backward recursion: with ``G_{L-1} = theta_L^T`` and
-    ``D_l = s'(z_l) * G_l``, the gradient w.r.t. ``theta_l`` is the outer
-    product ``D_l h_{l-1}^T`` and ``G_{l-1} = theta_l^T D_l``.  Returns one
-    array per layer, shaped like that layer.
+    The gradient w.r.t. ``theta_l`` is the outer product ``D_l h_{l-1}^T``
+    of the backward signal ``D_l = df/dz_l`` (see :func:`_backward`) with
+    the layer input.  Returns one array per layer, shaped like that layer.
     """
-    _require_trace(net, trace)
-    L = net.depth
-    grads = [None] * L
-    grads[L - 1] = trace.activations[L - 1][np.newaxis, :].copy()
-    g = net.layers[-1][0]
-    for l in range(L - 1, 0, -1):
-        d = trace.first_derivs[l - 1] * g
-        grads[l - 1] = np.outer(d, trace.activations[l - 1])
-        g = net.layers[l - 1].T @ d
-    return grads
+    acts, fds, _ = _require_trace(net, trace)
+    return _grad_params_batch(net.layers, acts, fds, np.ones(1))
 
 
 def grad_input(net: Network, trace: ForwardTrace) -> np.ndarray:
-    """Exact input gradient, as right-to-left diagonal-scaled mat-vec products.
-
-    Evaluates ``theta_1^T (s'(z_1) * theta_2^T (s'(z_2) * ... theta_L^T))``;
-    cost is one transposed mat-vec per layer.
-    """
-    _require_trace(net, trace)
-    g = net.layers[-1][0]
-    for l in range(net.depth - 1, 0, -1):
-        g = net.layers[l - 1].T @ (trace.first_derivs[l - 1] * g)
-    return g
+    """Exact input gradient ``theta_1^T (s'(z_1) * theta_2^T (... theta_L^T))``."""
+    _, fds, _ = _require_trace(net, trace)
+    return _grad_input(net.layers, fds)[0]
 
 
 def laplacian_input(net: Network, trace: ForwardTrace) -> float:
-    """Exact input Laplacian ``sum_i d^2 f / dx_i^2``.
+    """Exact input Laplacian ``sum_i d^2 f / dx_i^2``, propagated forward.
 
-    The input gradient depends on x only through the hidden slopes
-    ``s'(z_k)``, so differentiating once more and summing over coordinates
-    collapses to
+    With ``J_k = dz_k/dx`` and ``lap_k`` the vector of Laplacians of
+    ``h_k``, one pass from the input carries
 
-        sum_{k=1}^{L-1} sum_j s''(z_k)_j G_{k,j} ||row_j(J_k)||_2^2
+        J_1 = theta_1,      J_{k+1} = theta_{k+1} diag(s'(z_k)) J_k
+        lap_1 = s''(z_1) |rows(J_1)|^2
+        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) |rows(J_{k+1})|^2
 
-    where ``G_k`` is the backward gradient of the output w.r.t. ``h_k`` and
-    ``J_k = theta_k diag(s'(z_{k-1})) J_{k-1}`` (with ``J_1 = theta_1``) is
-    the Jacobian of ``z_k`` w.r.t. the input.  Cost is O(L h^2 d); no finite
-    differences are involved.  For relu the second derivative is identically
-    zero and the result is exactly 0.0.
+    and ``lap f = theta_L lap_{L-1}`` (second-order Taylor-mode
+    differentiation; no backward pass and no finite differences).  Cost is
+    O(L h^2 d).  For relu ``s''`` is identically zero and the result is
+    exactly 0.0.
     """
-    _require_trace(net, trace)
-    L = net.depth
-    gs = [None] * (L - 1)
-    g = net.layers[-1][0]
-    for k in range(L - 1, 0, -1):
-        gs[k - 1] = g
-        if k > 1:
-            g = net.layers[k - 1].T @ (trace.first_derivs[k - 1] * g)
-    total = 0.0
-    jac = net.layers[0]
-    for k in range(1, L):
-        row_sq = np.einsum("jd,jd->j", jac, jac)
-        total += float(np.dot(trace.second_derivs[k - 1] * gs[k - 1], row_sq))
-        if k < L - 1:
-            jac = net.layers[k] @ (trace.first_derivs[k - 1][:, np.newaxis] * jac)
-    return total
+    _, fds, sds = _require_trace(net, trace)
+    return float(_laplacian(net.layers, fds, sds)[0])
 
 
-# -- batched evaluation ------------------------------------------------------
+# -- batched core ------------------------------------------------------------
 #
 # Row-major batches: X has shape (m, d) and every per-layer cache below has
-# shape (m, d_l).  These are the workhorses for training and Monte-Carlo
-# evaluation; they compute the same quantities as the single-sample routines
-# above (up to matmul rounding).
+# shape (m, d_l).  The single-sample routines above are the m = 1 rows of
+# these helpers.
 
 
-def _hidden_batch(layers, activation, X, want_second=False):
-    acts = [X]
-    fds, sds = [], []
-    a = X
+def _hidden_batch(layers, activation, X):
+    """Hidden activations, preactivations and activation slopes ``s'``,
+    ``s''`` per layer; ``acts[0]`` is ``X``."""
+    acts, zs, fds, sds = [X], [], [], []
     for theta in layers[:-1]:
-        z = a @ theta.T
+        z = acts[-1] @ theta.T
         value, first, second = _act_terms(activation, z)
+        zs.append(z)
         fds.append(first)
-        if want_second:
-            sds.append(second)
-        a = value
-        acts.append(a)
-    return acts, fds, sds
+        sds.append(second)
+        acts.append(value)
+    return acts, zs, fds, sds
+
+
+def _backward(layers, fds, seed):
+    """Backward signals ``df/dz_l`` for the hidden layers ``l = 1 .. L-1``.
+
+    ``seed`` is the cotangent of the last hidden layer ``h_{L-1}``, one row
+    per sample; each step is ``D_l = s'(z_l) * G_l`` then
+    ``G_{l-1} = D_l theta_l``.
+    """
+    deltas = [None] * len(fds)
+    g = seed
+    for l in range(len(fds), 0, -1):
+        deltas[l - 1] = fds[l - 1] * g
+        if l > 1:
+            g = deltas[l - 1] @ layers[l - 1]
+    return deltas
+
+
+def _grad_input(layers, fds):
+    seed = np.broadcast_to(layers[-1][0], fds[-1].shape)
+    return _backward(layers, fds, seed)[0] @ layers[0]
+
+
+def _grad_params_batch(layers, acts, fds, weights):
+    """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix."""
+    deltas = _backward(layers, fds, np.outer(weights, layers[-1][0]))
+    grads = [d.T @ a for d, a in zip(deltas, acts)]
+    grads.append((weights @ acts[-1])[np.newaxis, :])
+    return grads
+
+
+def _laplacian(layers, fds, sds):
+    """Forward-propagated input Laplacian (see :func:`laplacian_input`)."""
+    jac = layers[0]
+    lap = sds[0] * np.einsum("jd,jd->j", jac, jac)
+    for k in range(1, len(layers) - 1):
+        theta = layers[k]
+        jac = (theta * fds[k - 1][:, np.newaxis, :]) @ jac
+        lap = fds[k] * (lap @ theta.T) + sds[k] * np.einsum("mjd,mjd->mj", jac, jac)
+    return lap @ layers[-1][0]
 
 
 def _check_batch(net, X):
@@ -348,53 +359,31 @@ def _check_batch(net, X):
         raise ValueError(
             f"batch must have shape (m, {net.input_dim}), got {X.shape}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("input contains non-finite entries")
     return X
 
 
 def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,)."""
-    X = _check_batch(net, X)
-    acts, _, _ = _hidden_batch(net.layers, net.activation, X)
+    acts = _hidden_batch(net.layers, net.activation, _check_batch(net, X))[0]
     return (acts[-1] @ net.layers[-1].T).ravel()
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
     """Input gradients for every row of X, shape (m, d)."""
-    X = _check_batch(net, X)
-    _, fds, _ = _hidden_batch(net.layers, net.activation, X)
-    m = X.shape[0]
-    g = np.broadcast_to(net.layers[-1][0], (m, net.layers[-1].shape[1]))
-    for l in range(net.depth - 1, 0, -1):
-        g = (fds[l - 1] * g) @ net.layers[l - 1]
-    return g
+    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))[2]
+    return _grad_input(net.layers, fds)
 
 
 def laplacian_batch(net: Network, X) -> np.ndarray:
     """Input Laplacians for every row of X, shape (m,).
 
-    Memory scales as O(m h d) for the batched Jacobian chain; chunk large
+    Memory scales as O(m h d) for the batched Jacobian ``J_k``; chunk large
     batches at the call site.
     """
-    X = _check_batch(net, X)
-    _, fds, sds = _hidden_batch(net.layers, net.activation, X, want_second=True)
-    m = X.shape[0]
-    L = net.depth
-    gs = [None] * (L - 1)
-    g = np.broadcast_to(net.layers[-1][0], (m, net.layers[-1].shape[1]))
-    for k in range(L - 1, 0, -1):
-        gs[k - 1] = g
-        if k > 1:
-            g = (fds[k - 1] * g) @ net.layers[k - 1]
-    total = np.zeros(m)
-    row_sq = np.einsum("jd,jd->j", net.layers[0], net.layers[0])
-    total += (sds[0] * gs[0]) @ row_sq
-    if L > 2:
-        jac = np.broadcast_to(net.layers[0], (m,) + net.layers[0].shape)
-        for k in range(2, L):
-            jac = np.einsum("ab,mb,mbd->mad", net.layers[k - 1], fds[k - 2], jac)
-            row_sq = np.einsum("mjd,mjd->mj", jac, jac)
-            total += np.einsum("mj,mj->m", sds[k - 1] * gs[k - 1], row_sq)
-    return total
+    _, _, fds, sds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))
+    return _laplacian(net.layers, fds, sds)
 
 
 # -- serialization -----------------------------------------------------------
@@ -437,17 +426,11 @@ def network_from_json(text: str) -> Network:
         raise ValueError('"layers" must be a non-empty list')
     mats = []
     for i, rows in enumerate(layers):
-        if not isinstance(rows, list) or not rows:
-            raise ValueError(f"layer {i} must be a non-empty list of rows")
-        width = None
-        for row in rows:
-            if not isinstance(row, list) or not row:
-                raise ValueError(f"layer {i} has a malformed row")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"layer {i} has ragged rows")
-        mats.append(np.array(rows, dtype=float))
+        # Ragged or non-numeric rows fail here; Network checks the shapes.
+        try:
+            mats.append(np.array(rows, dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError(f"layer {i} is not a rectangular list of rows") from None
     return Network(tuple(mats), kind)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Architecture, Network, _hidden_batch
+from .net import Architecture, Network, _grad_params_batch, _hidden_batch
 
 __all__ = [
     "FlatParams",
@@ -118,8 +118,9 @@ class TrainConfig:
     """Projected gradient descent settings.
 
     ``batch_size`` is either a positive integer or the string ``"full"``.
-    Initial weights are drawn layerwise from N(0, 2 / fan_in), rescaled
-    onto the L1 ball of radius ``radius`` when they land outside it.
+    Initial weights are drawn for every layer from N(0, 2 / d_1), with
+    ``d_1`` the first hidden width, rescaled onto the L1 ball of radius
+    ``radius`` when they land outside it.
     """
 
     radius: float
@@ -162,28 +163,11 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
 def _mse_and_grad(flat, shapes, activation, X, y):
     """Mean squared error over the batch and its gradient, flattened."""
     layers = _layer_views(flat, shapes)
-    acts, fds, _ = _hidden_batch(layers, activation, X)
-    out = (acts[-1] @ layers[-1].T).ravel()
-    resid = out - y
-    m = X.shape[0]
-    loss = float(resid @ resid) / m
-    delta = (2.0 / m) * resid
-    grads = [None] * len(layers)
-    grads[-1] = (delta @ acts[-1])[np.newaxis, :]
-    psi = np.outer(delta, layers[-1][0])
-    for l in range(len(layers) - 1, 0, -1):
-        psi = psi * fds[l - 1]
-        grads[l - 1] = psi.T @ acts[l - 1]
-        if l > 1:
-            psi = psi @ layers[l - 1]
-    return loss, np.concatenate([g.ravel() for g in grads])
-
-
-def _full_loss(flat, shapes, activation, X, y):
-    layers = _layer_views(flat, shapes)
-    acts, _, _ = _hidden_batch(layers, activation, X)
+    acts, _, fds, _ = _hidden_batch(layers, activation, X)
     resid = (acts[-1] @ layers[-1].T).ravel() - y
-    return float(resid @ resid) / X.shape[0]
+    m = X.shape[0]
+    grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
+    return float(resid @ resid) / m, np.concatenate([g.ravel() for g in grads])
 
 
 def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None,
@@ -253,7 +237,7 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
                 on_step(it, flat.copy())
             if log_rows is not None:
                 log_rows.append(
-                    (it, _full_loss(flat, shapes, arch.activation, X, y),
+                    (it, _mse_and_grad(flat, shapes, arch.activation, X, y)[0],
                      float(np.abs(flat).sum()))
                 )
 

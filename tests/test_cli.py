@@ -84,6 +84,14 @@ def test_config_rejects_bad_values(tmp_path):
     path.write_text("not json")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # verify settings that used to escape as tracebacks, the last one only
+    # after the bound and finite-difference audit had run
+    for verify in ({"green_pairs": 0}, {"trials": 0}, {"green_m": 5000}):
+        path.write_text(json.dumps({"verify": verify}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", str(path), "--out", out]) == 1
 
 
 def test_radius_rule_forms(tmp_path):

@@ -20,6 +20,7 @@ from l1net.net import (
     grad_input,
     grad_input_batch,
     grad_params,
+    laplacian_batch,
     laplacian_input,
 )
 
@@ -99,27 +100,29 @@ def test_error_estimators_reject_dimension_mismatch():
 def test_finite_diff_gradient_close_to_exact():
     rng = np.random.default_rng(5)
     worst = 0.0
-    for L in (2, 3):
+    for L in (2, 3, 4):
         net = _random_net(rng, 8, 6, L)
-        for _ in range(10):
-            x = rng.uniform(-2.0, 2.0, size=8)
-            exact = grad_input(net, forward(net, x))
+        X = rng.uniform(-2.0, 2.0, size=(10, 8))
+        batch = grad_input_batch(net, X)
+        for x, row in zip(X, batch):
             approx = finite_diff_gradient(net, x, 1e-4)
-            denom = max(float(np.max(np.abs(exact))), 1e-12)
-            worst = max(worst, float(np.max(np.abs(approx - exact))) / denom)
+            for exact in (grad_input(net, forward(net, x)), row):
+                denom = max(float(np.max(np.abs(exact))), 1e-12)
+                worst = max(worst, float(np.max(np.abs(approx - exact))) / denom)
     assert worst <= 1e-7
 
 
 def test_finite_diff_laplacian_close_to_exact():
     rng = np.random.default_rng(6)
     worst = 0.0
-    for L in (2, 3):
+    for L in (2, 3, 4):
         net = _random_net(rng, 8, 6, L)
-        for _ in range(10):
-            x = rng.uniform(-2.0, 2.0, size=8)
-            exact = laplacian_input(net, forward(net, x))
+        X = rng.uniform(-2.0, 2.0, size=(10, 8))
+        batch = laplacian_batch(net, X)
+        for x, row in zip(X, batch):
             approx = finite_diff_laplacian(net, x, 1e-3)
-            worst = max(worst, abs(approx - exact) / max(1.0, abs(exact)))
+            for exact in (laplacian_input(net, forward(net, x)), row):
+                worst = max(worst, abs(approx - exact) / max(1.0, abs(exact)))
     assert worst <= 1e-7
 
 

@@ -181,8 +181,9 @@ def test_batch_matches_single():
             f = forward_batch(net, X)
             G = grad_input_batch(net, X)
             lap = laplacian_batch(net, X)
-            # the batched paths contract with einsum, so accumulation order
-            # (and hence the last ulp) can differ from the single-x chain
+            # the single-x routines are the one-row case of the same core,
+            # but BLAS may block a one-row product differently, so the
+            # last ulp can differ
             for i in range(11):
                 trace = forward(net, X[i])
                 np.testing.assert_allclose(f[i], trace.output, rtol=1e-12, atol=1e-15)
@@ -192,6 +193,21 @@ def test_batch_matches_single():
                 np.testing.assert_allclose(
                     lap[i], laplacian_input(net, trace), rtol=1e-12, atol=1e-15
                 )
+
+
+def test_batch_routines_reject_nonfinite_rows():
+    """The batch routines share forward's input contract: one non-finite
+    entry anywhere in the batch is a ValueError, not a silent NaN or a
+    finite wrong answer."""
+    rng = np.random.default_rng(8)
+    net = _random_net(rng, 2, 3, 3)
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.array([[0.5, -0.5], [1.0, bad]])
+        for routine in (forward_batch, grad_input_batch, laplacian_batch):
+            with pytest.raises(ValueError, match="non-finite"):
+                routine(net, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, X[1])
 
 
 def test_softplus_trace_derivative_ranges():
