@@ -7,20 +7,23 @@ A network is an immutable stack of weight matrices ``theta_l`` of shape
 
 where ``s`` acts elementwise.  There are no bias terms.  Every evaluation
 and derivative routine is a view of one batched core: a forward value pass
-that caches ``s'(z_l)`` and ``s''(z_l)`` per layer, one backward
-vector-Jacobian product for input and weight gradients, and a Laplacian
-propagated forward layer by layer together with the input Jacobian
-(second-order Taylor-mode differentiation, the "Forward Laplacian"), so
-every contraction is a matrix multiply and there is no autodiff tape.  The
-single-sample routines (``forward``, which caches a :class:`ForwardTrace`,
-then ``grad_input``, ``grad_params`` and ``laplacian_input``) are the
-``m = 1`` rows of the batched ones.
+that caches ``s'(z_l)`` and ``s''(z_l)`` per layer (only the orders the
+caller uses), one backward vector-Jacobian product for input and weight
+gradients, and a Laplacian propagated forward layer by layer together with
+the input Jacobian (second-order Taylor-mode differentiation, the "Forward
+Laplacian"), so every contraction is a matrix multiply and there is no
+autodiff tape.  The single-sample routines (``forward``, which caches a
+:class:`ForwardTrace`, then ``grad_input``, ``grad_params`` and
+``laplacian_input``) are the ``m = 1`` rows of the batched ones.
 
 Supported activations:
 
 * ``softplus``: ``s(z) = log(1 + exp(z)) - log 2``, shifted so ``s(0) = 0``.
-  Its first derivative is the logistic sigmoid (strictly inside ``(0, 1)``)
-  and its second derivative is ``sig(z) (1 - sig(z))`` (inside ``(0, 1/4]``).
+  Its first derivative is the logistic sigmoid (inside ``[0, 1]``) and its
+  second derivative is ``sig(z) (1 - sig(z))`` (inside ``[0, 1/4]``).  One
+  fused kernel serves all three: with ``e = exp(-|z|)`` (never overflows),
+  ``s(z) = max(z, 0) + log1p(e) - log 2`` and
+  ``s'(z) = (1 if z >= 0 else e) / (1 + e)``, and ``s'' = s' (1 - s')``.
 * ``relu``: ``s(z) = max(z, 0)`` with the subgradient convention
   ``s'(0) = 0`` and ``s'' = 0`` everywhere, so Laplacians are exactly zero.
 """
@@ -33,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 _LOG2 = math.log(2.0)
 
@@ -64,25 +66,43 @@ class Activation(enum.Enum):
     RELU = "relu"
 
 
-def _softplus_terms(z):
-    # logaddexp(0, z) = log(1 + exp(z)) evaluated stably for any float64 z.
-    value = np.logaddexp(0.0, z) - _LOG2
-    first = expit(z)
-    second = first * (1.0 - first)
-    return value, first, second
+def _softplus_terms(z, order):
+    # One e = exp(-|z|) (which cannot overflow) serves every term:
+    # s = max(z, 0) + log1p(e) - log 2 and s' = exp(min(z, 0)) / (1 + e),
+    # whose numerator is 1 for z >= 0 and e otherwise.  Each step writes in
+    # place, so no array beyond e, value and first is allocated.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    value = np.log1p(e)
+    first = np.maximum(z, 0.0)
+    value += first
+    value -= _LOG2
+    if order < 1:
+        return value, None, None
+    np.minimum(z, 0.0, out=first)
+    np.exp(first, out=first)
+    e += 1.0
+    first /= e
+    if order < 2:
+        return value, first, None
+    np.subtract(1.0, first, out=e)
+    e *= first
+    return value, first, e
 
 
-def _relu_terms(z):
+def _relu_terms(z, order):
     value = np.maximum(z, 0.0)
-    first = (z > 0.0).astype(float)
-    return value, first, np.zeros_like(value)
+    first = (z > 0.0).astype(float) if order > 0 else None
+    return value, first, np.zeros_like(value) if order > 1 else None
 
 
-def _act_terms(kind, z):
+def _act_terms(kind, z, order=2):
+    """``(s(z), s'(z), s''(z))``; derivatives above ``order`` are None."""
     if kind is Activation.SOFTPLUS:
-        return _softplus_terms(z)
+        return _softplus_terms(z, order)
     if kind is Activation.RELU:
-        return _relu_terms(z)
+        return _relu_terms(z, order)
     raise ValueError(f"unknown activation: {kind!r}")
 
 
@@ -95,10 +115,10 @@ def activation_eval(kind: Activation, z) -> tuple:
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("activation input must be finite")
-    value, first, second = _act_terms(kind, arr)
+    terms = _act_terms(kind, np.atleast_1d(arr))
     if arr.ndim == 0:
-        return float(value), float(first), float(second)
-    return value, first, second
+        return tuple(float(t[0]) for t in terms)
+    return terms
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -299,13 +319,14 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 # these helpers.
 
 
-def _hidden_batch(layers, activation, X):
+def _hidden_batch(layers, activation, X, order=2):
     """Hidden activations, preactivations and activation slopes ``s'``,
-    ``s''`` per layer; ``acts[0]`` is ``X``."""
+    ``s''`` per layer; ``acts[0]`` is ``X``.  Slopes above ``order`` are
+    not computed and appear as None."""
     acts, zs, fds, sds = [X], [], [], []
     for theta in layers[:-1]:
         z = acts[-1] @ theta.T
-        value, first, second = _act_terms(activation, z)
+        value, first, second = _act_terms(activation, z, order)
         zs.append(z)
         fds.append(first)
         sds.append(second)
@@ -342,6 +363,10 @@ def _grad_params_batch(layers, acts, fds, weights):
     return grads
 
 
+def _output(layers, acts):
+    return (acts[-1] @ layers[-1].T).ravel()
+
+
 def _laplacian(layers, fds, sds):
     """Forward-propagated input Laplacian (see :func:`laplacian_input`)."""
     jac = layers[0]
@@ -366,13 +391,13 @@ def _check_batch(net, X):
 
 def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,)."""
-    acts = _hidden_batch(net.layers, net.activation, _check_batch(net, X))[0]
-    return (acts[-1] @ net.layers[-1].T).ravel()
+    acts = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 0)[0]
+    return _output(net.layers, acts)
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
     """Input gradients for every row of X, shape (m, d)."""
-    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))[2]
+    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 1)[2]
     return _grad_input(net.layers, fds)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Architecture, Network, _grad_params_batch, _hidden_batch
+from .net import Architecture, Network, _grad_params_batch, _hidden_batch, _output
 
 __all__ = [
     "FlatParams",
@@ -163,8 +163,8 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
 def _mse_and_grad(flat, shapes, activation, X, y):
     """Mean squared error over the batch and its gradient, flattened."""
     layers = _layer_views(flat, shapes)
-    acts, _, fds, _ = _hidden_batch(layers, activation, X)
-    resid = (acts[-1] @ layers[-1].T).ravel() - y
+    acts, _, fds, _ = _hidden_batch(layers, activation, X, 1)
+    resid = _output(layers, acts) - y
     m = X.shape[0]
     grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
     return float(resid @ resid) / m, np.concatenate([g.ravel() for g in grads])

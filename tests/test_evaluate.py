@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from l1net import evaluate
+from l1net.cli import ExperimentConfig, VerifyConfig, run_verification
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
 from l1net.evaluate import (
     ErrorEstimate,
@@ -199,6 +201,29 @@ def test_green_identity_chunking_consistent():
     )
     np.testing.assert_allclose(one.lhs, many.lhs, rtol=1e-12)
     np.testing.assert_allclose(one.rhs, many.rhs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [0.5, -1.0])
+def test_green_identity_catches_scaled_laplacian(monkeypatch, factor):
+    # The d=3 pair that ``l1net verify`` draws, at 10^5 samples: gaps under
+    # 1% when clean, about 10% at x0.5 and 40% at -1.  A x1.02 fault stays
+    # inside the Monte-Carlo noise and is not caught.
+    cfg = ExperimentConfig(verify=VerifyConfig(
+        trials=1, depths=(2,), dims=(1,), green_m=100_000, green_pairs=1,
+    ))
+
+    def green_d3():
+        rows, _ = run_verification(cfg)
+        return next(row for row in rows if row.suite == "green_identity_d3")
+
+    clean = green_d3()
+    assert clean.violations == 0
+    exact = evaluate._laplacian
+    monkeypatch.setattr(
+        evaluate, "_laplacian", lambda layers, fds, sds: factor * exact(layers, fds, sds)
+    )
+    faulty = green_d3()
+    assert faulty.violations == faulty.trials == 2
 
 
 def test_green_identity_input_validation():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from l1net.net import (
     Activation,
@@ -66,6 +67,35 @@ def test_softplus_large_argument_stable():
     assert np.isfinite(v) and d1 == 1.0 and d2 == 0.0
     v, d1, d2 = activation_eval(Activation.SOFTPLUS, -700.0)
     assert np.isfinite(v) and d1 >= 0.0 and d2 >= 0.0
+
+
+def test_softplus_kernel_matches_references():
+    # np.logaddexp and scipy's expit are independent references.
+    eps = np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    mags = np.concatenate([
+        [0.0, 5e-324, 1e-310, tiny, 1e-300, 1e-17, 1e-8],
+        np.geomspace(1e-6, 745.0, 400),
+        [709.8, 710.0, 744.4, 745.0, 1e10, 1e300],
+    ])
+    z = np.concatenate([mags, -mags])
+    v, d1, d2 = activation_eval(Activation.SOFTPLUS, z)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+    # The shift by log 2 cancels near z = 0 in both, so the value is
+    # compared on the scale of the unshifted log(1 + e^z).
+    ref_v = np.logaddexp(0.0, z) - np.log(2.0)
+    assert np.all(np.abs(v - ref_v) <= 4 * eps * (np.abs(ref_v) + np.log(2.0)))
+    # Below tiny, subnormal results carry too few bits for a relative test.
+    ref_d1 = expit(z)
+    assert np.all(np.abs(d1 - ref_d1) <= 4 * eps * ref_d1 + tiny)
+    ref_d2 = ref_d1 * (1.0 - ref_d1)
+    assert np.all(np.abs(d2 - ref_d2) <= 4 * eps * ref_d2 + tiny)
+    assert (v[0], d1[0], d2[0]) == (0.0, 0.5, 0.25)
+    assert (v[mags.size], d1[mags.size], d2[mags.size]) == (0.0, 0.5, 0.25)
+    for i in range(0, z.size, 37):
+        scalar = activation_eval(Activation.SOFTPLUS, float(z[i]))
+        assert all(type(t) is float for t in scalar)
+        assert scalar == (v[i], d1[i], d2[i])
 
 
 def test_relu_branches():
