@@ -12,6 +12,7 @@ networks sampled inside the ball.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,10 +29,10 @@ from .net import (
 from .sparsity import _layer_views, project_l1
 
 __all__ = [
-    "AuditRow",
     "BoundAudit",
     "BoundInputs",
     "BoundReport",
+    "SuiteRow",
     "bound_report",
     "c1",
     "derivative_convergence_bound",
@@ -54,6 +55,24 @@ def _check_depth(L):
     return L
 
 
+def _inf_on_overflow(bound):
+    """A bound too large for a float is +inf, a vacuous but valid bound,
+    instead of an ``OverflowError`` from ``**`` or a NaN from ``0 * inf``
+    (an underflowed factor times an overflowed one).  Representable values
+    are returned untouched."""
+
+    @functools.wraps(bound)
+    def wrapper(*args, **kwargs):
+        try:
+            value = bound(*args, **kwargs)
+        except OverflowError:
+            return math.inf
+        return math.inf if math.isnan(value) else value
+
+    return wrapper
+
+
+@_inf_on_overflow
 def lipschitz_param_bound(r: float, L: int, x_inf: float) -> float:
     """Lipschitz constant of f(x) in the parameters at a fixed input:
     ``sqrt(L) (r/(L-1))^(L-1) |x|_inf``."""
@@ -61,6 +80,7 @@ def lipschitz_param_bound(r: float, L: int, x_inf: float) -> float:
     return math.sqrt(L) * (r / (L - 1)) ** (L - 1) * x_inf
 
 
+@_inf_on_overflow
 def lip_l2pn_bound(r: float, L: int, sample_x_inf_rms: float) -> float:
     """Same constant in the empirical L2 metric; ``sample_x_inf_rms`` is
     ``sqrt((1/n) sum_i |x_i|_inf^2)``."""
@@ -68,18 +88,21 @@ def lip_l2pn_bound(r: float, L: int, sample_x_inf_rms: float) -> float:
     return math.sqrt(L) * (r / (L - 1)) ** (L - 1) * sample_x_inf_rms
 
 
+@_inf_on_overflow
 def sup_model_bound(R: float, r: float, L: int) -> float:
     """``sup |f(x)| <= R (r/L)^L`` over the ball and the input box."""
     L = _check_depth(L)
     return R * (r / L) ** L
 
 
+@_inf_on_overflow
 def grad_l1_bound(r: float, L: int) -> float:
     """``|grad_x f|_1 <= (r/L)^L`` for any network in the ball."""
     L = _check_depth(L)
     return (r / L) ** L
 
 
+@_inf_on_overflow
 def divergence_bound(r: float, L: int) -> float:
     """``|lap_x f| <= (L/4)(r/L)^L max_{k in 2..L-1} (r/k)^k``.
 
@@ -148,6 +171,7 @@ def log_factor(inputs: BoundInputs) -> tuple:
     return raw, False
 
 
+@_inf_on_overflow
 def rademacher_bound(inputs: BoundInputs) -> float:
     """Empirical complexity of the ball:
     ``24 r (r/(L-1))^(L-1) sqrt(2 L log P / n)`` times the log factor."""
@@ -161,10 +185,14 @@ def rademacher_bound(inputs: BoundInputs) -> float:
 
 
 def model_convergence_bound(inputs: BoundInputs) -> float:
-    """Expected excess risk bound: exactly ``4 b0`` times the complexity."""
+    """Expected excess risk bound: exactly ``4 b0`` times the complexity
+    (0 when ``b0`` is 0, even if the complexity overflowed)."""
+    if inputs.b0 == 0.0:
+        return 0.0
     return 4.0 * inputs.b0 * rademacher_bound(inputs)
 
 
+@_inf_on_overflow
 def derivative_convergence_bound(inputs: BoundInputs, b1_exponent: int = 1) -> float:
     """Expected squared-L2 gradient error bound, rate ``n^(-1/4)``.
 
@@ -178,7 +206,7 @@ def derivative_convergence_bound(inputs: BoundInputs, b1_exponent: int = 1) -> f
     inner_sq = max(((r / k) ** (2 * k) for k in range(2, L)), default=1.0)
     quarter = inputs.n ** -0.25
     term1 = quarter * (r / L) ** (2 * L) * (2.0 + (L * L / 8.0) * inner_sq)
-    term2 = (
+    term2 = 0.0 if inputs.b0 == 0.0 else (
         48.0 * (1.0 + inputs.b1 ** b1_exponent) * inputs.b0
         * r * (r / (L - 1)) ** (L - 1)
         * math.sqrt(2.0 * L * math.log(inputs.P)) * quarter * factor
@@ -235,11 +263,24 @@ def bound_report(inputs: BoundInputs, b1_exponent: int = 1) -> BoundReport:
 
 
 @dataclass(frozen=True)
-class AuditRow:
-    bound_name: str
+class SuiteRow:
+    """One checked property: ``worst_ratio`` is the worst observed value over
+    its allowed limit, so a ratio above 1 is a violation in every suite."""
+
+    suite: str
     trials: int
     violations: int
     worst_ratio: float
+
+
+def _tally(ratios: dict, slack: float = 0.0) -> list:
+    """One :class:`SuiteRow` per ``{suite: [observed/allowed ratio per
+    trial]}`` entry: ratios above ``1 + slack`` are violations, and
+    ``worst_ratio`` is the largest ratio, floored at 0."""
+    return [
+        SuiteRow(suite, len(r), int(sum(x > 1.0 + slack for x in r)), max([0.0, *r]))
+        for suite, r in ratios.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -251,7 +292,7 @@ class BoundAudit:
         return int(sum(row.violations for row in self.rows))
 
     def to_csv(self) -> str:
-        return _rows_to_csv(AuditRow, self.rows)
+        return _rows_to_csv(SuiteRow, self.rows)
 
 
 _CSV_FORMATS = {"str": "%s", "int": "%d", "float": "%.17g"}
@@ -273,14 +314,6 @@ def _sample_ball_net(arch: Architecture, r: float, rng) -> Network:
     flat = project_l1(np.concatenate([w.ravel() for w in layers]), r)
     shapes = [w.shape for w in layers]
     return Network(tuple(_layer_views(flat, shapes)), arch.activation)
-
-
-def _zero_net(arch: Architecture) -> Network:
-    sizes = arch.layer_sizes
-    return Network(
-        tuple(np.zeros((sizes[l + 1], sizes[l])) for l in range(arch.depth)),
-        arch.activation,
-    )
 
 
 def _chain_net(arch: Architecture, r: float, x: np.ndarray) -> Network:
@@ -307,8 +340,7 @@ def _chain_net(arch: Architecture, r: float, x: np.ndarray) -> Network:
 
 
 def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
-                  input_sup: float = 10.0, slack: float = 1e-9,
-                  bound_scale=None) -> BoundAudit:
+                  input_sup: float = 10.0, slack: float = 1e-9) -> BoundAudit:
     """Randomized audit of the pointwise inequalities.
 
     Per trial an input is drawn uniformly from the box
@@ -316,47 +348,27 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
     (Gaussian draw followed by L1 projection; every eighth trial swaps the
     first one for the near-extremal single-path net so the audit actually
     exercises the tight end of each inequality); then each inequality is
-    checked at relative slack ``slack``.  Audited rows: ``lipschitz_param``
-    (against the parameter distance of the pair), ``sup_model``, ``grad_l1``
-    and ``divergence``.  Trials use per-trial RNG streams spawned from
-    ``seed``, so the audit is deterministic and order-independent.
-
-    ``bound_scale`` is test instrumentation: a mapping from bound name to a
-    multiplier applied to that bound's right-hand side (used to prove the
-    audit can fail).  ``r = 0`` degenerates to all-zero networks whose
+    checked at relative slack ``slack``.  Audited rows, named by bound:
+    ``lipschitz_param`` (against the parameter distance of the pair),
+    ``sup_model``, ``grad_l1`` and ``divergence``.  Trials use per-trial RNG
+    streams spawned from ``seed``, so the audit is deterministic and
+    order-independent.  ``r = 0`` degenerates to all-zero networks whose
     outputs, gradients and Laplacians are exactly zero.
     """
     if int(trials) < 1:
         raise ValueError("trials must be at least 1")
-    trials = int(trials)
-    scale = dict(bound_scale or {})
-    names = ("lipschitz_param", "sup_model", "grad_l1", "divergence")
-    violations = {name: 0 for name in names}
-    worst = {name: 0.0 for name in names}
-
-    grad_rhs = grad_l1_bound(r, arch.depth) * scale.get("grad_l1", 1.0)
-    div_rhs = divergence_bound(r, arch.depth) * scale.get("divergence", 1.0)
-    streams = np.random.SeedSequence(seed).spawn(trials)
-
-    def record(name, lhs, rhs):
-        ratio = 0.0 if lhs == 0.0 else (lhs / rhs if rhs > 0.0 else math.inf)
-        if ratio > worst[name]:
-            worst[name] = ratio
-        if lhs > rhs * (1.0 + slack):
-            violations[name] += 1
-
-    for index, stream in enumerate(streams):
+    ratios = {}
+    grad_rhs = grad_l1_bound(r, arch.depth)
+    div_rhs = divergence_bound(r, arch.depth)
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(int(trials))):
         rng = np.random.default_rng(stream)
         x = rng.uniform(-input_sup, input_sup, size=arch.layer_sizes[0])
         x_inf = float(np.max(np.abs(x)))
-        if r == 0.0:
-            net_a = _zero_net(arch)
-            net_b = _zero_net(arch)
-        elif index % 8 == 7:
-            net_a = _chain_net(arch, r, x)
-            net_b = _sample_ball_net(arch, r, rng)
+        if r == 0.0:  # the all-zero net is the only member of the ball
+            net_a = net_b = _chain_net(arch, r, x)
         else:
-            net_a = _sample_ball_net(arch, r, rng)
+            chain = index % 8 == 7
+            net_a = _chain_net(arch, r, x) if chain else _sample_ball_net(arch, r, rng)
             net_b = _sample_ball_net(arch, r, rng)
 
         trace_a = forward(net_a, x)
@@ -367,24 +379,17 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
                 for ta, tb in zip(net_a.layers, net_b.layers)
             )
         )
-        lip_rhs = (
-            lipschitz_param_bound(r, arch.depth, x_inf) * param_dist
-            * scale.get("lipschitz_param", 1.0)
-        )
-        record("lipschitz_param", abs(trace_a.output - trace_b.output), lip_rhs)
-        record(
-            "sup_model",
-            abs(trace_a.output),
-            sup_model_bound(x_inf, r, arch.depth) * scale.get("sup_model", 1.0),
-        )
-        record(
-            "grad_l1",
-            float(np.abs(grad_input(net_a, trace_a)).sum()),
-            grad_rhs,
-        )
-        record("divergence", abs(laplacian_input(net_a, trace_a)), div_rhs)
-
-    rows = tuple(
-        AuditRow(name, trials, violations[name], worst[name]) for name in names
-    )
-    return BoundAudit(rows)
+        checks = {
+            "lipschitz_param": (
+                abs(trace_a.output - trace_b.output),
+                lipschitz_param_bound(r, arch.depth, x_inf) * param_dist,
+            ),
+            "sup_model": (abs(trace_a.output), sup_model_bound(x_inf, r, arch.depth)),
+            "grad_l1": (float(np.abs(grad_input(net_a, trace_a)).sum()), grad_rhs),
+            "divergence": (abs(laplacian_input(net_a, trace_a)), div_rhs),
+        }
+        for name, (lhs, rhs) in checks.items():
+            ratios.setdefault(name, []).append(
+                0.0 if lhs == 0.0 else (lhs / rhs if rhs > 0.0 else math.inf)
+            )
+    return BoundAudit(tuple(_tally(ratios, slack)))

@@ -37,7 +37,9 @@ from . import __version__
 from .bounds import (
     Architecture,
     BoundInputs,
+    SuiteRow,
     _rows_to_csv,
+    _tally,
     bound_report,
     verify_bounds,
 )
@@ -101,6 +103,12 @@ class TrainTemplate:
     step_size: float = 0.05
     iterations: int = 1000
     batch_size: object = "full"
+
+    def __post_init__(self):
+        try:
+            TrainConfig(1.0, self.step_size, self.iterations, self.batch_size)
+        except ValueError as exc:
+            raise ConfigError(f"train: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -397,10 +405,11 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
     return teacher, X_test, cfg.radius_rule.radius_for(teacher_l1), spec
 
 
-def _run_trial(task) -> TrialResult:
-    cfg, L, act_value, n, repeat = task
-    act = Activation(act_value)
-    teacher, X_test, radius, spec = _cell_data(cfg, L, act)
+def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
+                   repeat: int):
+    """One trial's training set, its recorded seed and the seed sequence
+    of its training stream."""
+    teacher, _, _, spec = _cell_data(cfg, L, act)
     ss = _seed_seq(cfg.master_seed, 2, _ACT_CODE[act], L, n, repeat)
     seed = _seed_u64(ss)
     data_ss, train_ss = ss.spawn(2)
@@ -408,6 +417,14 @@ def _run_trial(task) -> TrialResult:
         teacher, n, cfg.data, np.random.default_rng(data_ss),
         teacher_spec=spec, seed=seed,
     )
+    return dataset, seed, train_ss
+
+
+def _run_trial(task) -> TrialResult:
+    cfg, L, act_value, n, repeat = task
+    act = Activation(act_value)
+    teacher, X_test, radius, _ = _cell_data(cfg, L, act)
+    dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
     arch = Architecture.mlp(cfg.d, cfg.h, L, act)
     tc = TrainConfig(
         radius=radius,
@@ -570,14 +587,6 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
 # -- verification suites ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteRow:
-    suite: str
-    trials: int
-    violations: int
-    worst_ratio: float
-
-
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     """Exact derivatives vs finite differences over random draws.
 
@@ -586,14 +595,10 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     through zero) is measured against ``max(1, |exact|)``.
     """
     v = cfg.verify
-    tols = {
-        "grad_params": v.fd_grad_tol,
-        "grad_input": v.fd_grad_tol,
-        "laplacian_input": v.fd_lap_tol,
-    }
-    worst = {name: 0.0 for name in tols}
-    bad = {name: 0 for name in tols}
     sizes = arch.layer_sizes
+    tag = f"L{arch.depth}_d{sizes[0]}"
+    ratios = {f"fd_{name}_{tag}": [] for name in
+              ("grad_params", "grad_input", "laplacian_input")}
     for stream in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(stream)
         net = Network(tuple(_gaussian_layers(sizes, rng)), arch.activation)
@@ -611,33 +616,24 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         approx_g = finite_diff_gradient(net, x, v.fd_grad_step)
         exact_l = laplacian_input(net, trace)
         approx_l = finite_diff_laplacian(net, x, v.fd_lap_step)
-        errs = {
-            "grad_params": num / max(den, 1e-12),
-            "grad_input": float(np.abs(approx_g - exact_g).max())
-            / max(float(np.abs(exact_g).max()), 1e-12),
-            "laplacian_input": abs(approx_l - exact_l) / max(1.0, abs(exact_l)),
-        }
-        for name, err in errs.items():
-            worst[name] = max(worst[name], err)
-            bad[name] += err > tols[name]
-
-    tag = f"L{arch.depth}_d{sizes[0]}"
-    return [
-        SuiteRow(f"fd_{name}_{tag}", trials, int(bad[name]), worst[name] / tols[name])
-        for name in tols
-    ]
+        errs = (
+            num / max(den, 1e-12) / v.fd_grad_tol,
+            float(np.abs(approx_g - exact_g).max())
+            / max(float(np.abs(exact_g).max()), 1e-12) / v.fd_grad_tol,
+            abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / v.fd_lap_tol,
+        )
+        for bucket, err in zip(ratios.values(), errs):
+            bucket.append(err)
+    return _tally(ratios)
 
 
 def _small_green_net(d: int, rng) -> Network:
     return Network(tuple(_gaussian_layers((d, 6, 1), rng)), Activation.SOFTPLUS)
 
 
-def run_verification(cfg: ExperimentConfig, bound_scale=None) -> tuple:
-    """All property suites; returns ``(rows, ok)``.
-
-    ``worst_ratio`` is uniformly "observed worst value over its allowed
-    limit", so any ratio above 1 is a violation regardless of suite.
-    """
+def run_verification(cfg: ExperimentConfig) -> tuple:
+    """All property suites; returns ``(rows, ok)``, with ``ok`` false when
+    any :class:`SuiteRow` shows a violation."""
     v = cfg.verify
     rows = []
     for L in v.depths:
@@ -647,13 +643,10 @@ def run_verification(cfg: ExperimentConfig, bound_scale=None) -> tuple:
                 arch, v.radius, v.trials,
                 _seed_u64(_seed_seq(cfg.master_seed, 5, 0, L, d)),
                 input_sup=cfg.data.input_bound, slack=v.slack,
-                bound_scale=bound_scale,
             )
-            tag = f"L{L}_d{d}"
             rows.extend(
-                SuiteRow(f"bound_{r.bound_name}_{tag}", r.trials, r.violations,
-                         r.worst_ratio)
-                for r in audit.rows
+                dataclasses.replace(row, suite=f"bound_{row.suite}_L{L}_d{d}")
+                for row in audit.rows
             )
     for L in v.depths:
         for d in v.dims:
@@ -662,19 +655,17 @@ def run_verification(cfg: ExperimentConfig, bound_scale=None) -> tuple:
                 cfg, arch, v.trials,
                 _seed_u64(_seed_seq(cfg.master_seed, 5, 1, L, d)),
             ))
+    green = {}
     for d in (1, 2, 3):
         rng = np.random.default_rng(_seed_seq(cfg.master_seed, 5, 2, d))
-        gaps = []
+        gaps = green[f"green_identity_d{d}"] = []
         for _ in range(v.green_pairs):
             f = _small_green_net(d, rng)
             g = _small_green_net(d, rng)
-            gaps.append(green_identity_check(f, g, cfg.data, v.green_m, rng).rel_gap)
-            gaps.append(green_identity_check(g, f, cfg.data, v.green_m, rng).rel_gap)
-        rows.append(SuiteRow(
-            f"green_identity_d{d}", len(gaps),
-            int(sum(gap > v.green_tol for gap in gaps)),
-            max(gaps) / v.green_tol,
-        ))
+            for a, b in ((f, g), (g, f)):
+                gap = green_identity_check(a, b, cfg.data, v.green_m, rng).rel_gap
+                gaps.append(gap / v.green_tol)
+    rows.extend(_tally(green))
     ok = all(row.violations == 0 for row in rows)
     return rows, ok
 
@@ -724,8 +715,6 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     add_common(p_verify)
-    p_verify.add_argument("--inject-bound-bug", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_datagen = sub.add_parser("datagen", help="emit one synthetic dataset")
     add_common(p_datagen)
@@ -792,8 +781,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    scale = {"grad_l1": 0.5} if args.inject_bound_bug else None
-    rows, ok = run_verification(cfg, bound_scale=scale)
+    rows, ok = run_verification(cfg)
     path = _write(args.out, "verify.csv", suites_to_csv(rows))
     for row in rows:
         status = "ok" if row.violations == 0 else "FAIL"
@@ -818,13 +806,8 @@ def _cmd_datagen(args) -> int:
     act = Activation.SOFTPLUS
     if args.activation is not None:
         act = _parse_activation(args.activation)
-    teacher, _, _, spec = _cell_data(cfg, L, act)
-    ss = _seed_seq(cfg.master_seed, 2, _ACT_CODE[act], L, n, 0)
-    data_ss, _ = ss.spawn(2)
-    dataset = synthesize(
-        teacher, n, cfg.data, np.random.default_rng(data_ss),
-        teacher_spec=spec, seed=_seed_u64(ss),
-    )
+    teacher = _cell_data(cfg, L, act)[0]
+    dataset, _, _ = _trial_dataset(cfg, L, act, n, 0)
     os.makedirs(args.out, exist_ok=True)
     write_dataset_csv(dataset, os.path.join(args.out, "dataset.csv"))
     save_network(teacher, os.path.join(args.out, "teacher.json"))

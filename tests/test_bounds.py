@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from l1net import bounds
 from l1net.bounds import (
     BoundInputs,
     bound_report,
@@ -225,22 +226,43 @@ def test_report_dict_keys():
     }
 
 
+@pytest.mark.parametrize("r, L", [(1e3, 400), (1e6, 50), (1e8, 50)])
+@pytest.mark.parametrize("b0", [1.0, 0.0])
+def test_report_overflow_is_inf_not_an_error(r, L, b0):
+    # (r/k)^(2k) overflows in the derivative bound at the first two points;
+    # at the third every power overflows
+    inputs = BoundInputs(r=r, L=L, P=10**6, n=100, R=10, b0=b0, b1=10, x_inf_sq=4)
+    got = bound_report(inputs).to_dict()
+    values = [v for v in got.values() if not isinstance(v, bool)]
+    assert not any(math.isnan(v) for v in values)
+    assert got["derivative_convergence"] == math.inf
+    if b0 == 0.0:
+        assert got["model_convergence"] == 0.0
+    if r == 1e8:
+        for name in ("lip_param", "lip_l2pn", "sup_model", "grad_l1", "divergence",
+                     "rademacher", "derivative_convergence"):
+            assert got[name] == math.inf, name
+        assert got["model_convergence"] == (0.0 if b0 == 0.0 else math.inf)
+
+
 def test_verify_bounds_clean_audit():
     for act in (Activation.SOFTPLUS, Activation.RELU):
         arch = Architecture.mlp(20, 6, 3, act)
         audit = verify_bounds(arch, 4.0, 100, seed=5)
         assert audit.total_violations == 0
-        names = [row.bound_name for row in audit.rows]
+        names = [row.suite for row in audit.rows]
         assert names == ["lipschitz_param", "sup_model", "grad_l1", "divergence"]
         for row in audit.rows:
             assert row.trials == 100
             assert 0.0 <= row.worst_ratio <= 1.0 + 1e-9
 
 
-def test_verify_bounds_catches_injected_bug():
+def test_verify_bounds_catches_injected_bug(monkeypatch):
+    exact = bounds.grad_l1_bound
+    monkeypatch.setattr(bounds, "grad_l1_bound", lambda r, L: 0.5 * exact(r, L))
     arch = Architecture.mlp(20, 6, 3, Activation.SOFTPLUS)
-    audit = verify_bounds(arch, 4.0, 200, seed=5, bound_scale={"grad_l1": 0.5})
-    by_name = {row.bound_name: row for row in audit.rows}
+    audit = verify_bounds(arch, 4.0, 200, seed=5)
+    by_name = {row.suite: row for row in audit.rows}
     assert by_name["grad_l1"].violations > 0
     assert audit.total_violations == by_name["grad_l1"].violations
 
@@ -250,7 +272,7 @@ def test_verify_bounds_deterministic():
     a = verify_bounds(arch, 3.0, 50, seed=9)
     b = verify_bounds(arch, 3.0, 50, seed=9)
     assert a.to_csv() == b.to_csv()
-    assert a.to_csv().splitlines()[0] == "bound_name,trials,violations,worst_ratio"
+    assert a.to_csv().splitlines()[0] == "suite,trials,violations,worst_ratio"
 
 
 def test_verify_bounds_zero_radius():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from l1net import bounds, cli, evaluate
 from l1net.cli import (
     ConfigError,
     ExperimentConfig,
@@ -92,6 +96,14 @@ def test_config_rejects_bad_values(tmp_path):
             load_config(str(path))
     out = str(tmp_path / "out")
     assert main(["verify", "--config", str(path), "--out", out]) == 1
+    # train settings that used to pass the loader and then die with a
+    # ValueError traceback at the first trial of a run
+    for train in ({"step_size": 0.0}, {"step_size": -0.1}, {"iterations": 0},
+                  {"batch_size": 0}):
+        path.write_text(json.dumps({"train": train}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", out]) == 1
 
 
 def test_radius_rule_forms(tmp_path):
@@ -353,15 +365,36 @@ def test_verify_command_passes_and_writes_csv(tmp_path):
         assert int(line.split(",")[2]) == 0
 
 
-def test_verify_command_detects_injected_bug(tmp_path):
+def _scaled(fn, factor):
+    def faulty(*args):
+        out = fn(*args)
+        return [factor * part for part in out] if isinstance(out, list) else factor * out
+    return faulty
+
+
+# One planted fault per suite: (module, function, factor, the suite that
+# must catch it and no other suite may flag)
+FAULTS = [
+    (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
+    (cli, "grad_params", 1.001, "fd_grad_params"),
+    (cli, "grad_input", 1.001, "fd_grad_input"),
+    (cli, "laplacian_input", 1.02, "fd_laplacian_input"),
+    (evaluate, "_laplacian", -1.0, "green_identity_d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, factor, suite", FAULTS, ids=[fault[-1] for fault in FAULTS]
+)
+def test_verify_command_detects_injected_bug(tmp_path, monkeypatch, module, name,
+                                             factor, suite):
+    monkeypatch.setattr(module, name, _scaled(getattr(module, name), factor))
     cfg_path = _write_config(tmp_path, **_verify_overrides())
     out_dir = tmp_path / "verify_bug"
-    code = main(["verify", "--config", cfg_path, "--out", str(out_dir),
-                 "--inject-bound-bug"])
-    assert code == 2
+    assert main(["verify", "--config", cfg_path, "--out", str(out_dir)]) == 2
     lines = (out_dir / "verify.csv").read_text().strip().splitlines()
-    bug_rows = [l for l in lines[1:] if l.startswith("bound_grad_l1")]
-    assert bug_rows and all(int(l.split(",")[2]) > 0 for l in bug_rows)
+    failing = [l.split(",")[0] for l in lines[1:] if int(l.split(",")[2]) > 0]
+    assert failing and all(row.startswith(suite) for row in failing)
 
 
 def test_run_verification_deterministic():
@@ -375,3 +408,17 @@ def test_run_verification_deterministic():
     rows_b, ok_b = run_verification(cfg)
     assert ok_a and ok_b
     assert suites_to_csv(rows_a) == suites_to_csv(rows_b)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only dependency; the package and its six modules must
+    # import without it
+    modules = "l1net, l1net.bounds, l1net.cli, l1net.datagen, l1net.evaluate, " \
+        "l1net.net, l1net.sparsity"
+    code = (f"import sys, {modules}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from l1net.datagen import (
     DataSpec,
@@ -54,6 +55,40 @@ def test_truncated_normal_tight_cutoff():
     assert np.max(np.abs(x - 2.0)) <= 0.75
     # conditioning on a narrow window shrinks the variance
     assert float(x.std()) < 0.5
+
+
+class _CountingGenerator:
+    """Forwards to a numpy Generator and counts the proposals drawn."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.proposals = 0
+
+    def normal(self, loc, scale, size):
+        self.proposals += int(np.prod(size))
+        return self._rng.normal(loc, scale, size=size)
+
+    def uniform(self, low, high, size):
+        self.proposals += int(np.prod(size))
+        return self._rng.uniform(low, high, size=size)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def test_truncated_normal_narrow_cutoff_is_cheap():
+    # normal proposals would need about 1/(0.8 c) = 1246 tries per draw here
+    rng = _CountingGenerator(2)
+    x = sample_truncated_normal(1.0, 2.0, 1e-3, rng, size=10_000)
+    assert rng.proposals < 4 * x.size
+    assert np.max(np.abs(x - 1.0)) <= 2e-3
+    assert abs(sample_truncated_normal(0.0, 1.0, 1e-9, rng)) <= 1e-9
+
+
+def test_truncated_normal_matches_scipy_truncnorm():
+    x = sample_truncated_normal(1.0, 2.0, 0.5, np.random.default_rng(0), size=20_000)
+    law = stats.truncnorm(-0.5, 0.5, loc=1.0, scale=2.0)
+    assert stats.kstest(x, law.cdf).pvalue > 0.01
 
 
 def test_truncated_normal_deterministic():
