@@ -106,7 +106,7 @@ class TrainTemplate:
 
     def __post_init__(self):
         try:
-            TrainConfig(1.0, self.step_size, self.iterations, self.batch_size)
+            TrainConfig(1.0, **dataclasses.asdict(self))
         except ValueError as exc:
             raise ConfigError(f"train: {exc}") from None
 
@@ -120,7 +120,7 @@ class RadiusRule:
     value: float
 
     def __post_init__(self):
-        if self.kind not in ("absolute", "teacher_multiple"):
+        if self.kind not in ("absolute", "teacher_multiplier"):
             raise ConfigError(f"unknown radius rule kind {self.kind!r}")
         if not np.isfinite(self.value) or self.value <= 0.0:
             raise ConfigError("radius rule value must be positive and finite")
@@ -181,7 +181,7 @@ class ExperimentConfig:
     repeats: int = 100
     activations: tuple = (Activation.SOFTPLUS, Activation.RELU)
     depths: tuple = (2, 3)
-    radius_rule: RadiusRule = RadiusRule("teacher_multiple", 1.1)
+    radius_rule: RadiusRule = RadiusRule("teacher_multiplier", 1.1)
     master_seed: int = 0
     b0: float = 1.0
     b1_exponent: int = 1
@@ -222,7 +222,6 @@ class ExperimentConfig:
 # key is a dataclass field name, with tuples as lists and activations as
 # their string values.  Absent keys keep the dataclass defaults.
 _TEACHER_KEYS = ("d", "s", "h")
-_RULE_KEYS = {"absolute": "absolute", "teacher_multiple": "teacher_multiplier"}
 
 
 def _check_keys(obj, section: str, allowed):
@@ -242,11 +241,8 @@ def _parse_radius_rule(obj) -> RadiusRule:
         raise ConfigError(
             'radius_rule must be {"absolute": r} or {"teacher_multiplier": m}'
         )
-    ((key, value),) = obj.items()
-    kind = {name: kind for kind, name in _RULE_KEYS.items()}.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown radius_rule key {key!r}")
-    return RadiusRule(kind, float(value))
+    ((kind, value),) = obj.items()
+    return RadiusRule(kind, _parse_number(value, 0.0, "radius_rule"))
 
 
 def _parse_activation(value) -> Activation:
@@ -254,6 +250,16 @@ def _parse_activation(value) -> Activation:
         return Activation(value)
     except ValueError:
         raise ConfigError(f"unknown activation {value!r}") from None
+
+
+def _parse_number(value, default, key: str):
+    """A JSON number of ``default``'s type: no bools or strings, and only
+    integral values for an integer (``1e4`` but not ``2.5`` or ``Infinity``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(default, int) and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return type(default)(value)
 
 
 def _parse_value(default, value, key: str):
@@ -267,8 +273,8 @@ def _parse_value(default, value, key: str):
     if isinstance(default, Activation):
         return _parse_activation(value)
     if isinstance(default, (int, float)):
-        return type(default)(value)
-    return value if value == default else int(value)  # batch_size: "full" or a count
+        return _parse_number(value, default, key)
+    return value if value == default else _parse_number(value, 0, key)  # batch_size
 
 
 def _parse_section(cls, obj, section: str):
@@ -300,7 +306,7 @@ def load_config(path=None) -> ExperimentConfig:
     raw.update(_check_keys(raw.pop("teacher", {}), "teacher", _TEACHER_KEYS))
     try:
         return _parse_section(ExperimentConfig, raw, "config")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -322,7 +328,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical JSON-ready echo of a config (used in run metadata)."""
     doc = _to_json(cfg)
     doc["teacher"] = {key: doc.pop(key) for key in _TEACHER_KEYS}
-    doc["radius_rule"] = {_RULE_KEYS[cfg.radius_rule.kind]: cfg.radius_rule.value}
+    doc["radius_rule"] = {cfg.radius_rule.kind: cfg.radius_rule.value}
     return doc
 
 
@@ -391,48 +397,37 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
     activations at a given depth share weights and test inputs; the radius
     (a function of the teacher's L1 norm) then matches across activations
     too.  Cached per process."""
-    spec = TeacherSpec(
+    teacher = make_teacher(TeacherSpec(
         d=cfg.d, s=cfg.s, L=L, h=cfg.h,
         seed=_seed_u64(_seed_seq(cfg.master_seed, 0, L)),
-    )
-    teacher = make_teacher(spec, activation=act)
+    ), activation=act)
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 1, L))
     X_test = sample_truncated_normal(
         cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
         size=(cfg.n_test, cfg.d),
     )
-    teacher_l1 = param_l1_norm(teacher)
-    return teacher, X_test, cfg.radius_rule.radius_for(teacher_l1), spec
+    return teacher, X_test, cfg.radius_rule.radius_for(param_l1_norm(teacher))
 
 
 def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
                    repeat: int):
     """One trial's training set, its recorded seed and the seed sequence
     of its training stream."""
-    teacher, _, _, spec = _cell_data(cfg, L, act)
     ss = _seed_seq(cfg.master_seed, 2, _ACT_CODE[act], L, n, repeat)
-    seed = _seed_u64(ss)
     data_ss, train_ss = ss.spawn(2)
     dataset = synthesize(
-        teacher, n, cfg.data, np.random.default_rng(data_ss),
-        teacher_spec=spec, seed=seed,
+        _cell_data(cfg, L, act)[0], n, cfg.data, np.random.default_rng(data_ss)
     )
-    return dataset, seed, train_ss
+    return dataset, _seed_u64(ss), train_ss
 
 
 def _run_trial(task) -> TrialResult:
     cfg, L, act_value, n, repeat = task
     act = Activation(act_value)
-    teacher, X_test, radius, _ = _cell_data(cfg, L, act)
+    teacher, X_test, radius = _cell_data(cfg, L, act)
     dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
     arch = Architecture.mlp(cfg.d, cfg.h, L, act)
-    tc = TrainConfig(
-        radius=radius,
-        step_size=cfg.train.step_size,
-        iterations=cfg.train.iterations,
-        batch_size=cfg.train.batch_size,
-        seed=_seed_u64(train_ss),
-    )
+    tc = TrainConfig(radius, **dataclasses.asdict(cfg.train), seed=_seed_u64(train_ss))
     try:
         model = train(dataset, arch, tc)
     except TrainingDivergenceError:
@@ -469,33 +464,26 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     else:
         trials = tuple(_run_trial(task) for task in tasks)
 
+    # Tasks run cell by cell, so each cell's repeats are one slice.
     aggregates = []
     all_diverged = []
-    by_cell = {}
-    for t in trials:
-        by_cell.setdefault((t.n, t.activation, t.L), []).append(t)
-    for n in cfg.n_grid:
-        for act in cfg.activations:
-            for L in cfg.depths:
-                group = by_cell[(n, act.value, L)]
-                pred = np.array([t.pred_l2 for t in group])
-                grad = np.array([t.grad_l2 for t in group])
-                ok = ~np.isnan(pred)
-                if not ok.any():
-                    all_diverged.append((n, act.value, L))
-                    nan = float("nan")
-                    aggregates.append(AggregateRow(n, act.value, L, nan, nan, nan, nan))
-                    continue
-                aggregates.append(AggregateRow(
-                    n, act.value, L,
-                    float(pred[ok].mean()), float(pred[ok].std()),
-                    float(grad[ok].mean()), float(grad[ok].std()),
-                ))
+    for start in range(0, len(trials), cfg.repeats):
+        group = trials[start:start + cfg.repeats]
+        cell = (group[0].n, group[0].activation, group[0].L)
+        pred = np.array([t.pred_l2 for t in group])
+        grad = np.array([t.grad_l2 for t in group])
+        ok = ~np.isnan(pred)
+        if ok.any():
+            stats = [float(f(v[ok])) for v in (pred, grad) for f in (np.mean, np.std)]
+        else:
+            all_diverged.append(cell)
+            stats = [float("nan")] * 4
+        aggregates.append(AggregateRow(*cell, *stats))
 
     teacher_l1 = {}
     radius = {}
     for L in cfg.depths:
-        teacher, _, rad, _ = _cell_data(cfg, L, cfg.activations[0])
+        teacher, _, rad = _cell_data(cfg, L, cfg.activations[0])
         teacher_l1[str(L)] = param_l1_norm(teacher)
         radius[str(L)] = rad
     metadata = {
@@ -522,8 +510,9 @@ def aggregates_to_csv(rows) -> str:
 # -- bound report -------------------------------------------------------------
 
 
-def _estimate_x_inf_sq(cfg: ExperimentConfig, draws: int = 100_000) -> float:
+def _estimate_x_inf_sq(cfg: ExperimentConfig) -> float:
     """Monte-Carlo estimate of E max_i x_i^2 under the input law."""
+    draws = 100_000
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 3))
     total = 0.0
     remaining = draws
@@ -542,9 +531,9 @@ def _estimate_b0(cfg: ExperimentConfig, model: Network) -> float:
     """Empirical loss-bound constant: max |model(x) - y| over a fresh
     synthetic test set drawn against the depth-matched teacher."""
     L = model.depth
-    teacher, _, _, spec = _cell_data(cfg, L, model.activation)
+    teacher = _cell_data(cfg, L, model.activation)[0]
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 4, L))
-    ds = synthesize(teacher, cfg.n_test, cfg.data, rng, teacher_spec=spec)
+    ds = synthesize(teacher, cfg.n_test, cfg.data, rng)
     return float(np.abs(forward_batch(model, ds.X) - ds.y).max())
 
 
@@ -566,7 +555,7 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
         b0, b0_source = cfg.b0, "config"
     entries = []
     for L in cfg.depths:
-        _, _, radius, _ = _cell_data(cfg, L, Activation.SOFTPLUS)
+        radius = _cell_data(cfg, L, Activation.SOFTPLUS)[2]
         P = Architecture.mlp(cfg.d, cfg.h, L, Activation.SOFTPLUS).n_params
         for n in cfg.n_grid:
             inputs = BoundInputs(
@@ -744,9 +733,9 @@ def _load(args) -> ExperimentConfig:
 
 
 def _write(out_dir, name: str, content) -> str:
-    """Write text, or a dict as indented sorted JSON, to ``out_dir/name``."""
+    """Write text, or a dict as indented sorted strict JSON, to ``out_dir/name``."""
     if isinstance(content, dict):
-        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        content = json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="ascii") as fh:
@@ -774,6 +763,8 @@ def _cmd_bounds(args) -> int:
     cfg = _load(args)
     model = load_network(args.model) if args.model else None
     entries = report_bounds(cfg, trained=model, b0_override=args.b0)
+    for report in (entry["report"] for entry in entries):  # strict JSON has no inf
+        report.update({key: "inf" for key, v in report.items() if v == math.inf})
     path = _write(args.out, "bounds.json", {"reports": entries})
     print(f"wrote {len(entries)} bound reports to {path}")
     return 0

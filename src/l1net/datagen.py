@@ -90,13 +90,11 @@ class TeacherSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Design matrix and labels, plus how they were generated (when known)."""
+    """Design matrix and labels, with the input law they were drawn from."""
 
     X: np.ndarray
     y: np.ndarray
     data_spec: DataSpec
-    teacher_spec: TeacherSpec = None
-    seed: int = None
 
     def __post_init__(self):
         X = np.array(np.asarray(self.X, dtype=float), order="C")
@@ -157,23 +155,22 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
     return float(flat[0]) if size is None else flat.reshape(size)
 
 
-def make_teacher(spec: TeacherSpec, rng=None,
+def make_teacher(spec: TeacherSpec,
                  activation: Activation = Activation.SOFTPLUS) -> Network:
     """Random teacher with exactly ``d - s`` all-zero first-layer columns.
 
-    Layer ``l`` is drawn N(0, 2 / fan_in); the first-layer columns beyond
-    the first ``s`` are then zeroed, making those input coordinates exactly
-    irrelevant.  Deterministic given ``spec.seed`` when ``rng`` is omitted.
+    Layer ``l`` is drawn N(0, 2 / fan_in) from a generator seeded with
+    ``spec.seed``; the first-layer columns beyond the first ``s`` are then
+    zeroed, making those input coordinates exactly irrelevant.  The weights
+    are a pure function of ``spec``.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     layers = _gaussian_layers((spec.d,) + (spec.h,) * (spec.L - 1) + (1,), rng)
     layers[0][:, spec.s:] = 0.0
     return Network(tuple(layers), activation)
 
 
-def synthesize(teacher: Network, n: int, data_spec: DataSpec, rng, *,
-               teacher_spec: TeacherSpec = None, seed: int = None) -> Dataset:
+def synthesize(teacher: Network, n: int, data_spec: DataSpec, rng) -> Dataset:
     """Draw ``n`` samples: truncated-normal inputs, teacher outputs plus
     truncated-normal noise (skipped entirely when ``noise_std`` is 0)."""
     if int(n) < 1:
@@ -188,7 +185,7 @@ def synthesize(teacher: Network, n: int, data_spec: DataSpec, rng, *,
         y = y + sample_truncated_normal(
             0.0, data_spec.noise_std, data_spec.cutoff_factor, rng, size=(n,)
         )
-    return Dataset(X, y, data_spec, teacher_spec=teacher_spec, seed=seed)
+    return Dataset(X, y, data_spec)
 
 
 def log_density(x, data_spec: DataSpec) -> float:

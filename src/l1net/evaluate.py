@@ -85,19 +85,23 @@ class GreenCheck(NamedTuple):
 
 def _green_f_terms(f: Network, X, score):
     """``grad f`` and ``lap f + grad f . score`` per row, from one pass."""
-    _, _, fds, sds = _hidden_batch(f.layers, f.activation, X, 2)
+    _, fds, sds = _hidden_batch(f.layers, f.activation, X, 2)
     gf = _grad_input(f.layers, fds)
     return gf, _laplacian(f.layers, fds, sds) + np.einsum("md,md->m", gf, score)
 
 
 def _green_g_terms(g: Network, X):
     """``grad g`` and ``g`` per row, from one pass."""
-    acts, _, fds, _ = _hidden_batch(g.layers, g.activation, X, 1)
+    acts, fds, _ = _hidden_batch(g.layers, g.activation, X, 1)
     return _grad_input(g.layers, fds), _output(g.layers, acts)
 
 
-def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int, rng,
-                         chunk_size: int = 100_000) -> GreenCheck:
+# Rows drawn per chunk of a Green check; bounds its peak memory.
+_GREEN_CHUNK = 100_000
+
+
+def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
+                         rng) -> GreenCheck:
     """Monte-Carlo check of the integration-by-parts identity
 
         -E[grad f . grad g] = E[(lap f + grad f . score) g]
@@ -108,11 +112,11 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int, rng,
     density mass near the truncation cutoff is vanishing (about ``e^-50``
     at 10 sigma); the gap reported is empirical, not an exactness claim.
 
-    The draws are taken ``chunk_size`` rows at a time.  Each chunk makes one
-    hidden-layer pass per network: f's pass yields its gradient and
-    Laplacian, which are reduced to per-row terms before g's pass yields
-    its gradient and output, so the two networks' caches are never alive
-    at once and the 100k default bounds peak memory.
+    The draws are taken ``_GREEN_CHUNK`` (100k) rows at a time, which
+    bounds peak memory.  Each chunk makes one hidden-layer pass per
+    network: f's pass yields its gradient and Laplacian, which are reduced
+    to per-row terms before g's pass yields its gradient and output, so the
+    two networks' caches are never alive at once.
 
     Softplus networks only: a relu network has an almost-everywhere zero
     Laplacian and the identity degenerates.
@@ -130,7 +134,7 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int, rng,
     rhs_sum = 0.0
     remaining = m
     while remaining > 0:
-        take = min(chunk_size, remaining)
+        take = min(_GREEN_CHUNK, remaining)
         remaining -= take
         X = _check_batch(f, sample_truncated_normal(
             dspec.mean, dspec.x_std, dspec.cutoff_factor, rng, size=(take, d)
@@ -196,7 +200,7 @@ def finite_diff_grad_params(net: Network, x, step: float) -> list:
         theta = net.layers[l - 1]
         d_out, d_in = theta.shape
         h_prev = trace.activations[l - 1]
-        z_base = trace.preactivations[l - 1]
+        z_base = h_prev[np.newaxis, :] @ theta.T
         shift = step * h_prev
         batch = d_out * d_in
         z_plus = np.broadcast_to(z_base, (d_out, d_in, d_out)).copy()
@@ -206,9 +210,8 @@ def finite_diff_grad_params(net: Network, x, step: float) -> list:
         z_minus[rows, :, rows] -= shift[np.newaxis, :]
         z_all = np.vstack([z_plus.reshape(batch, d_out), z_minus.reshape(batch, d_out)])
         a = _act_terms(net.activation, z_all, 0)[0]
-        for q in range(l + 1, L):
-            a = _act_terms(net.activation, a @ net.layers[q - 1].T, 0)[0]
-        outs = (a @ net.layers[-1].T).ravel()
+        acts = _hidden_batch(net.layers[l:], net.activation, a, 0)[0]
+        outs = _output(net.layers, acts)
         grads.append(
             ((outs[:batch] - outs[batch:]) / (2.0 * step)).reshape(d_out, d_in)
         )

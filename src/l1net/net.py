@@ -233,16 +233,14 @@ def _gaussian_layers(sizes, rng) -> list:
 class ForwardTrace:
     """Cached quantities from one forward pass at a single input.
 
-    ``activations[l]`` is ``h_l`` (with ``h_0`` the input), ``preactivations[l-1]``
-    is ``z_l = theta_l h_{l-1}``, and ``first_derivs`` / ``second_derivs`` hold
-    ``s'(z_l)`` / ``s''(z_l)`` for the hidden layers ``l = 1 .. L-1``.  The
-    originating network is kept so derivative routines can verify the trace
-    matches the network they are handed.
+    ``activations[l]`` is ``h_l`` (with ``h_0`` the input), and
+    ``first_derivs`` / ``second_derivs`` hold ``s'(z_l)`` / ``s''(z_l)`` for
+    the hidden layers ``l = 1 .. L-1``.  The originating network is kept so
+    derivative routines can verify the trace matches the network they are
+    handed.
     """
 
-    input: np.ndarray
     activations: tuple
-    preactivations: tuple
     first_derivs: tuple
     second_derivs: tuple
     output: float
@@ -257,13 +255,13 @@ def forward(net: Network, x) -> ForwardTrace:
             f"input must be a vector of length {net.input_dim}, got shape {x.shape}"
         )
     X = _check_batch(net, x[np.newaxis, :])
-    acts, zs, fds, sds = (
+    acts, fds, sds = (
         tuple(_freeze(a[0]) for a in arrays)
         for arrays in _hidden_batch(net.layers, net.activation, X)
     )
     return ForwardTrace(
-        input=acts[0], activations=acts, preactivations=zs, first_derivs=fds,
-        second_derivs=sds, output=float(net.layers[-1][0] @ acts[-1]), network=net,
+        activations=acts, first_derivs=fds, second_derivs=sds,
+        output=float(net.layers[-1][0] @ acts[-1]), network=net,
     )
 
 
@@ -320,18 +318,16 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 
 
 def _hidden_batch(layers, activation, X, order=2):
-    """Hidden activations, preactivations and activation slopes ``s'``,
-    ``s''`` per layer; ``acts[0]`` is ``X``.  Slopes above ``order`` are
-    not computed and appear as None."""
-    acts, zs, fds, sds = [X], [], [], []
+    """Hidden activations and activation slopes ``s'``, ``s''`` per layer;
+    ``acts[0]`` is ``X``.  Slopes above ``order`` are not computed and
+    appear as None."""
+    acts, fds, sds = [X], [], []
     for theta in layers[:-1]:
-        z = acts[-1] @ theta.T
-        value, first, second = _act_terms(activation, z, order)
-        zs.append(z)
+        value, first, second = _act_terms(activation, acts[-1] @ theta.T, order)
         fds.append(first)
         sds.append(second)
         acts.append(value)
-    return acts, zs, fds, sds
+    return acts, fds, sds
 
 
 def _backward(layers, fds, seed):
@@ -397,7 +393,7 @@ def forward_batch(net: Network, X) -> np.ndarray:
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
     """Input gradients for every row of X, shape (m, d)."""
-    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 1)[2]
+    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 1)[1]
     return _grad_input(net.layers, fds)
 
 
@@ -407,7 +403,7 @@ def laplacian_batch(net: Network, X) -> np.ndarray:
     Memory scales as O(m h d) for the batched Jacobian ``J_k``; chunk large
     batches at the call site.
     """
-    _, _, fds, sds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))
+    _, fds, sds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))
     return _laplacian(net.layers, fds, sds)
 
 

@@ -163,7 +163,7 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
 def _mse_and_grad(flat, shapes, activation, X, y):
     """Mean squared error over the batch and its gradient, flattened."""
     layers = _layer_views(flat, shapes)
-    acts, _, fds, _ = _hidden_batch(layers, activation, X, 1)
+    acts, fds, _ = _hidden_batch(layers, activation, X, 1)
     resid = _output(layers, acts) - y
     m = X.shape[0]
     grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
@@ -171,7 +171,7 @@ def _mse_and_grad(flat, shapes, activation, X, y):
 
 
 def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None,
-          log_path=None, on_step=None) -> Network:
+          on_step=None) -> Network:
     """Fit a network to ``dataset`` by projected gradient descent.
 
     One iteration = one gradient step on the current batch followed by
@@ -182,10 +182,8 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
     a bit-identical network.
 
     ``init`` overrides the random initialization (it must match ``arch``).
-    ``log_path``, when given, receives a CSV with one
-    ``iteration,full_batch_loss,l1_norm`` row per iteration (loss measured
-    after the projected step, over the full dataset).  ``on_step`` is
-    called as ``on_step(iteration, params_vector)`` after every projection.
+    ``on_step`` is called as ``on_step(iteration, params_vector)`` after
+    every projection.
 
     Raises :class:`TrainingDivergenceError` if the batch loss or gradient
     becomes non-finite.
@@ -216,7 +214,6 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
     batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
     order = None
     cursor = 0
-    log_rows = [] if log_path is not None else None
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
@@ -235,16 +232,5 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
             flat = project_l1(flat - cfg.step_size * grad, cfg.radius)
             if on_step is not None:
                 on_step(it, flat.copy())
-            if log_rows is not None:
-                log_rows.append(
-                    (it, _mse_and_grad(flat, shapes, arch.activation, X, y)[0],
-                     float(np.abs(flat).sum()))
-                )
-
-    if log_rows is not None:
-        with open(log_path, "w", encoding="ascii") as fh:
-            fh.write("iteration,full_batch_loss,l1_norm\n")
-            for it, loss, norm in log_rows:
-                fh.write("%d,%.17g,%.17g\n" % (it, loss, norm))
 
     return unflatten(FlatParams(flat, shapes), arch.activation)

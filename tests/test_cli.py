@@ -54,7 +54,7 @@ def test_default_config_matches_dataclass_defaults():
     assert cfg.n_test == 10_000
     assert cfg.activations == (Activation.SOFTPLUS, Activation.RELU)
     assert cfg.depths == (2, 3)
-    assert cfg.radius_rule == RadiusRule("teacher_multiple", 1.1)
+    assert cfg.radius_rule == RadiusRule("teacher_multiplier", 1.1)
     assert cfg.data.noise_std == 0.1
     assert cfg.train.iterations == 1000
 
@@ -104,6 +104,25 @@ def test_config_rejects_bad_values(tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(path))
     assert main(["run", "--config", str(path), "--out", out]) == 1
+    # numbers that used to be truncated (fractions), read as 1 (true),
+    # accepted as text, or escape as an OverflowError traceback (Infinity
+    # in an integer field, an integer too large for a float field)
+    inf = float("inf")
+    for doc in ({"repeats": 2.5}, {"train": {"iterations": 10.5}},
+                {"train": {"batch_size": 2.7}}, {"verify": {"trials": 16.9}},
+                {"master_seed": 1.5}, {"repeats": inf}, {"train": {"batch_size": inf}},
+                {"verify": {"trials": inf}}, {"teacher": {"s": True}},
+                {"data": {"x_std": "2"}}, {"radius_rule": {"absolute": "2"}},
+                {"b0": 10**400}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["run", "--config", str(path), "--out", out]) == 1
+    # an integral float is still an integer
+    path.write_text(json.dumps({"n_test": 1e4, "train": {"batch_size": 32.0}}))
+    cfg = load_config(str(path))
+    assert cfg.n_test == 10_000 and type(cfg.n_test) is int
+    assert cfg.train.batch_size == 32 and type(cfg.train.batch_size) is int
 
 
 def test_radius_rule_forms(tmp_path):
@@ -159,18 +178,25 @@ def test_trials_csv_layout():
 
 
 def test_aggregates_match_trials():
-    cfg = _tiny_cfg(repeats=3)
+    cfg = _tiny_cfg(
+        repeats=3, activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3)
+    )
     out = run_experiment(cfg)
     lines = aggregates_to_csv(out.aggregates).strip().splitlines()
     assert lines[0] == AGG_HEADER
     by_cell = {}
     for t in out.trials:
         by_cell.setdefault((t.n, t.activation, t.L), []).append(t)
+    assert [(r.n, r.activation, r.L) for r in out.aggregates] == list(by_cell)
     for row in out.aggregates:
         cell = by_cell[(row.n, row.activation, row.L)]
+        assert len(cell) == 3
         preds = np.array([t.pred_l2 for t in cell])
+        grads = np.array([t.grad_l2 for t in cell])
         np.testing.assert_allclose(row.pred_l2_mean, preds.mean(), rtol=1e-12)
         np.testing.assert_allclose(row.pred_l2_std, preds.std(), rtol=1e-12)
+        np.testing.assert_allclose(row.grad_l2_mean, grads.mean(), rtol=1e-12)
+        np.testing.assert_allclose(row.grad_l2_std, grads.std(), rtol=1e-12)
 
 
 def test_different_master_seed_changes_trials():
@@ -198,7 +224,7 @@ def test_noiseless_runs_beat_noisy_ones():
             base, d=8, s=3, h=3,
             n_grid=(300,), n_test=2000, repeats=3,
             activations=(Activation.SOFTPLUS,), depths=(2,),
-            radius_rule=RadiusRule("teacher_multiple", 2.0),
+            radius_rule=RadiusRule("teacher_multiplier", 2.0),
             data=DataSpec(noise_std=noise),
             train=dataclasses.replace(base.train, iterations=2000),
         )
@@ -286,6 +312,22 @@ def test_bounds_command(tmp_path):
         "c1", "rademacher", "model_convergence", "derivative_convergence",
         "log_factor_clamped",
     }
+
+
+def test_bounds_json_is_strict_when_bounds_overflow(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"depths": [50], "radius_rule": {"absolute": 1e8}}))
+    out_dir = tmp_path / "bounds"
+    assert main(["bounds", "--config", str(path), "--out", str(out_dir)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads((out_dir / "bounds.json").read_text(), parse_constant=reject)
+    reports = [entry["report"] for entry in doc["reports"]]
+    assert sum(value == "inf" for r in reports for value in r.values()) > 0
+    # the library keeps the float
+    assert report_bounds(load_config(str(path)))[0]["report"]["grad_l1"] == math.inf
 
 
 def test_bounds_command_b0_sources(tmp_path):

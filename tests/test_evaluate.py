@@ -191,14 +191,13 @@ def test_green_identity_rel_gap_definition():
     np.testing.assert_allclose(chk.rel_gap, want, rtol=1e-12)
 
 
-def test_green_identity_chunking_consistent():
+def test_green_identity_chunking_consistent(monkeypatch):
     rng = np.random.default_rng(12)
     f = _random_net(rng, 2, 4, 2)
     g = _random_net(rng, 2, 4, 2)
     one = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
-    many = green_identity_check(
-        f, g, DataSpec(), 50_000, np.random.default_rng(4), chunk_size=7_000
-    )
+    monkeypatch.setattr(evaluate, "_GREEN_CHUNK", 7_000)
+    many = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
     np.testing.assert_allclose(one.lhs, many.lhs, rtol=1e-12)
     np.testing.assert_allclose(one.rhs, many.rhs, rtol=1e-12)
 
