@@ -20,13 +20,13 @@ import numpy as np
 
 from .net import (
     Architecture,
-    Network,
     _gaussian_layers,
-    forward,
-    grad_input,
-    laplacian_input,
+    _grad_input,
+    _hidden_batch,
+    _laplacian,
+    _output,
 )
-from .sparsity import _layer_views, project_l1
+from .sparsity import _layer_views, _project_rows
 
 __all__ = [
     "BoundAudit",
@@ -308,16 +308,28 @@ def _rows_to_csv(cls, rows, header=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sample_ball_net(arch: Architecture, r: float, rng) -> Network:
-    """Layerwise N(0, 2/fan_in) draw projected onto the L1 ball."""
-    layers = _gaussian_layers(arch.layer_sizes, rng)
-    flat = project_l1(np.concatenate([w.ravel() for w in layers]), r)
-    shapes = [w.shape for w in layers]
-    return Network(tuple(_layer_views(flat, shapes)), arch.activation)
+# Trials evaluated as one stack of networks by verify_bounds and the
+# finite-difference suite of ``l1net verify``.
+_DRAW_BLOCK = 32
 
 
-def _chain_net(arch: Architecture, r: float, x: np.ndarray) -> Network:
-    """Near-extremal ball member: mass r/L per layer on a single path.
+def _draw_blocks(seed, trials: int, draw):
+    """Lists of ``draw(index, rng)`` over the trials, at most ``_DRAW_BLOCK``
+    long; every trial draws from its own stream spawned from ``seed``."""
+    streams = np.random.SeedSequence(seed).spawn(int(trials))
+    for start in range(0, len(streams), _DRAW_BLOCK):
+        yield [draw(index, np.random.default_rng(streams[index]))
+               for index in range(start, min(start + _DRAW_BLOCK, len(streams)))]
+
+
+def _gaussian_flat(arch: Architecture, rng) -> np.ndarray:
+    """Layerwise N(0, 2/fan_in) draw, flattened (not yet projected)."""
+    return np.concatenate([w.ravel() for w in _gaussian_layers(arch.layer_sizes, rng)])
+
+
+def _chain_flat(arch: Architecture, r: float, x: np.ndarray) -> np.ndarray:
+    """Near-extremal ball member, flattened: mass r/L per layer on a single
+    path.
 
     Equal mass per layer maximizes the product of layer norms (AM-GM), which
     is exactly the quantity the sup/gradient bounds cap, so these draws push
@@ -328,15 +340,10 @@ def _chain_net(arch: Architecture, r: float, x: np.ndarray) -> Network:
     sizes = arch.layer_sizes
     per_layer = r / arch.depth
     k = int(np.argmax(np.abs(x)))
-    layers = []
-    for l in range(arch.depth):
-        w = np.zeros((sizes[l + 1], sizes[l]))
-        if l == 0:
-            w[0, k] = per_layer if x[k] >= 0.0 else -per_layer
-        else:
-            w[0, 0] = per_layer
-        layers.append(w)
-    return Network(tuple(layers), arch.activation)
+    flat = np.zeros(arch.n_params)
+    flat[np.cumsum([sizes[l] * sizes[l + 1] for l in range(arch.depth - 1)])] = per_layer
+    flat[k] = per_layer if x[k] >= 0.0 else -per_layer
+    return flat
 
 
 def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
@@ -352,44 +359,47 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
     ``lipschitz_param`` (against the parameter distance of the pair),
     ``sup_model``, ``grad_l1`` and ``divergence``.  Trials use per-trial RNG
     streams spawned from ``seed``, so the audit is deterministic and
-    order-independent.  ``r = 0`` degenerates to all-zero networks whose
-    outputs, gradients and Laplacians are exactly zero.
+    order-independent; ``_DRAW_BLOCK`` trials at a time are projected and
+    evaluated as one stack of networks.  ``r = 0`` degenerates to all-zero
+    networks whose outputs, gradients and Laplacians are exactly zero.
     """
     if int(trials) < 1:
         raise ValueError("trials must be at least 1")
-    ratios = {}
-    grad_rhs = grad_l1_bound(r, arch.depth)
-    div_rhs = divergence_bound(r, arch.depth)
-    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(int(trials))):
-        rng = np.random.default_rng(stream)
-        x = rng.uniform(-input_sup, input_sup, size=arch.layer_sizes[0])
-        x_inf = float(np.max(np.abs(x)))
-        if r == 0.0:  # the all-zero net is the only member of the ball
-            net_a = net_b = _chain_net(arch, r, x)
-        else:
-            chain = index % 8 == 7
-            net_a = _chain_net(arch, r, x) if chain else _sample_ball_net(arch, r, rng)
-            net_b = _sample_ball_net(arch, r, rng)
 
-        trace_a = forward(net_a, x)
-        trace_b = forward(net_b, x)
-        param_dist = math.sqrt(
-            sum(
-                float(((ta - tb) ** 2).sum())
-                for ta, tb in zip(net_a.layers, net_b.layers)
-            )
-        )
+    def draw(index, rng):
+        x = rng.uniform(-input_sup, input_sup, size=arch.layer_sizes[0])
+        if r == 0.0:  # the all-zero net is the only member of the ball
+            return x, _chain_flat(arch, r, x), _chain_flat(arch, r, x)
+        chain = index % 8 == 7
+        net_a = _chain_flat(arch, r, x) if chain else _gaussian_flat(arch, rng)
+        return x, net_a, _gaussian_flat(arch, rng)
+
+    L = arch.depth
+    shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(L)]
+    ratios = {}
+    for block in _draw_blocks(seed, trials, draw):
+        xs, nets_a, nets_b = zip(*block)
+        # Chain nets lie in the ball already, and projection keeps them as is.
+        flats = _project_rows(np.stack(nets_a + nets_b), r)
+        net_a = _layer_views(flats[:len(xs)], shapes)
+        net_b = _layer_views(flats[len(xs):], shapes)
+        X = np.stack(xs)[:, np.newaxis, :]
+        x_inf = np.abs(X).max(axis=(1, 2)).tolist()
+        acts, fds, sds = _hidden_batch(net_a, arch.activation, X)
+        out_a = _output(net_a, acts)[:, 0]
+        out_b = _output(net_b, _hidden_batch(net_b, arch.activation, X, 0)[0])[:, 0]
+        dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))
         checks = {
-            "lipschitz_param": (
-                abs(trace_a.output - trace_b.output),
-                lipschitz_param_bound(r, arch.depth, x_inf) * param_dist,
-            ),
-            "sup_model": (abs(trace_a.output), sup_model_bound(x_inf, r, arch.depth)),
-            "grad_l1": (float(np.abs(grad_input(net_a, trace_a)).sum()), grad_rhs),
-            "divergence": (abs(laplacian_input(net_a, trace_a)), div_rhs),
+            "lipschitz_param": (np.abs(out_a - out_b), dist * [
+                lipschitz_param_bound(r, L, x) for x in x_inf]),
+            "sup_model": (np.abs(out_a), [sup_model_bound(x, r, L) for x in x_inf]),
+            "grad_l1": (np.abs(_grad_input(net_a, fds)).sum(axis=(1, 2)),
+                        grad_l1_bound(r, L)),
+            "divergence": (np.abs(_laplacian(net_a, fds, sds)[:, 0]), divergence_bound(r, L)),
         }
         for name, (lhs, rhs) in checks.items():
-            ratios.setdefault(name, []).append(
-                0.0 if lhs == 0.0 else (lhs / rhs if rhs > 0.0 else math.inf)
+            ratios.setdefault(name, []).extend(
+                0.0 if a == 0.0 else (a / b if b > 0.0 else math.inf)
+                for a, b in zip(lhs.tolist(), np.broadcast_to(rhs, lhs.shape).tolist())
             )
     return BoundAudit(tuple(_tally(ratios, slack)))

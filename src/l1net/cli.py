@@ -38,6 +38,7 @@ from .bounds import (
     Architecture,
     BoundInputs,
     SuiteRow,
+    _draw_blocks,
     _rows_to_csv,
     _tally,
     bound_report,
@@ -52,9 +53,9 @@ from .datagen import (
     write_dataset_csv,
 )
 from .evaluate import (
-    finite_diff_grad_params,
-    finite_diff_gradient,
-    finite_diff_laplacian,
+    _fd_grad_params,
+    _fd_gradient,
+    _fd_laplacian,
     green_identity_check,
     l2_gradient_error,
     l2_prediction_error,
@@ -63,11 +64,11 @@ from .net import (
     Activation,
     Network,
     _gaussian_layers,
-    forward,
+    _grad_input,
+    _grad_params_batch,
+    _hidden_batch,
+    _laplacian,
     forward_batch,
-    grad_input,
-    grad_params,
-    laplacian_input,
     load_network,
     save_network,
 )
@@ -428,15 +429,21 @@ def _run_trial(task) -> TrialResult:
     dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
     arch = Architecture.mlp(cfg.d, cfg.h, L, act)
     tc = TrainConfig(radius, **dataclasses.asdict(cfg.train), seed=_seed_u64(train_ss))
+    nan = float("nan")
+    diverged = TrialResult(n, repeat, act.value, L, seed, nan, nan, nan, nan)
     try:
         model = train(dataset, arch, tc)
     except TrainingDivergenceError:
-        nan = float("nan")
-        return TrialResult(n, repeat, act.value, L, seed, nan, nan, nan, nan)
-    pred = l2_prediction_error(model, teacher, X_test).value
-    grad = l2_gradient_error(model, teacher, X_test).value
-    resid = forward_batch(model, dataset.X) - dataset.y
-    final_loss = float(resid @ resid) / dataset.n
+        return diverged
+    # A huge student may overflow when scored; a non-finite error is divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = forward_batch(model, dataset.X) - dataset.y
+        try:
+            pred = l2_prediction_error(model, teacher, X_test).value
+            grad = l2_gradient_error(model, teacher, X_test).value
+        except ValueError:  # ErrorEstimate rejects a non-finite error
+            return diverged
+        final_loss = float(resid @ resid) / dataset.n
     return TrialResult(
         n, repeat, act.value, L, seed, pred, grad, final_loss,
         param_l1_norm(model),
@@ -577,7 +584,8 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
 
 
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
-    """Exact derivatives vs finite differences over random draws.
+    """Exact derivatives vs finite differences over random draws, evaluated
+    a block of draws at a time as one stack of networks.
 
     Relative error for the two gradients is the worst entry deviation over
     the largest entry magnitude; the Laplacian (a scalar that can pass
@@ -588,31 +596,33 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     tag = f"L{arch.depth}_d{sizes[0]}"
     ratios = {f"fd_{name}_{tag}": [] for name in
               ("grad_params", "grad_input", "laplacian_input")}
-    for stream in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(stream)
-        net = Network(tuple(_gaussian_layers(sizes, rng)), arch.activation)
-        x = sample_truncated_normal(
-            cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
-            size=sizes[0],
-        )
-        trace = forward(net, x)
 
-        exact = grad_params(net, trace)
-        approx = finite_diff_grad_params(net, x, v.fd_grad_step)
-        num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
-        den = max(float(np.abs(e).max()) for e in exact)
-        exact_g = grad_input(net, trace)
-        approx_g = finite_diff_gradient(net, x, v.fd_grad_step)
-        exact_l = laplacian_input(net, trace)
-        approx_l = finite_diff_laplacian(net, x, v.fd_lap_step)
+    def draw(index, rng):
+        layers = _gaussian_layers(sizes, rng)
+        return (*layers, sample_truncated_normal(
+            cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng, size=sizes[0],
+        ))
+
+    for block in _draw_blocks(seed, trials, draw):
+        *layers, X = (np.stack(part) for part in zip(*block))
+        X = X[:, np.newaxis, :]
+        acts, fds, sds = _hidden_batch(layers, arch.activation, X)
+        exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
+        approx = _fd_grad_params(layers, arch.activation, X, v.fd_grad_step)
+        num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
+        den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
+        exact_g = _grad_input(layers, fds)[:, 0]
+        approx_g = _fd_gradient(layers, arch.activation, X, v.fd_grad_step)
+        exact_l = _laplacian(layers, fds, sds)[:, 0]
+        approx_l = _fd_laplacian(layers, arch.activation, X, v.fd_lap_step)
         errs = (
-            num / max(den, 1e-12) / v.fd_grad_tol,
-            float(np.abs(approx_g - exact_g).max())
-            / max(float(np.abs(exact_g).max()), 1e-12) / v.fd_grad_tol,
-            abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / v.fd_lap_tol,
+            num / np.maximum(den, 1e-12) / v.fd_grad_tol,
+            np.abs(approx_g - exact_g).max(axis=1)
+            / np.maximum(np.abs(exact_g).max(axis=1), 1e-12) / v.fd_grad_tol,
+            np.abs(approx_l - exact_l) / np.maximum(1.0, np.abs(exact_l)) / v.fd_lap_tol,
         )
         for bucket, err in zip(ratios.values(), errs):
-            bucket.append(err)
+            bucket.extend(err.tolist())
     return _tally(ratios)
 
 
@@ -624,7 +634,7 @@ def run_verification(cfg: ExperimentConfig) -> tuple:
     """All property suites; returns ``(rows, ok)``, with ``ok`` false when
     any :class:`SuiteRow` shows a violation."""
     v = cfg.verify
-    rows = []
+    rows, fd_rows = [], []
     for L in v.depths:
         for d in v.dims:
             arch = Architecture.mlp(d, v.hidden, L, Activation.SOFTPLUS)
@@ -637,13 +647,11 @@ def run_verification(cfg: ExperimentConfig) -> tuple:
                 dataclasses.replace(row, suite=f"bound_{row.suite}_L{L}_d{d}")
                 for row in audit.rows
             )
-    for L in v.depths:
-        for d in v.dims:
-            arch = Architecture.mlp(d, v.hidden, L, Activation.SOFTPLUS)
-            rows.extend(_fd_suite(
+            fd_rows.extend(_fd_suite(
                 cfg, arch, v.trials,
                 _seed_u64(_seed_seq(cfg.master_seed, 5, 1, L, d)),
             ))
+    rows.extend(fd_rows)
     green = {}
     for d in (1, 2, 3):
         rng = np.random.default_rng(_seed_seq(cfg.master_seed, 5, 2, d))
@@ -761,6 +769,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load(args)
+    if args.b0 is not None and not 0.0 <= args.b0 < math.inf:
+        raise ConfigError("--b0 must be non-negative and finite")
     model = load_network(args.model) if args.model else None
     entries = report_bounds(cfg, trained=model, b0_override=args.b0)
     for report in (entry["report"] for entry in entries):  # strict JSON has no inf

@@ -18,7 +18,8 @@ from .net import (
     _hidden_batch,
     _laplacian,
     _output,
-    forward,
+    _row_blocks,
+    _values,
     forward_batch,
     grad_input_batch,
 )
@@ -113,10 +114,12 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     at 10 sigma); the gap reported is empirical, not an exactness claim.
 
     The draws are taken ``_GREEN_CHUNK`` (100k) rows at a time, which
-    bounds peak memory.  Each chunk makes one hidden-layer pass per
+    bounds peak memory, and each chunk's per-row terms are computed over
+    cache-sized row blocks.  Each block makes one hidden-layer pass per
     network: f's pass yields its gradient and Laplacian, which are reduced
     to per-row terms before g's pass yields its gradient and output, so the
-    two networks' caches are never alive at once.
+    two networks' caches are never alive at once.  The sums over the chunk
+    then run on the whole chunk, so the block size moves no bit.
 
     Softplus networks only: a relu network has an almost-everywhere zero
     Laplacian and the identity degenerates.
@@ -139,9 +142,12 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
         X = _check_batch(f, sample_truncated_normal(
             dspec.mean, dspec.x_std, dspec.cutoff_factor, rng, size=(take, d)
         ))
-        score = -(X - dspec.mean) * inv_var
-        gf, rhs_f = _green_f_terms(f, X, score)
-        gg, g_out = _green_g_terms(g, X)
+        gf, gg = np.empty((take, d)), np.empty((take, d))
+        rhs_f, g_out = np.empty(take), np.empty(take)
+        for rows in _row_blocks(f.layers, take):
+            score = -(X[rows] - dspec.mean) * inv_var
+            gf[rows], rhs_f[rows] = _green_f_terms(f, X[rows], score)
+            gg[rows], g_out[rows] = _green_g_terms(g, X[rows])
         lhs_sum += -float(np.einsum("md,md->", gf, gg))
         rhs_sum += float(rhs_f @ g_out)
     lhs = lhs_sum / m
@@ -152,32 +158,65 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
 
 # -- finite-difference oracles -------------------------------------------------
 #
-# Central differences evaluated through the batched forward pass.  These are
-# independent of the closed-form derivative routines above (they only call
-# forward_batch) and exist to cross-check them.
+# Central differences from forward values only, independent of the closed-form
+# derivative routines above, to cross-check them.  Each private oracle takes a
+# stack of networks at one input each, X (T, 1, d); the public ones are its
+# unstacked case, X (1, d).
+
+
+def _fd_input(net: Network, x, step: float) -> np.ndarray:
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    return _check_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
+
+
+def _fd_gradient(layers, activation, X, step):
+    d = X.shape[-1]
+    eye = np.eye(d) * step
+    outs = _values(layers, activation, np.concatenate([X + eye, X - eye], axis=-2))
+    return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
+
+
+def _fd_laplacian(layers, activation, X, step):
+    d = X.shape[-1]
+    eye = np.eye(d) * step
+    outs = _values(layers, activation, np.concatenate([X + eye, X - eye, X], axis=-2))
+    center = outs[..., -1:]
+    return (outs[..., :d] - 2.0 * center + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
+
+
+def _fd_grad_params(layers, activation, X, step):
+    acts = _hidden_batch(layers, activation, X, 0)[0]
+    grads = []
+    for l in range(1, len(layers)):
+        theta = layers[l - 1]
+        d_out, d_in = theta.shape[-2:]
+        h_prev = acts[l - 1]
+        z_base = h_prev @ theta.swapaxes(-1, -2)
+        lead = z_base.shape[:-2]
+        # z[..., 0 or 1, k, j, :] is z_l with theta_l[k, j] moved by +step or -step
+        z = np.broadcast_to(z_base[..., np.newaxis, np.newaxis, :],
+                            lead + (2, d_out, d_in, d_out)).copy()
+        rows = np.arange(d_out)
+        z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
+        z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
+        a = _act_terms(activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0)[0]
+        outs = _values(layers[l:], activation, a).reshape(lead + (2,) + theta.shape[-2:])
+        grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
+    h_last = acts[-1]
+    base = _output(layers, acts)[..., np.newaxis]
+    grads.append(((base + step * h_last) - (base - step * h_last)) / (2.0 * step))
+    return grads
 
 
 def finite_diff_gradient(net: Network, x, step: float) -> np.ndarray:
     """``(f(x + h e_i) - f(x - h e_i)) / 2h`` for every coordinate."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    eye = np.eye(d) * step
-    outs = forward_batch(net, np.vstack([x + eye, x - eye]))
-    return (outs[:d] - outs[d:]) / (2.0 * step)
+    return _fd_gradient(net.layers, net.activation, _fd_input(net, x, step), step)
 
 
 def finite_diff_laplacian(net: Network, x, step: float) -> float:
     """``sum_i (f(x + h e_i) - 2 f(x) + f(x - h e_i)) / h^2``."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    eye = np.eye(d) * step
-    outs = forward_batch(net, np.vstack([x + eye, x - eye, x[np.newaxis, :]]))
-    center = outs[-1]
-    return float((outs[:d] - 2.0 * center + outs[d:2 * d]).sum()) / (step * step)
+    return float(_fd_laplacian(net.layers, net.activation, _fd_input(net, x, step), step))
 
 
 def finite_diff_grad_params(net: Network, x, step: float) -> list:
@@ -191,33 +230,4 @@ def finite_diff_grad_params(net: Network, x, step: float) -> list:
     one rounding in the preactivation) and keeps the oracle fast enough for
     thousand-draw sweeps.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    trace = forward(net, x)
-    L = net.depth
-    grads = []
-    for l in range(1, L):
-        theta = net.layers[l - 1]
-        d_out, d_in = theta.shape
-        h_prev = trace.activations[l - 1]
-        z_base = h_prev[np.newaxis, :] @ theta.T
-        shift = step * h_prev
-        batch = d_out * d_in
-        z_plus = np.broadcast_to(z_base, (d_out, d_in, d_out)).copy()
-        z_minus = z_plus.copy()
-        rows = np.arange(d_out)
-        z_plus[rows, :, rows] += shift[np.newaxis, :]
-        z_minus[rows, :, rows] -= shift[np.newaxis, :]
-        z_all = np.vstack([z_plus.reshape(batch, d_out), z_minus.reshape(batch, d_out)])
-        a = _act_terms(net.activation, z_all, 0)[0]
-        acts = _hidden_batch(net.layers[l:], net.activation, a, 0)[0]
-        outs = _output(net.layers, acts)
-        grads.append(
-            ((outs[:batch] - outs[batch:]) / (2.0 * step)).reshape(d_out, d_in)
-        )
-    h_last = trace.activations[L - 1]
-    base = float(net.layers[-1][0] @ h_last)
-    plus = base + step * h_last
-    minus = base - step * h_last
-    grads.append(((plus - minus) / (2.0 * step))[np.newaxis, :])
-    return grads
+    return _fd_grad_params(net.layers, net.activation, _fd_input(net, x, step), step)

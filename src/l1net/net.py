@@ -307,6 +307,8 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
     exactly 0.0.
     """
     _, fds, sds = _require_trace(net, trace)
+    if net.activation is Activation.RELU:
+        return 0.0
     return float(_laplacian(net.layers, fds, sds)[0])
 
 
@@ -314,7 +316,9 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 #
 # Row-major batches: X has shape (m, d) and every per-layer cache below has
 # shape (m, d_l).  The single-sample routines above are the m = 1 rows of
-# these helpers.
+# these helpers.  Each also takes a stack of T networks of one shape, as
+# weights (T, d_out, d_in) and inputs (T, m, d): every network's matmuls keep
+# their 2-D shapes in the stack, so its results keep their unstacked bits.
 
 
 def _hidden_batch(layers, activation, X, order=2):
@@ -323,7 +327,8 @@ def _hidden_batch(layers, activation, X, order=2):
     appear as None."""
     acts, fds, sds = [X], [], []
     for theta in layers[:-1]:
-        value, first, second = _act_terms(activation, acts[-1] @ theta.T, order)
+        z = acts[-1] @ theta.swapaxes(-1, -2)
+        value, first, second = _act_terms(activation, z, order)
         fds.append(first)
         sds.append(second)
         acts.append(value)
@@ -347,31 +352,49 @@ def _backward(layers, fds, seed):
 
 
 def _grad_input(layers, fds):
-    seed = np.broadcast_to(layers[-1][0], fds[-1].shape)
+    seed = np.broadcast_to(layers[-1], fds[-1].shape)
     return _backward(layers, fds, seed)[0] @ layers[0]
 
 
 def _grad_params_batch(layers, acts, fds, weights):
     """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix."""
-    deltas = _backward(layers, fds, np.outer(weights, layers[-1][0]))
-    grads = [d.T @ a for d, a in zip(deltas, acts)]
-    grads.append((weights @ acts[-1])[np.newaxis, :])
+    deltas = _backward(layers, fds, weights[..., np.newaxis] * layers[-1])
+    grads = [d.swapaxes(-1, -2) @ a for d, a in zip(deltas, acts)]
+    grads.append(weights[..., np.newaxis, :] @ acts[-1])
     return grads
 
 
 def _output(layers, acts):
-    return (acts[-1] @ layers[-1].T).ravel()
+    return (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
+
+
+def _values(layers, activation, X):
+    """Outputs ``f(x_i)`` for every row, from a value-only pass."""
+    return _output(layers, _hidden_batch(layers, activation, X, 0)[0])
 
 
 def _laplacian(layers, fds, sds):
     """Forward-propagated input Laplacian (see :func:`laplacian_input`)."""
-    jac = layers[0]
-    lap = sds[0] * np.einsum("jd,jd->j", jac, jac)
+    jac = layers[0][..., np.newaxis, :, :]
+    lap = sds[0] * np.einsum("...jd,...jd->...j", jac, jac)
     for k in range(1, len(layers) - 1):
         theta = layers[k]
-        jac = (theta * fds[k - 1][:, np.newaxis, :]) @ jac
-        lap = fds[k] * (lap @ theta.T) + sds[k] * np.einsum("mjd,mjd->mj", jac, jac)
-    return lap @ layers[-1][0]
+        jac = (theta[..., np.newaxis, :, :] * fds[k - 1][..., np.newaxis, :]) @ jac
+        jac_sq = np.einsum("...jd,...jd->...j", jac, jac)
+        lap = fds[k] * (lap @ theta.swapaxes(-1, -2)) + sds[k] * jac_sq
+    return _output(layers, [lap])
+
+
+# Doubles in one row block (1 MB, so a block stays in cache); a row holds the
+# Jacobian (h d, h the widest layer) and four h-wide value and slope buffers.
+_BLOCK_ELEMS = 2 ** 17
+
+
+def _row_blocks(layers, m):
+    """Slices covering ``range(m)`` in cache-sized blocks of rows."""
+    h = max(theta.shape[-2] for theta in layers[:-1])
+    rows = max(1, _BLOCK_ELEMS // (h * (layers[0].shape[-1] + 4)))
+    return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
 def _check_batch(net, X):
@@ -387,8 +410,7 @@ def _check_batch(net, X):
 
 def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,)."""
-    acts = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 0)[0]
-    return _output(net.layers, acts)
+    return _values(net.layers, net.activation, _check_batch(net, X))
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
@@ -398,13 +420,15 @@ def grad_input_batch(net: Network, X) -> np.ndarray:
 
 
 def laplacian_batch(net: Network, X) -> np.ndarray:
-    """Input Laplacians for every row of X, shape (m,).
-
-    Memory scales as O(m h d) for the batched Jacobian ``J_k``; chunk large
-    batches at the call site.
-    """
-    _, fds, sds = _hidden_batch(net.layers, net.activation, _check_batch(net, X))
-    return _laplacian(net.layers, fds, sds)
+    """Input Laplacians for every row of X, shape (m,), computed over
+    cache-sized row blocks; exactly zero for relu."""
+    X = _check_batch(net, X)
+    lap = np.zeros(X.shape[0])
+    if net.activation is not Activation.RELU:
+        for rows in _row_blocks(net.layers, X.shape[0]):
+            _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
+            lap[rows] = _laplacian(net.layers, fds, sds)
+    return lap
 
 
 # -- serialization -----------------------------------------------------------

@@ -59,11 +59,13 @@ def unflatten(flat: FlatParams, activation) -> Network:
 
 
 def _layer_views(vec, shapes):
+    """Layers of a flat vector, or layer stacks of the rows of a matrix."""
     layers = []
     offset = 0
     for rows, cols in shapes:
         size = rows * cols
-        layers.append(vec[offset:offset + size].reshape(rows, cols))
+        shape = vec.shape[:-1] + (rows, cols)
+        layers.append(vec[..., offset:offset + size].reshape(shape))
         offset += size
     return layers
 
@@ -88,25 +90,40 @@ def project_l1(v, r: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("v contains non-finite entries")
-    mag = np.abs(v)
+    return _project_rows(v[np.newaxis, :], r)[0]
+
+
+def _project_rows(V, r):
+    """:func:`project_l1` of every row of the (R, P) matrix ``V``: one sort,
+    one cumsum and one ``tau`` per row, from the candidates ``theta``."""
+    mag = np.abs(V)
     # The tiny relative slack makes the projection idempotent in floating
     # point: re-projecting a result whose norm sits within rounding error of
     # r returns it bit for bit instead of shaving another ulp off.
-    if mag.sum() <= r * (1.0 + 1e-12):
-        return v.copy()
-    u = np.sort(mag)[::-1]
-    cumulative = np.cumsum(u)
-    ranks = np.arange(1, u.size + 1)
-    candidates = u - (cumulative - r) / ranks
-    rho = np.nonzero(candidates > 0.0)[0][-1]
-    tau = (cumulative[rho] - r) / (rho + 1.0)
-    return np.sign(v) * np.maximum(mag - tau, 0.0)
+    inside = mag.sum(axis=1) <= r * (1.0 + 1e-12)
+    if inside.all():
+        return V.copy()
+    u = mag.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    theta = u.cumsum(axis=1)
+    theta -= r
+    theta /= np.arange(1, u.shape[1] + 1)
+    positive = u > theta
+    # u_1 - theta_1 is r > 0, but rounds to 0 when r is below an ulp of u_1
+    positive[:, 0] = True
+    tau = theta[:, ::-1][np.arange(len(V)), positive[:, ::-1].argmax(axis=1)]
+    tau[inside] = 0.0  # sign(v) |v| is v itself
+    mag -= tau[:, np.newaxis]
+    np.maximum(mag, 0.0, out=mag)
+    mag *= np.sign(V)
+    return mag
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Raised when the training loss or gradient stops being finite."""
+    """Raised when the training loss, gradient or step stops being finite."""
 
     def __init__(self, iteration: int):
         super().__init__(f"training diverged at iteration {iteration}")
@@ -185,8 +202,8 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
     ``on_step`` is called as ``on_step(iteration, params_vector)`` after
     every projection.
 
-    Raises :class:`TrainingDivergenceError` if the batch loss or gradient
-    becomes non-finite.
+    Raises :class:`TrainingDivergenceError` if the batch loss, its gradient
+    or the gradient step becomes non-finite.
     """
     X = np.asarray(dataset.X, dtype=float)
     y = np.asarray(dataset.y, dtype=float)
@@ -227,9 +244,10 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
                 cursor += batch
                 Xb, yb = X[idx], y[idx]
             loss, grad = _mse_and_grad(flat, shapes, arch.activation, Xb, yb)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            stepped = flat - cfg.step_size * grad  # not finite if grad is not
+            if not np.isfinite(loss) or not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(it)
-            flat = project_l1(flat - cfg.step_size * grad, cfg.radius)
+            flat = project_l1(stepped, cfg.radius)
             if on_step is not None:
                 on_step(it, flat.copy())
 

@@ -3,11 +3,29 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from l1net import bounds, cli, evaluate
+from l1net.bounds import SuiteRow, _tally
+from l1net.datagen import sample_truncated_normal
+from l1net.evaluate import (
+    finite_diff_grad_params,
+    finite_diff_gradient,
+    finite_diff_laplacian,
+)
+from l1net.net import (
+    Architecture,
+    Network,
+    _gaussian_layers,
+    forward,
+    grad_input,
+    grad_params,
+    laplacian_input,
+)
+from l1net.sparsity import project_l1
 from l1net.cli import (
     ConfigError,
     ExperimentConfig,
@@ -281,6 +299,60 @@ def test_run_exit_3_when_cell_diverges(tmp_path, capsys):
     assert agg_line.split(",")[3] == "nan"
 
 
+def _overflow_config(tmp_path, step_size=1e180, radius=1e200):
+    return _write_config(
+        tmp_path, train={"step_size": step_size, "iterations": 5},
+        radius_rule={"absolute": radius}, activations=["softplus", "relu"],
+        depths=[2, 3],
+    )
+
+
+def test_run_scores_huge_students_without_warnings(tmp_path):
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", _overflow_config(tmp_path), "--seed", "3",
+                     "--out", str(out_dir)])
+    assert code == 3  # some cells diverge in every repeat
+    rows = [line.split(",") for line in
+            (out_dir / "trials.csv").read_text().strip().splitlines()[1:]]
+    scored = [row for row in rows if row[5] != "nan"]
+    # one student trains to an L1 norm near 1e182 and still scores finitely;
+    # every other trial is a diverged all-NaN row
+    assert len(scored) == 1 and float(scored[0][8]) > 1e180
+    assert all(math.isfinite(float(v)) for v in scored[0][5:])
+    assert all(v == "nan" for row in rows if row not in scored for v in row[5:])
+
+
+def test_run_with_overflowing_steps_records_divergence(tmp_path):
+    # Steps of 1e150 times the gradient overflow the update or the
+    # projection's sums; such a trial is diverged, not a traceback.
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", _overflow_config(tmp_path, 1e150, 1e150),
+                     "--seed", "3", "--out", str(out_dir)]) == 0
+    rows = [line.split(",") for line in
+            (out_dir / "trials.csv").read_text().strip().splitlines()[1:]]
+    diverged = [row for row in rows if row[5] == "nan"]
+    assert 0 < len(diverged) < len(rows)
+    assert all(float(row[8]) <= 1e150 * (1.0 + 1e-12) for row in rows if row not in diverged)
+
+
+def test_run_trial_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
+    def huge_student(dataset, arch, tc):
+        sizes = arch.layer_sizes
+        return Network(tuple(np.full((sizes[l + 1], sizes[l]), 1e200)
+                             for l in range(arch.depth)), arch.activation)
+
+    monkeypatch.setattr(cli, "train", huge_student)
+    cfg = load_config(_write_config(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trial = cli._run_trial((cfg, 2, "softplus", 20, 0))
+    assert trial.diverged and math.isnan(trial.pred_l2) and math.isnan(trial.grad_l2)
+
+
 def test_usage_errors_exit_1(tmp_path):
     with pytest.raises(SystemExit) as first:
         main([])
@@ -348,6 +420,15 @@ def test_bounds_command_b0_sources(tmp_path):
     doc = json.loads((out_model / "bounds.json").read_text())
     assert doc["reports"][0]["b0_source"] == "estimated"
     assert doc["reports"][0]["inputs"]["b0"] > 0.0
+
+
+@pytest.mark.parametrize("b0", ["-1", "nan", "inf"])
+def test_bounds_rejects_bad_b0(tmp_path, capsys, b0):
+    cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2])
+    out_dir = tmp_path / "bounds"
+    assert main(["bounds", "--config", cfg_path, "--out", str(out_dir), "--b0", b0]) == 1
+    assert "--b0 must be non-negative and finite" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_report_bounds_per_n_entries():
@@ -418,9 +499,9 @@ def _scaled(fn, factor):
 # must catch it and no other suite may flag)
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
-    (cli, "grad_params", 1.001, "fd_grad_params"),
-    (cli, "grad_input", 1.001, "fd_grad_input"),
-    (cli, "laplacian_input", 1.02, "fd_laplacian_input"),
+    (cli, "_grad_params_batch", 1.001, "fd_grad_params"),
+    (cli, "_grad_input", 1.001, "fd_grad_input"),
+    (cli, "_laplacian", 1.02, "fd_laplacian_input"),
     (evaluate, "_laplacian", -1.0, "green_identity_d3"),
 ]
 
@@ -437,6 +518,100 @@ def test_verify_command_detects_injected_bug(tmp_path, monkeypatch, module, name
     lines = (out_dir / "verify.csv").read_text().strip().splitlines()
     failing = [l.split(",")[0] for l in lines[1:] if int(l.split(",")[2]) > 0]
     assert failing and all(row.startswith(suite) for row in failing)
+
+
+# -- serial references for the stacked verify suites: one draw at a time,
+# through the public single-sample routines
+
+def _serial_ball_net(arch, r, rng):
+    layers = _gaussian_layers(arch.layer_sizes, rng)
+    flat = project_l1(np.concatenate([w.ravel() for w in layers]), r)
+    cuts = np.cumsum([w.size for w in layers])[:-1]
+    return Network(tuple(part.reshape(w.shape) for part, w in
+                         zip(np.split(flat, cuts), layers)), arch.activation)
+
+
+def _serial_chain_net(arch, r, x):
+    sizes = arch.layer_sizes
+    k = int(np.argmax(np.abs(x)))
+    layers = [np.zeros((sizes[l + 1], sizes[l])) for l in range(arch.depth)]
+    layers[0][0, k] = r / arch.depth if x[k] >= 0.0 else -r / arch.depth
+    for w in layers[1:]:
+        w[0, 0] = r / arch.depth
+    return Network(tuple(layers), arch.activation)
+
+
+def _ratio(lhs, rhs):
+    return 0.0 if lhs == 0.0 else (lhs / rhs if rhs > 0.0 else math.inf)
+
+
+def _serial_verify_bounds(arch, r, trials, seed, input_sup, slack):
+    L = arch.depth
+    ratios = {"lipschitz_param": [], "sup_model": [], "grad_l1": [], "divergence": []}
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(stream)
+        x = rng.uniform(-input_sup, input_sup, size=arch.layer_sizes[0])
+        x_inf = float(np.max(np.abs(x)))
+        net_a = (_serial_chain_net(arch, r, x) if index % 8 == 7
+                 else _serial_ball_net(arch, r, rng))
+        net_b = _serial_ball_net(arch, r, rng)
+        ta, tb = forward(net_a, x), forward(net_b, x)
+        dist = math.sqrt(sum(float(((a - b) ** 2).sum())
+                             for a, b in zip(net_a.layers, net_b.layers)))
+        for name, lhs, rhs in (
+            ("lipschitz_param", abs(ta.output - tb.output),
+             bounds.lipschitz_param_bound(r, L, x_inf) * dist),
+            ("sup_model", abs(ta.output), bounds.sup_model_bound(x_inf, r, L)),
+            ("grad_l1", float(np.abs(grad_input(net_a, ta)).sum()),
+             bounds.grad_l1_bound(r, L)),
+            ("divergence", abs(laplacian_input(net_a, ta)), bounds.divergence_bound(r, L)),
+        ):
+            ratios[name].append(_ratio(lhs, rhs))
+    return _tally(ratios, slack)
+
+
+def _serial_fd_suite(cfg, arch, trials, seed):
+    v = cfg.verify
+    sizes = arch.layer_sizes
+    tag = f"L{arch.depth}_d{sizes[0]}"
+    ratios = {f"fd_{name}_{tag}": [] for name in
+              ("grad_params", "grad_input", "laplacian_input")}
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        net = Network(tuple(_gaussian_layers(sizes, rng)), arch.activation)
+        x = sample_truncated_normal(cfg.data.mean, cfg.data.x_std,
+                                    cfg.data.cutoff_factor, rng, size=sizes[0])
+        trace = forward(net, x)
+        exact = grad_params(net, trace)
+        approx = finite_diff_grad_params(net, x, v.fd_grad_step)
+        num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
+        den = max(float(np.abs(e).max()) for e in exact)
+        exact_g = grad_input(net, trace)
+        approx_g = finite_diff_gradient(net, x, v.fd_grad_step)
+        exact_l = laplacian_input(net, trace)
+        approx_l = finite_diff_laplacian(net, x, v.fd_lap_step)
+        for bucket, err in zip(ratios.values(), (
+            num / max(den, 1e-12) / v.fd_grad_tol,
+            float(np.abs(approx_g - exact_g).max())
+            / max(float(np.abs(exact_g).max()), 1e-12) / v.fd_grad_tol,
+            abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / v.fd_lap_tol,
+        )):
+            bucket.append(err)
+    return _tally(ratios)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("d", [5, 100])
+def test_stacked_verify_suites_match_serial_reference(L, d):
+    # 45 draws: one full stack and a ragged one; the rows, worst ratios
+    # included, must be exactly the serial ones
+    cfg = ExperimentConfig()
+    arch = Architecture.mlp(d, 10, L, Activation.SOFTPLUS)
+    audit = bounds.verify_bounds(arch, 5.0, 45, 77, input_sup=10.0, slack=1e-9)
+    assert list(audit.rows) == _serial_verify_bounds(arch, 5.0, 45, 77, 10.0, 1e-9)
+    rows = cli._fd_suite(cfg, arch, 45, 78)
+    assert rows == _serial_fd_suite(cfg, arch, 45, 78)
+    assert all(isinstance(row, SuiteRow) and row.trials == 45 for row in rows)
 
 
 def test_run_verification_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l1net import evaluate
+from l1net import net as net_module
 from l1net.cli import ExperimentConfig, VerifyConfig, run_verification
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
 from l1net.evaluate import (
@@ -200,6 +201,17 @@ def test_green_identity_chunking_consistent(monkeypatch):
     many = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
     np.testing.assert_allclose(one.lhs, many.lhs, rtol=1e-12)
     np.testing.assert_allclose(one.rhs, many.rhs, rtol=1e-12)
+
+
+def test_green_identity_row_blocks_move_no_bit(monkeypatch):
+    rng = np.random.default_rng(14)
+    f = _random_net(rng, 2, 4, 2)
+    g = _random_net(rng, 2, 4, 2)
+    one = green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5))
+    # per-row terms in blocks of 7 rows (4 hidden units, d = 2)
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * 4 * (2 + 4))
+    assert net_module._row_blocks(f.layers, 20)[0] == slice(0, 7)
+    assert green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5)) == one
 
 
 @pytest.mark.parametrize("factor", [0.5, -1.0])

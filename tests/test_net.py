@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from l1net import net as net_module
 from l1net.net import (
     Activation,
     Architecture,
@@ -223,6 +224,42 @@ def test_batch_matches_single():
                 np.testing.assert_allclose(
                     lap[i], laplacian_input(net, trace), rtol=1e-12, atol=1e-15
                 )
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("d", [5, 100])
+def test_stacked_core_matches_each_network(L, d):
+    # A stack of T networks, one input row each, carries the bits of every
+    # network's own single-sample value, gradients and Laplacian.
+    rng = np.random.default_rng(L * 1000 + d)
+    T = 5
+    nets = [_random_net(rng, d, 10, L) for _ in range(T)]
+    X = rng.normal(size=(T, 1, d))
+    layers = [np.stack(thetas) for thetas in zip(*(n.layers for n in nets))]
+    acts, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
+    value = net_module._output(layers, acts)
+    grad = net_module._grad_input(layers, fds)
+    weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)))
+    lap = net_module._laplacian(layers, fds, sds)
+    assert value.shape == lap.shape == (T, 1) and grad.shape == (T, 1, d)
+    for t, net in enumerate(nets):
+        trace = forward(net, X[t, 0])
+        assert value[t, 0] == trace.output
+        np.testing.assert_array_equal(grad[t, 0], grad_input(net, trace))
+        assert lap[t, 0] == laplacian_input(net, trace)
+        for stacked, single in zip(weights, grad_params(net, trace)):
+            np.testing.assert_array_equal(stacked[t], single)
+
+
+def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):
+    rng = np.random.default_rng(9)
+    net = _random_net(rng, 7, 6, 3)
+    X = rng.normal(size=(10, 7))
+    whole = laplacian_batch(net, X)
+    # blocks of 3 rows: three full blocks and a ragged last one
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 3 * 6 * (7 + 4))
+    assert len(net_module._row_blocks(net.layers, 10)) == 4
+    np.testing.assert_allclose(laplacian_batch(net, X), whole, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_routines_reject_nonfinite_rows():

@@ -8,6 +8,7 @@ from l1net.sparsity import (
     TrainingDivergenceError,
     flatten,
     param_l1_norm,
+    _project_rows,
     project_l1,
     train,
     unflatten,
@@ -107,6 +108,30 @@ def test_projection_with_tied_magnitudes():
     out = project_l1(v, 2.0)
     np.testing.assert_allclose(out, [0.5, -0.5, 0.5, -0.5], rtol=1e-15)
     np.testing.assert_allclose(np.abs(out).sum(), 2.0, rtol=1e-15)
+
+
+def test_project_rows_matches_project_l1_on_every_row():
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        P = int(rng.integers(1, 40))
+        V = rng.normal(0.0, rng.uniform(0.1, 5.0), size=(6, P))
+        V[1] = np.round(V[1])  # tied magnitudes
+        V[2] *= 1e-3  # inside the ball for most radii below
+        norm = float(np.abs(V[0]).sum())
+        for r in (rng.uniform(0.05, 1.5) * max(norm, 0.1), norm * (1 + 1e-13),
+                  norm * (1 - 1e-13), norm * (1 - 1e-11), max(norm, 1e-3)):
+            rows = _project_rows(V, r)
+            np.testing.assert_array_equal(_project_rows(rows, r), rows)
+            for v, got in zip(V, rows):
+                np.testing.assert_array_equal(got, project_l1(v, r))
+                # criterion 3: the KKT oracle, feasibility, idempotence
+                assert np.linalg.norm(got - kkt_projection(v, r)) <= 1e-8
+                assert np.abs(got).sum() <= r * (1.0 + 1e-12)
+                np.testing.assert_array_equal(project_l1(got, r), got)
+    # A radius below an ulp of the largest entry rounds every threshold
+    # candidate away; the result must still lie in the ball.
+    for v in ([1e200, 3.0, -2.0], [1e300, 1e300, -1e300]):
+        assert np.abs(_project_rows(np.array([v]), 1.0)).sum() <= 1.0
 
 
 def test_train_config_validation():
