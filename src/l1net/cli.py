@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -56,9 +57,9 @@ from .evaluate import (
     _fd_grad_params,
     _fd_gradient,
     _fd_laplacian,
+    _gradient_error,
+    _prediction_error,
     green_identity_check,
-    l2_gradient_error,
-    l2_prediction_error,
 )
 from .net import (
     Activation,
@@ -69,6 +70,7 @@ from .net import (
     _hidden_batch,
     _laplacian,
     forward_batch,
+    grad_input_batch,
     load_network,
     save_network,
 )
@@ -390,24 +392,40 @@ class ExperimentOutcome:
 
 
 @functools.lru_cache(maxsize=32)
-def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
-    """Teacher, shared test set and training radius for one (depth,
-    activation) cell.
-
-    The weight draw and the test set depend only on the depth, so both
-    activations at a given depth share weights and test inputs; the radius
-    (a function of the teacher's L1 norm) then matches across activations
-    too.  Cached per process."""
-    teacher = make_teacher(TeacherSpec(
-        d=cfg.d, s=cfg.s, L=L, h=cfg.h,
-        seed=_seed_u64(_seed_seq(cfg.master_seed, 0, L)),
-    ), activation=act)
+def _test_set(cfg: ExperimentConfig, L: int) -> np.ndarray:
+    """The shared test inputs of depth ``L``, read-only.  Cached per process."""
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 1, L))
     X_test = sample_truncated_normal(
         cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
         size=(cfg.n_test, cfg.d),
     )
-    return teacher, X_test, cfg.radius_rule.radius_for(param_l1_norm(teacher))
+    X_test.flags.writeable = False
+    return X_test
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
+    """Teacher, test set and training radius for one (depth, activation)
+    cell.  The teacher's weights depend only on the depth, so both
+    activations share them, and the radius (a function of their L1 norm)
+    too.  Cached per process."""
+    teacher = make_teacher(TeacherSpec(
+        d=cfg.d, s=cfg.s, L=L, h=cfg.h,
+        seed=_seed_u64(_seed_seq(cfg.master_seed, 0, L)),
+    ), activation=act)
+    radius = cfg.radius_rule.radius_for(param_l1_norm(teacher))
+    return teacher, _test_set(cfg, L), radius
+
+
+@functools.lru_cache(maxsize=1)
+def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
+    """The teacher's outputs and input gradients on the cell's test set,
+    read-only.  One cell is cached, enough for :func:`run_experiment`'s order."""
+    teacher, X_test, _ = _cell_data(cfg, L, act)
+    scores = forward_batch(teacher, X_test), grad_input_batch(teacher, X_test)
+    for array in scores:
+        array.flags.writeable = False
+    return scores
 
 
 def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
@@ -425,7 +443,7 @@ def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
 def _run_trial(task) -> TrialResult:
     cfg, L, act_value, n, repeat = task
     act = Activation(act_value)
-    teacher, X_test, radius = _cell_data(cfg, L, act)
+    _, X_test, radius = _cell_data(cfg, L, act)
     dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
     arch = Architecture.mlp(cfg.d, cfg.h, L, act)
     tc = TrainConfig(radius, **dataclasses.asdict(cfg.train), seed=_seed_u64(train_ss))
@@ -435,12 +453,13 @@ def _run_trial(task) -> TrialResult:
         model = train(dataset, arch, tc)
     except TrainingDivergenceError:
         return diverged
+    teacher_values, teacher_grads = _teacher_scores(cfg, L, act)
     # A huge student may overflow when scored; a non-finite error is divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         resid = forward_batch(model, dataset.X) - dataset.y
         try:
-            pred = l2_prediction_error(model, teacher, X_test).value
-            grad = l2_gradient_error(model, teacher, X_test).value
+            pred = _prediction_error(forward_batch(model, X_test), teacher_values).value
+            grad = _gradient_error(grad_input_batch(model, X_test), teacher_grads).value
         except ValueError:  # ErrorEstimate rejects a non-finite error
             return diverged
         final_loss = float(resid @ resid) / dataset.n
@@ -454,24 +473,23 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     """Run every (n, activation, depth, repeat) trial of the sweep.
 
     Trials are independent; with ``jobs > 1`` they are distributed over a
-    process pool.  Results are ordered by trial coordinates regardless of
-    completion order, so the output is identical for any ``jobs``.
+    process pool in contiguous chunks.  They run grouped by (activation,
+    depth), so each group scores the teacher once per process, and are
+    returned in (n, activation, depth, repeat) order, identical for any ``jobs``.
     """
-    tasks = [
-        (cfg, L, act.value, n, repeat)
-        for n in cfg.n_grid
-        for act in cfg.activations
-        for L in cfg.depths
-        for repeat in range(cfg.repeats)
-    ]
+    repeats = range(cfg.repeats)
+    grouped = list(itertools.product(cfg.activations, cfg.depths, cfg.n_grid, repeats))
+    tasks = [(cfg, L, act.value, n, repeat) for act, L, n, repeat in grouped]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 8))
-            trials = tuple(pool.map(_run_trial, tasks, chunksize=chunk))
+            done = dict(zip(grouped, pool.map(_run_trial, tasks, chunksize=chunk)))
     else:
-        trials = tuple(_run_trial(task) for task in tasks)
+        done = {cell: _run_trial(task) for cell, task in zip(grouped, tasks)}
+    trials = tuple(done[act, L, n, repeat] for n, act, L, repeat in
+                   itertools.product(cfg.n_grid, cfg.activations, cfg.depths, repeats))
 
-    # Tasks run cell by cell, so each cell's repeats are one slice.
+    # Trials are in cell order, so each cell's repeats are one slice.
     aggregates = []
     all_diverged = []
     for start in range(0, len(trials), cfg.repeats):

@@ -62,20 +62,29 @@ def _check_test_set(model, teacher, X_test):
     return X
 
 
+def _prediction_error(values, teacher_values) -> ErrorEstimate:
+    """:func:`l2_prediction_error` from the two networks' outputs."""
+    diff = values - teacher_values
+    return ErrorEstimate(float(diff @ diff) / len(diff), len(diff), "prediction_l2")
+
+
+def _gradient_error(grads, teacher_grads) -> ErrorEstimate:
+    """:func:`l2_gradient_error` from the two networks' input gradients."""
+    diff = grads - teacher_grads
+    diff *= diff
+    return ErrorEstimate(float(diff.sum()) / len(diff), len(diff), "gradient_l2")
+
+
 def l2_prediction_error(model: Network, teacher: Network, X_test) -> ErrorEstimate:
     """``(1/m) sum_j (model(x_j) - teacher(x_j))^2``."""
     X = _check_test_set(model, teacher, X_test)
-    diff = forward_batch(model, X) - forward_batch(teacher, X)
-    return ErrorEstimate(float(diff @ diff) / X.shape[0], X.shape[0], "prediction_l2")
+    return _prediction_error(forward_batch(model, X), forward_batch(teacher, X))
 
 
 def l2_gradient_error(model: Network, teacher: Network, X_test) -> ErrorEstimate:
     """``(1/m) sum_j |grad model(x_j) - grad teacher(x_j)|_2^2``."""
     X = _check_test_set(model, teacher, X_test)
-    diff = grad_input_batch(model, X) - grad_input_batch(teacher, X)
-    return ErrorEstimate(
-        float((diff * diff).sum()) / X.shape[0], X.shape[0], "gradient_l2"
-    )
+    return _gradient_error(grad_input_batch(model, X), grad_input_batch(teacher, X))
 
 
 class GreenCheck(NamedTuple):

@@ -356,12 +356,15 @@ def _grad_input(layers, fds):
     return _backward(layers, fds, seed)[0] @ layers[0]
 
 
-def _grad_params_batch(layers, acts, fds, weights):
-    """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix."""
-    deltas = _backward(layers, fds, weights[..., np.newaxis] * layers[-1])
-    grads = [d.swapaxes(-1, -2) @ a for d, a in zip(deltas, acts)]
-    grads.append(weights[..., np.newaxis, :] @ acts[-1])
-    return grads
+def _grad_params_batch(layers, acts, fds, weights, *, out=None):
+    """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix,
+    written into the arrays of ``out`` (one per layer) when given."""
+    weights = weights[..., np.newaxis]
+    # the output layer's signal is the weights themselves
+    deltas = _backward(layers, fds, weights * layers[-1]) + [weights]
+    out = [None] * len(layers) if out is None else out
+    return [np.matmul(d.swapaxes(-1, -2), a, out=o)
+            for d, a, o in zip(deltas, acts, out)]
 
 
 def _output(layers, acts):

@@ -8,6 +8,8 @@ construction, so every iterate of :func:`train` is feasible.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,40 +87,55 @@ def project_l1(v, r: float) -> np.ndarray:
     largest index with ``u_rho - (cumsum(u)_rho - r) / rho > 0`` and
     ``tau = (cumsum(u)_rho - r) / rho``.  O(P log P) from the sort.
     """
-    if not np.isfinite(r) or r <= 0.0:
+    if not math.isfinite(r) or r <= 0.0:
         raise ValueError("radius must be positive and finite")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
-    if not np.isfinite(v).all():
-        raise ValueError("v contains non-finite entries")
-    return _project_rows(v[np.newaxis, :], r)[0]
+    return _project_rows(v, r)
+
+
+@functools.lru_cache(maxsize=16)
+def _ranks(P):
+    """The divisors ``1 .. P`` of the threshold candidates, read-only."""
+    ranks = np.arange(1.0, P + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _project_rows(V, r):
-    """:func:`project_l1` of every row of the (R, P) matrix ``V``: one sort,
-    one cumsum and one ``tau`` per row, from the candidates ``theta``."""
+    """:func:`project_l1` of every row of ``V`` (the vector itself when 1-D):
+    one sort, one cumsum and one ``tau`` per row, from the candidates
+    ``theta``.  Raises ``ValueError`` on a non-finite entry."""
+    P = V.shape[-1]
     mag = np.abs(V)
+    total = mag.sum(axis=-1, keepdims=True)
     # The tiny relative slack makes the projection idempotent in floating
     # point: re-projecting a result whose norm sits within rounding error of
     # r returns it bit for bit instead of shaving another ulp off.
-    inside = mag.sum(axis=1) <= r * (1.0 + 1e-12)
+    inside = total <= r * (1.0 + 1e-12)
     if inside.all():
         return V.copy()
-    u = mag.copy()
-    u.sort(axis=1)
-    u = u[:, ::-1]
-    theta = u.cumsum(axis=1)
+    # A NaN or inf entry makes its row's sum non-finite; a finite row whose
+    # sum overflows is still projected.
+    if not np.isfinite(total).all() and not np.isfinite(V).all():
+        raise ValueError("v contains non-finite entries")
+    u = np.negative(mag)  # sorted ascending, these are -|v| sorted descending
+    u.sort(axis=-1)
+    np.negative(u, out=u)
+    theta = u.cumsum(axis=-1)
     theta -= r
-    theta /= np.arange(1, u.shape[1] + 1)
+    theta /= _ranks(P)
     positive = u > theta
     # u_1 - theta_1 is r > 0, but rounds to 0 when r is below an ulp of u_1
-    positive[:, 0] = True
-    tau = theta[:, ::-1][np.arange(len(V)), positive[:, ::-1].argmax(axis=1)]
+    positive[..., 0] = True
+    # theta at each row's last positive candidate, by its index in the flat array
+    ends = np.arange(P - 1, V.size, P).reshape(total.shape)
+    tau = theta.reshape(-1)[ends - positive[..., ::-1].argmax(axis=-1, keepdims=True)]
     tau[inside] = 0.0  # sign(v) |v| is v itself
-    mag -= tau[:, np.newaxis]
+    mag -= tau
     np.maximum(mag, 0.0, out=mag)
-    mag *= np.sign(V)
+    mag *= np.sign(V, out=u)
     return mag
 
 
@@ -177,16 +194,6 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
     return project_l1(flat, radius)
 
 
-def _mse_and_grad(flat, shapes, activation, X, y):
-    """Mean squared error over the batch and its gradient, flattened."""
-    layers = _layer_views(flat, shapes)
-    acts, fds, _ = _hidden_batch(layers, activation, X, 1)
-    resid = _output(layers, acts) - y
-    m = X.shape[0]
-    grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
-    return float(resid @ resid) / m, np.concatenate([g.ravel() for g in grads])
-
-
 def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None,
           on_step=None) -> Network:
     """Fit a network to ``dataset`` by projected gradient descent.
@@ -227,6 +234,10 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
             flat = project_l1(flat, cfg.radius)
     else:
         flat = _init_flat(arch, cfg.radius, rng)
+    # Buffers and layer views for the whole run, written in place each step
+    grad, stepped = np.empty_like(flat), np.empty_like(flat)
+    layers = _layer_views(flat, shapes)
+    grads = _layer_views(grad, shapes)
 
     batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
     order = None
@@ -243,11 +254,15 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
                 idx = order[cursor:cursor + batch]
                 cursor += batch
                 Xb, yb = X[idx], y[idx]
-            loss, grad = _mse_and_grad(flat, shapes, arch.activation, Xb, yb)
-            stepped = flat - cfg.step_size * grad  # not finite if grad is not
+            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1)
+            resid = _output(layers, acts) - yb
+            _grad_params_batch(layers, acts, fds, (2.0 / batch) * resid, out=grads)
+            loss = float(resid @ resid) / batch
+            # flat - step_size * grad, not finite if grad is not
+            np.subtract(flat, np.multiply(grad, cfg.step_size, out=stepped), out=stepped)
             if not np.isfinite(loss) or not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(it)
-            flat = project_l1(stepped, cfg.radius)
+            flat[:] = project_l1(stepped, cfg.radius)
             if on_step is not None:
                 on_step(it, flat.copy())
 

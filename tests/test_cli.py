@@ -230,6 +230,29 @@ def test_parallel_jobs_match_serial():
     assert trials_to_csv(serial.trials) == trials_to_csv(parallel.trials)
 
 
+def test_test_set_is_shared_across_activations():
+    cfg = _tiny_cfg()
+    for L in (2, 3):
+        assert (cli._cell_data(cfg, L, Activation.SOFTPLUS)[1]
+                is cli._cell_data(cfg, L, Activation.RELU)[1])
+
+
+def test_teacher_scored_once_per_activation_and_depth():
+    cfg = _tiny_cfg(activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3))
+    cli._teacher_scores.cache_clear()
+    serial = run_experiment(cfg, jobs=1)
+    assert cli._teacher_scores.cache_info().misses == 4
+    # rows stay in (n, activation, L, repeat) order
+    assert [(t.n, t.activation, t.L, t.repeat_index) for t in serial.trials] == [
+        (n, act.value, L, repeat)
+        for n in cfg.n_grid for act in cfg.activations for L in cfg.depths
+        for repeat in range(cfg.repeats)
+    ]
+    parallel = run_experiment(cfg, jobs=2)
+    assert trials_to_csv(serial.trials) == trials_to_csv(parallel.trials)
+    assert aggregates_to_csv(serial.aggregates) == aggregates_to_csv(parallel.aggregates)
+
+
 def test_noiseless_runs_beat_noisy_ones():
     """With a generous radius, a real iteration budget and enough samples,
     removing label noise must improve the mean prediction error."""

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from l1net.net import Activation, Architecture, Network, forward_batch
+from l1net.net import (
+    Activation,
+    Architecture,
+    Network,
+    _grad_params_batch,
+    _hidden_batch,
+    _output,
+    forward_batch,
+)
 from l1net.sparsity import (
     FlatParams,
     TrainConfig,
     TrainingDivergenceError,
     flatten,
     param_l1_norm,
+    _init_flat,
     _project_rows,
     project_l1,
     train,
@@ -134,6 +143,26 @@ def test_project_rows_matches_project_l1_on_every_row():
         assert np.abs(_project_rows(np.array([v]), 1.0)).sum() <= 1.0
 
 
+@pytest.mark.parametrize("inside", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_nonfinite_entries(bad, inside):
+    v = np.array([0.1, -0.2, 0.3, 0.05]) * (1.0 if inside else 10.0)
+    v[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        project_l1(v, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        _project_rows(np.stack([np.full(4, 0.01), v]), 1.0)
+
+
+def test_projection_of_finite_vector_with_overflowing_norm():
+    # |v|_1 overflows to inf (a numpy overflow warning, silenced here), but
+    # every entry is finite: project, not raise
+    v = np.array([1e308, 1e308, -1e308])
+    with np.errstate(over="ignore"):
+        out = project_l1(v, 1.0)
+    assert np.isfinite(out).all() and np.abs(out).sum() <= 1.0
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(radius=0.0)
@@ -235,3 +264,65 @@ def test_trained_student_beats_init_on_train_data():
     student = train(ds, arch, cfg)
     resid = forward_batch(student, ds.X) - ds.y
     assert float(resid @ resid) / len(ds.y) < 0.05
+
+
+def _reference_train(dataset, arch, cfg):
+    """PGD written plainly: per step, fresh layer views, a gradient list
+    joined by ``np.concatenate``, ``flat - step_size * grad``, then the
+    projection.  Returns the final parameter vector."""
+    X, y = dataset.X, dataset.y
+    n = X.shape[0]
+    shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)]
+    cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
+    rng = np.random.default_rng(cfg.seed)
+    flat = _init_flat(arch, cfg.radius, rng)
+    batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
+    order, cursor = None, 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for it in range(1, cfg.iterations + 1):
+            if batch == n:
+                Xb, yb = X, y
+            else:
+                if order is None or cursor + batch > n:
+                    order, cursor = rng.permutation(n), 0
+                idx = order[cursor:cursor + batch]
+                cursor += batch
+                Xb, yb = X[idx], y[idx]
+            layers = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
+            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1)
+            resid = _output(layers, acts) - yb
+            m = Xb.shape[0]
+            grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
+            grad = np.concatenate([g.ravel() for g in grads])
+            stepped = flat - cfg.step_size * grad
+            if not np.isfinite(float(resid @ resid) / m) or not np.isfinite(stepped).all():
+                raise TrainingDivergenceError(it)
+            flat = project_l1(stepped, cfg.radius)
+    return flat
+
+
+@pytest.mark.parametrize("batch_size", ["full", 16])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
+def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
+    teacher, ds = _toy_problem(seed=31, d=6, n=50, noise=0.1)
+    arch = Architecture.mlp(6, 4, depth, activation)
+    cfg = TrainConfig(radius=0.6 * param_l1_norm(teacher), step_size=0.1,
+                      iterations=80, batch_size=batch_size, seed=3)
+    want = _reference_train(ds, arch, cfg)
+    got = flatten(train(ds, arch, cfg)).values
+    assert got.tobytes() == want.tobytes()
+
+    def scribble(iteration, flat):
+        flat[:] = 1e300  # on_step gets a copy; the run must not see this
+    got = flatten(train(ds, arch, cfg, on_step=scribble)).values
+    assert got.tobytes() == want.tobytes()
+
+    # Steps that overflow a few iterations in diverge at the same iteration
+    wild = TrainConfig(radius=1e200, step_size=1e100, iterations=50,
+                       batch_size=batch_size, seed=3)
+    with pytest.raises(TrainingDivergenceError) as want_info:
+        _reference_train(ds, arch, wild)
+    with pytest.raises(TrainingDivergenceError) as got_info:
+        train(ds, arch, wild)
+    assert got_info.value.iteration == want_info.value.iteration
