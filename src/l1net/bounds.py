@@ -25,6 +25,7 @@ from .net import (
     _hidden_batch,
     _laplacian,
     _output,
+    _values,
 )
 from .sparsity import _layer_views, _project_rows
 
@@ -84,8 +85,7 @@ def lipschitz_param_bound(r: float, L: int, x_inf: float) -> float:
 def lip_l2pn_bound(r: float, L: int, sample_x_inf_rms: float) -> float:
     """Same constant in the empirical L2 metric; ``sample_x_inf_rms`` is
     ``sqrt((1/n) sum_i |x_i|_inf^2)``."""
-    L = _check_depth(L)
-    return math.sqrt(L) * (r / (L - 1)) ** (L - 1) * sample_x_inf_rms
+    return lipschitz_param_bound(r, L, sample_x_inf_rms)
 
 
 @_inf_on_overflow
@@ -298,12 +298,12 @@ class BoundAudit:
 _CSV_FORMATS = {"str": "%s", "int": "%d", "float": "%.17g"}
 
 
-def _rows_to_csv(cls, rows, header=None) -> str:
-    """CSV text, one line per dataclass row of type ``cls``; the header
-    defaults to the field names, and floats print exactly (``%.17g``)."""
+def _rows_to_csv(cls, rows) -> str:
+    """CSV text, one line per dataclass row of type ``cls`` under a header
+    of its field names; floats print exactly (``%.17g``)."""
     fields = dataclasses.fields(cls)
     fmt = ",".join(_CSV_FORMATS[f.type] for f in fields)
-    lines = [header or ",".join(f.name for f in fields)]
+    lines = [",".join(f.name for f in fields)]
     lines.extend(fmt % tuple(getattr(row, f.name) for f in fields) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -387,7 +387,7 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
         acts, fds, sds = _hidden_batch(net_a, arch.activation, X)
         out_a = _output(net_a, acts)[:, 0]
-        out_b = _output(net_b, _hidden_batch(net_b, arch.activation, X, 0)[0])[:, 0]
+        out_b = _values(net_b, arch.activation, X)[:, 0]
         dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))
         checks = {
             "lipschitz_param": (np.abs(out_a - out_b), dist * [

@@ -136,38 +136,28 @@ class RadiusRule:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Settings for the ``verify`` subcommand."""
+    """Sampling budget of the ``verify`` subcommand.  Its gates are pinned
+    module constants (``_FD_GRAD_TOL`` and the rest) that no config sets;
+    ``green_tol`` is the exception, because a Monte-Carlo gap has to follow
+    ``green_m``."""
 
     trials: int = 1000
-    radius: float = 5.0
     depths: tuple = (2, 3, 4)
     dims: tuple = (5, 100)
-    hidden: int = 10
     green_m: int = 1_000_000
     green_pairs: int = 2
-    fd_grad_step: float = 1e-4
-    fd_lap_step: float = 1e-3
-    fd_grad_tol: float = 1e-5
-    fd_lap_tol: float = 1e-4
     green_tol: float = 0.05
-    slack: float = 1e-9
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("hidden", 1), ("green_m", 10_000),
-                          ("green_pairs", 1)):
+        for name, low in (("trials", 1), ("green_m", 10_000), ("green_pairs", 1)):
             if int(getattr(self, name)) < low:
                 raise ConfigError(f"verify.{name} must be at least {low}")
         if not self.depths or any(int(L) < 2 for L in self.depths):
             raise ConfigError("verify.depths must be non-empty with every L >= 2")
         if not self.dims or any(int(d) < 1 for d in self.dims):
             raise ConfigError("verify.dims must be non-empty and positive")
-        for name in ("fd_grad_step", "fd_lap_step", "fd_grad_tol", "fd_lap_tol",
-                     "green_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"verify.{name} must be positive and finite")
-        for name in ("radius", "slack"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"verify.{name} must be non-negative and finite")
+        if not 0.0 < self.green_tol < math.inf:
+            raise ConfigError("verify.green_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -358,7 +348,7 @@ def _seed_u64(ss: np.random.SeedSequence) -> int:
 @dataclass(frozen=True)
 class TrialResult:
     n: int
-    repeat_index: int
+    repeat: int
     activation: str
     L: int
     seed: int
@@ -405,23 +395,24 @@ def _test_set(cfg: ExperimentConfig, L: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
-    """Teacher, test set and training radius for one (depth, activation)
-    cell.  The teacher's weights depend only on the depth, so both
-    activations share them, and the radius (a function of their L1 norm)
-    too.  Cached per process."""
+    """Teacher and training radius for one (depth, activation) cell.  The
+    teacher's weights depend only on the depth, so both activations share
+    them, and the radius (a function of their L1 norm) too.  Cached per
+    process."""
     teacher = make_teacher(TeacherSpec(
         d=cfg.d, s=cfg.s, L=L, h=cfg.h,
         seed=_seed_u64(_seed_seq(cfg.master_seed, 0, L)),
     ), activation=act)
     radius = cfg.radius_rule.radius_for(param_l1_norm(teacher))
-    return teacher, _test_set(cfg, L), radius
+    return teacher, radius
 
 
 @functools.lru_cache(maxsize=1)
 def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
     """The teacher's outputs and input gradients on the cell's test set,
     read-only.  One cell is cached, enough for :func:`run_experiment`'s order."""
-    teacher, X_test, _ = _cell_data(cfg, L, act)
+    teacher = _cell_data(cfg, L, act)[0]
+    X_test = _test_set(cfg, L)
     scores = forward_batch(teacher, X_test), grad_input_batch(teacher, X_test)
     for array in scores:
         array.flags.writeable = False
@@ -443,7 +434,8 @@ def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
 def _run_trial(task) -> TrialResult:
     cfg, L, act_value, n, repeat = task
     act = Activation(act_value)
-    _, X_test, radius = _cell_data(cfg, L, act)
+    radius = _cell_data(cfg, L, act)[1]
+    X_test = _test_set(cfg, L)
     dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
     arch = Architecture.mlp(cfg.d, cfg.h, L, act)
     tc = TrainConfig(radius, **dataclasses.asdict(cfg.train), seed=_seed_u64(train_ss))
@@ -508,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     teacher_l1 = {}
     radius = {}
     for L in cfg.depths:
-        teacher, _, rad = _cell_data(cfg, L, cfg.activations[0])
+        teacher, rad = _cell_data(cfg, L, cfg.activations[0])
         teacher_l1[str(L)] = param_l1_norm(teacher)
         radius[str(L)] = rad
     metadata = {
@@ -523,9 +515,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
 
 
 def trials_to_csv(trials) -> str:
-    return _rows_to_csv(TrialResult, trials, header=(
-        "n,repeat,activation,L,seed,pred_l2,grad_l2,final_train_loss,l1_norm_final"
-    ))
+    return _rows_to_csv(TrialResult, trials)
 
 
 def aggregates_to_csv(rows) -> str:
@@ -580,7 +570,7 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
         b0, b0_source = cfg.b0, "config"
     entries = []
     for L in cfg.depths:
-        radius = _cell_data(cfg, L, Activation.SOFTPLUS)[2]
+        radius = _cell_data(cfg, L, Activation.SOFTPLUS)[1]
         P = Architecture.mlp(cfg.d, cfg.h, L, Activation.SOFTPLUS).n_params
         for n in cfg.n_grid:
             inputs = BoundInputs(
@@ -601,6 +591,18 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
 # -- verification suites ------------------------------------------------------
 
 
+# The pinned gates of ``verify``: the audited networks' L1 radius and hidden
+# width, the finite-difference steps and tolerances, and the bound audit's
+# relative slack.
+_VERIFY_RADIUS = 5.0
+_VERIFY_HIDDEN = 10
+_FD_GRAD_STEP = 1e-4
+_FD_LAP_STEP = 1e-3
+_FD_GRAD_TOL = 1e-5
+_FD_LAP_TOL = 1e-4
+_BOUND_SLACK = 1e-9
+
+
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     """Exact derivatives vs finite differences over random draws, evaluated
     a block of draws at a time as one stack of networks.
@@ -609,7 +611,6 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     the largest entry magnitude; the Laplacian (a scalar that can pass
     through zero) is measured against ``max(1, |exact|)``.
     """
-    v = cfg.verify
     sizes = arch.layer_sizes
     tag = f"L{arch.depth}_d{sizes[0]}"
     ratios = {f"fd_{name}_{tag}": [] for name in
@@ -626,18 +627,18 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         X = X[:, np.newaxis, :]
         acts, fds, sds = _hidden_batch(layers, arch.activation, X)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
-        approx = _fd_grad_params(layers, arch.activation, X, v.fd_grad_step)
+        approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
         den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
         exact_g = _grad_input(layers, fds)[:, 0]
-        approx_g = _fd_gradient(layers, arch.activation, X, v.fd_grad_step)
+        approx_g = _fd_gradient(layers, arch.activation, X, _FD_GRAD_STEP)
         exact_l = _laplacian(layers, fds, sds)[:, 0]
-        approx_l = _fd_laplacian(layers, arch.activation, X, v.fd_lap_step)
+        approx_l = _fd_laplacian(layers, arch.activation, X, _FD_LAP_STEP)
         errs = (
-            num / np.maximum(den, 1e-12) / v.fd_grad_tol,
+            num / np.maximum(den, 1e-12) / _FD_GRAD_TOL,
             np.abs(approx_g - exact_g).max(axis=1)
-            / np.maximum(np.abs(exact_g).max(axis=1), 1e-12) / v.fd_grad_tol,
-            np.abs(approx_l - exact_l) / np.maximum(1.0, np.abs(exact_l)) / v.fd_lap_tol,
+            / np.maximum(np.abs(exact_g).max(axis=1), 1e-12) / _FD_GRAD_TOL,
+            np.abs(approx_l - exact_l) / np.maximum(1.0, np.abs(exact_l)) / _FD_LAP_TOL,
         )
         for bucket, err in zip(ratios.values(), errs):
             bucket.extend(err.tolist())
@@ -655,11 +656,11 @@ def run_verification(cfg: ExperimentConfig) -> tuple:
     rows, fd_rows = [], []
     for L in v.depths:
         for d in v.dims:
-            arch = Architecture.mlp(d, v.hidden, L, Activation.SOFTPLUS)
+            arch = Architecture.mlp(d, _VERIFY_HIDDEN, L, Activation.SOFTPLUS)
             audit = verify_bounds(
-                arch, v.radius, v.trials,
+                arch, _VERIFY_RADIUS, v.trials,
                 _seed_u64(_seed_seq(cfg.master_seed, 5, 0, L, d)),
-                input_sup=cfg.data.input_bound, slack=v.slack,
+                input_sup=cfg.data.input_bound, slack=_BOUND_SLACK,
             )
             rows.extend(
                 dataclasses.replace(row, suite=f"bound_{row.suite}_L{L}_d{d}")

@@ -181,13 +181,7 @@ class TrainConfig:
 
 
 def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
-    sizes = arch.layer_sizes
-    std = np.sqrt(2.0 / sizes[1])
-    parts = [
-        rng.normal(0.0, std, size=(sizes[l + 1], sizes[l])).ravel()
-        for l in range(arch.depth)
-    ]
-    flat = np.concatenate(parts)
+    flat = rng.normal(0.0, np.sqrt(2.0 / arch.layer_sizes[1]), size=arch.n_params)
     total = np.abs(flat).sum()
     if total > radius:
         flat *= radius / total

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -161,8 +162,6 @@ def _tiny_cfg(**overrides):
     }
     path_free.update(overrides)
     base = ExperimentConfig()
-    import dataclasses
-
     return dataclasses.replace(
         base,
         train=dataclasses.replace(base.train, iterations=150),
@@ -231,10 +230,16 @@ def test_parallel_jobs_match_serial():
 
 
 def test_test_set_is_shared_across_activations():
-    cfg = _tiny_cfg()
-    for L in (2, 3):
-        assert (cli._cell_data(cfg, L, Activation.SOFTPLUS)[1]
-                is cli._cell_data(cfg, L, Activation.RELU)[1])
+    cfg = _tiny_cfg(activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3))
+    cli._test_set.cache_clear()
+    run_experiment(cfg, jobs=1)
+    # one draw per depth, shared by both activations
+    assert cli._test_set.cache_info().misses == len(cfg.depths)
+    # the bound report reads the teachers and radii, never the test sets
+    cli._cell_data.cache_clear()
+    cli._test_set.cache_clear()
+    report_bounds(cfg)
+    assert cli._test_set.cache_info().misses == 0
 
 
 def test_teacher_scored_once_per_activation_and_depth():
@@ -243,7 +248,7 @@ def test_teacher_scored_once_per_activation_and_depth():
     serial = run_experiment(cfg, jobs=1)
     assert cli._teacher_scores.cache_info().misses == 4
     # rows stay in (n, activation, L, repeat) order
-    assert [(t.n, t.activation, t.L, t.repeat_index) for t in serial.trials] == [
+    assert [(t.n, t.activation, t.L, t.repeat) for t in serial.trials] == [
         (n, act.value, L, repeat)
         for n in cfg.n_grid for act in cfg.activations for L in cfg.depths
         for repeat in range(cfg.repeats)
@@ -256,8 +261,6 @@ def test_teacher_scored_once_per_activation_and_depth():
 def test_noiseless_runs_beat_noisy_ones():
     """With a generous radius, a real iteration budget and enough samples,
     removing label noise must improve the mean prediction error."""
-    import dataclasses
-
     base = ExperimentConfig()
 
     def cfg(noise):
@@ -543,6 +546,34 @@ def test_verify_command_detects_injected_bug(tmp_path, monkeypatch, module, name
     assert failing and all(row.startswith(suite) for row in failing)
 
 
+def test_verify_gates_are_pinned():
+    assert cli._VERIFY_RADIUS == 5.0
+    assert cli._VERIFY_HIDDEN == 10
+    assert cli._FD_GRAD_STEP == 1e-4
+    assert cli._FD_LAP_STEP == 1e-3
+    assert cli._FD_GRAD_TOL == 1e-5
+    assert cli._FD_LAP_TOL == 1e-4
+    assert cli._BOUND_SLACK == 1e-9
+    assert [f.name for f in dataclasses.fields(cli.VerifyConfig)] == [
+        "trials", "depths", "dims", "green_m", "green_pairs", "green_tol"]
+
+
+_PINNED_GATES = {"radius": 5.0, "hidden": 10, "fd_grad_step": 1e-4, "fd_lap_step": 1e-3,
+                 "fd_grad_tol": 1e-5, "fd_lap_tol": 1e-4, "slack": 1e-9}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_GATES))
+def test_config_cannot_set_verify_gates(tmp_path, key):
+    # not even to the pinned value: a gate is no config key
+    overrides = _verify_overrides()
+    overrides["verify"][key] = _PINNED_GATES[key]
+    cfg_path = _write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg_path)
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # -- serial references for the stacked verify suites: one draw at a time,
 # through the public single-sample routines
 
@@ -594,7 +625,6 @@ def _serial_verify_bounds(arch, r, trials, seed, input_sup, slack):
 
 
 def _serial_fd_suite(cfg, arch, trials, seed):
-    v = cfg.verify
     sizes = arch.layer_sizes
     tag = f"L{arch.depth}_d{sizes[0]}"
     ratios = {f"fd_{name}_{tag}": [] for name in
@@ -606,18 +636,18 @@ def _serial_fd_suite(cfg, arch, trials, seed):
                                     cfg.data.cutoff_factor, rng, size=sizes[0])
         trace = forward(net, x)
         exact = grad_params(net, trace)
-        approx = finite_diff_grad_params(net, x, v.fd_grad_step)
+        approx = finite_diff_grad_params(net, x, 1e-4)
         num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
         den = max(float(np.abs(e).max()) for e in exact)
         exact_g = grad_input(net, trace)
-        approx_g = finite_diff_gradient(net, x, v.fd_grad_step)
+        approx_g = finite_diff_gradient(net, x, 1e-4)
         exact_l = laplacian_input(net, trace)
-        approx_l = finite_diff_laplacian(net, x, v.fd_lap_step)
+        approx_l = finite_diff_laplacian(net, x, 1e-3)
         for bucket, err in zip(ratios.values(), (
-            num / max(den, 1e-12) / v.fd_grad_tol,
+            num / max(den, 1e-12) / 1e-5,
             float(np.abs(approx_g - exact_g).max())
-            / max(float(np.abs(exact_g).max()), 1e-12) / v.fd_grad_tol,
-            abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / v.fd_lap_tol,
+            / max(float(np.abs(exact_g).max()), 1e-12) / 1e-5,
+            abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / 1e-4,
         )):
             bucket.append(err)
     return _tally(ratios)

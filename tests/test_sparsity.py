@@ -16,7 +16,6 @@ from l1net.sparsity import (
     TrainingDivergenceError,
     flatten,
     param_l1_norm,
-    _init_flat,
     _project_rows,
     project_l1,
     train,
@@ -266,16 +265,32 @@ def test_trained_student_beats_init_on_train_data():
     assert float(resid @ resid) / len(ds.y) < 0.05
 
 
+def _reference_init(arch, radius, rng):
+    """The initial iterate drawn layer by layer: N(0, 2/h) per layer,
+    joined by ``np.concatenate``, rescaled into the ball and projected."""
+    sizes = arch.layer_sizes
+    std = np.sqrt(2.0 / sizes[1])
+    flat = np.concatenate([
+        rng.normal(0.0, std, size=(sizes[l + 1], sizes[l])).ravel()
+        for l in range(arch.depth)
+    ])
+    total = np.abs(flat).sum()
+    if total > radius:
+        flat *= radius / total
+    return project_l1(flat, radius)
+
+
 def _reference_train(dataset, arch, cfg):
-    """PGD written plainly: per step, fresh layer views, a gradient list
-    joined by ``np.concatenate``, ``flat - step_size * grad``, then the
-    projection.  Returns the final parameter vector."""
+    """PGD written plainly: a layer-by-layer init, then per step fresh
+    layer views, a gradient list joined by ``np.concatenate``,
+    ``flat - step_size * grad``, then the projection.  Returns the final
+    parameter vector."""
     X, y = dataset.X, dataset.y
     n = X.shape[0]
     shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)]
     cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
     rng = np.random.default_rng(cfg.seed)
-    flat = _init_flat(arch, cfg.radius, rng)
+    flat = _reference_init(arch, cfg.radius, rng)
     batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
     order, cursor = None, 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
