@@ -27,7 +27,7 @@ from .net import (
     _output,
     _values,
 )
-from .sparsity import _layer_views, _project_rows
+from .sparsity import _layer_views, project_l1
 
 __all__ = [
     "BoundAudit",
@@ -380,7 +380,7 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
     for block in _draw_blocks(seed, trials, draw):
         xs, nets_a, nets_b = zip(*block)
         # Chain nets lie in the ball already, and projection keeps them as is.
-        flats = _project_rows(np.stack(nets_a + nets_b), r)
+        flats = project_l1(np.stack(nets_a + nets_b), r)
         net_a = _layer_views(flats[:len(xs)], shapes)
         net_b = _layer_views(flats[len(xs):], shapes)
         X = np.stack(xs)[:, np.newaxis, :]

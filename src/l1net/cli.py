@@ -69,12 +69,14 @@ from .net import (
     _grad_params_batch,
     _hidden_batch,
     _laplacian,
+    _output,
     forward_batch,
-    grad_input_batch,
     load_network,
     save_network,
 )
-from .sparsity import TrainConfig, TrainingDivergenceError, param_l1_norm, train
+# ``train`` itself is not called here; bench/test_bench.py checks that the
+# tracer rewraps this binding.
+from .sparsity import TrainConfig, _train_rows, param_l1_norm, train  # noqa: F401
 
 __all__ = [
     "AggregateRow",
@@ -407,13 +409,18 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
     return teacher, radius
 
 
+def _scores(net: Network, X) -> tuple:
+    """Outputs and input gradients of ``net`` on the rows of ``X``, from one
+    hidden pass."""
+    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
+    return _output(net.layers, acts), _grad_input(net.layers, fds)
+
+
 @functools.lru_cache(maxsize=1)
 def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
     """The teacher's outputs and input gradients on the cell's test set,
     read-only.  One cell is cached, enough for :func:`run_experiment`'s order."""
-    teacher = _cell_data(cfg, L, act)[0]
-    X_test = _test_set(cfg, L)
-    scores = forward_batch(teacher, X_test), grad_input_batch(teacher, X_test)
+    scores = _scores(_cell_data(cfg, L, act)[0], _test_set(cfg, L))
     for array in scores:
         array.flags.writeable = False
     return scores
@@ -431,55 +438,76 @@ def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
     return dataset, _seed_u64(ss), train_ss
 
 
-def _run_trial(task) -> TrialResult:
-    cfg, L, act_value, n, repeat = task
+def _score(cfg: ExperimentConfig, L: int, act: Activation, cell, seed: int, dataset,
+           model) -> TrialResult:
+    """One trial's row: the student's errors on the test set of depth ``L``,
+    or a diverged row when training left no student (``model`` is the
+    :class:`TrainingDivergenceError`) or an error is not finite."""
+    n, repeat = cell
+    if isinstance(model, Network):
+        teacher_values, teacher_grads = _teacher_scores(cfg, L, act)
+        # A huge student may overflow when scored; a non-finite error is divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads = _scores(model, _test_set(cfg, L))
+            resid = forward_batch(model, dataset.X) - dataset.y
+            try:
+                return TrialResult(
+                    n, repeat, act.value, L, seed,
+                    _prediction_error(values, teacher_values).value,
+                    _gradient_error(grads, teacher_grads).value,
+                    float(resid @ resid) / dataset.n, param_l1_norm(model),
+                )
+            except ValueError:  # ErrorEstimate rejects a non-finite error
+                pass
+    nan = float("nan")
+    return TrialResult(n, repeat, act.value, L, seed, nan, nan, nan, nan)
+
+
+def _run_block(task) -> list:
+    """Train one block of an (activation, depth) group's trials as one
+    stacked loop, then score each student."""
+    cfg, L, act_value, cells = task
     act = Activation(act_value)
     radius = _cell_data(cfg, L, act)[1]
-    X_test = _test_set(cfg, L)
-    dataset, seed, train_ss = _trial_dataset(cfg, L, act, n, repeat)
-    arch = Architecture.mlp(cfg.d, cfg.h, L, act)
-    tc = TrainConfig(radius, **dataclasses.asdict(cfg.train), seed=_seed_u64(train_ss))
-    nan = float("nan")
-    diverged = TrialResult(n, repeat, act.value, L, seed, nan, nan, nan, nan)
-    try:
-        model = train(dataset, arch, tc)
-    except TrainingDivergenceError:
-        return diverged
-    teacher_values, teacher_grads = _teacher_scores(cfg, L, act)
-    # A huge student may overflow when scored; a non-finite error is divergence.
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = forward_batch(model, dataset.X) - dataset.y
-        try:
-            pred = _prediction_error(forward_batch(model, X_test), teacher_values).value
-            grad = _gradient_error(grad_input_batch(model, X_test), teacher_grads).value
-        except ValueError:  # ErrorEstimate rejects a non-finite error
-            return diverged
-        final_loss = float(resid @ resid) / dataset.n
-    return TrialResult(
-        n, repeat, act.value, L, seed, pred, grad, final_loss,
-        param_l1_norm(model),
-    )
+    datasets, seeds, train_seqs = zip(*(_trial_dataset(cfg, L, act, n, repeat)
+                                        for n, repeat in cells))
+    models = _train_rows(datasets, Architecture.mlp(cfg.d, cfg.h, L, act),
+                         TrainConfig(radius, **dataclasses.asdict(cfg.train)),
+                         [_seed_u64(ss) for ss in train_seqs], [None] * len(cells), None)
+    return [_score(cfg, L, act, *trial) for trial in zip(cells, seeds, datasets, models)]
+
+
+# Trials trained as one stacked loop: at most this many, of one (activation,
+# depth) group.  Blocks of 100 trials gained less per trial than blocks of 20.
+_TRAIN_BLOCK = 32
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     """Run every (n, activation, depth, repeat) trial of the sweep.
 
-    Trials are independent; with ``jobs > 1`` they are distributed over a
-    process pool in contiguous chunks.  They run grouped by (activation,
-    depth), so each group scores the teacher once per process, and are
-    returned in (n, activation, depth, repeat) order, identical for any ``jobs``.
+    The trials of each (activation, depth) group are trained in blocks of
+    at most ``_TRAIN_BLOCK`` consecutive (n, repeat) cells, each block as
+    one stacked loop with the bits of trials trained alone; each group
+    scores the teacher once per process.  With ``jobs > 1`` the blocks are
+    distributed over a process pool; block composition never depends on
+    ``jobs``.  Trials are returned in (n, activation, depth, repeat) order,
+    identical for any ``jobs``.
     """
-    repeats = range(cfg.repeats)
-    grouped = list(itertools.product(cfg.activations, cfg.depths, cfg.n_grid, repeats))
-    tasks = [(cfg, L, act.value, n, repeat) for act, L, n, repeat in grouped]
+    cells = list(itertools.product(cfg.n_grid, range(cfg.repeats)))
+    blocks = [
+        (cfg, L, act.value, tuple(cells[start:start + _TRAIN_BLOCK]))
+        for act, L in itertools.product(cfg.activations, cfg.depths)
+        for start in range(0, len(cells), _TRAIN_BLOCK)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
-            done = dict(zip(grouped, pool.map(_run_trial, tasks, chunksize=chunk)))
+            done = list(pool.map(_run_block, blocks))
     else:
-        done = {cell: _run_trial(task) for cell, task in zip(grouped, tasks)}
-    trials = tuple(done[act, L, n, repeat] for n, act, L, repeat in
-                   itertools.product(cfg.n_grid, cfg.activations, cfg.depths, repeats))
+        done = [_run_block(block) for block in blocks]
+    by_cell = {(t.n, t.activation, t.L, t.repeat): t for block in done for t in block}
+    trials = tuple(by_cell[n, act.value, L, repeat] for n, act, L, repeat in
+                   itertools.product(cfg.n_grid, cfg.activations, cfg.depths,
+                                     range(cfg.repeats)))
 
     # Trials are in cell order, so each cell's repeats are one slice.
     aggregates = []

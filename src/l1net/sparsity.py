@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Architecture, Network, _grad_params_batch, _hidden_batch, _output
+from .net import (
+    Architecture,
+    Network,
+    _act_terms,
+    _grad_params_batch,
+    _hidden_batch,
+)
 
 __all__ = [
     "FlatParams",
@@ -80,19 +86,55 @@ def param_l1_norm(net: Network) -> float:
 def project_l1(v, r: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto the L1 ball of radius ``r``.
 
-    If ``v`` is already inside the ball it is returned unchanged (as a
-    copy).  Otherwise the unique projection is the soft threshold
-    ``sign(v) max(|v| - tau, 0)`` where ``tau`` comes from the sorted
-    magnitudes: with ``u`` = ``|v|`` sorted descending, ``rho`` is the
-    largest index with ``u_rho - (cumsum(u)_rho - r) / rho > 0`` and
-    ``tau = (cumsum(u)_rho - r) / rho``.  O(P log P) from the sort.
+    ``v`` is a vector, or a matrix whose rows are projected one by one
+    (each row gets exactly the bits it would get alone).  A vector already
+    inside the ball is returned unchanged (as a copy).  Otherwise the unique
+    projection is the soft threshold ``sign(v) max(|v| - tau, 0)`` where
+    ``tau`` comes from the sorted magnitudes: with ``u`` = ``|v|`` sorted
+    descending, ``rho`` is the largest index with
+    ``u_rho - (cumsum(u)_rho - r) / rho > 0`` and
+    ``tau = (cumsum(u)_rho - r) / rho``.  O(P log P) from the sort.  At
+    ``r = 0`` the ball is the origin.  Raises ``ValueError`` on a non-finite
+    entry; a finite vector whose L1 norm overflows is still projected.
     """
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError("radius must be positive and finite")
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("v must be a vector")
-    return _project_rows(v, r)
+    if not math.isfinite(r) or r < 0.0:
+        raise ValueError("radius must be non-negative and finite")
+    V = np.asarray(v, dtype=float)
+    if V.ndim not in (1, 2):
+        raise ValueError("v must be a vector or a matrix of rows")
+    P = V.shape[-1]
+    # A finite row whose L1 norm overflows is projected without a warning
+    with np.errstate(over="ignore"):
+        mag = np.abs(V)
+        total = mag.sum(axis=-1, keepdims=True)
+        # The tiny relative slack makes the projection idempotent in floating
+        # point: re-projecting a result whose norm sits within rounding error of
+        # r returns it bit for bit instead of shaving another ulp off.
+        inside = total <= r * (1.0 + 1e-12)
+        if inside.all():
+            return V.copy()
+        # A NaN or inf entry makes its row's sum non-finite; a finite row whose
+        # sum overflows is still projected.
+        if not np.isfinite(total).all() and not np.isfinite(V).all():
+            raise ValueError("v contains non-finite entries")
+        u = np.negative(mag)  # sorted ascending, these are -|v| sorted descending
+        u.sort(axis=-1)
+        np.negative(u, out=u)
+        theta = u.cumsum(axis=-1)
+        theta -= r
+        theta /= _ranks(P)
+        positive = u > theta
+        # u_1 - theta_1 is r, so the first candidate always counts, also where
+        # that difference is 0: at r = 0, or when r is below an ulp of u_1
+        positive[..., 0] = True
+        # theta at each row's last positive candidate, by its index in the flat array
+        ends = np.arange(P - 1, V.size, P).reshape(total.shape)
+        tau = theta.reshape(-1)[ends - positive[..., ::-1].argmax(axis=-1, keepdims=True)]
+        tau[inside] = 0.0  # sign(v) |v| is v itself
+        mag -= tau
+        np.maximum(mag, 0.0, out=mag)
+        mag *= np.sign(V, out=u)
+        return mag
 
 
 @functools.lru_cache(maxsize=16)
@@ -103,44 +145,9 @@ def _ranks(P):
     return ranks
 
 
-def _project_rows(V, r):
-    """:func:`project_l1` of every row of ``V`` (the vector itself when 1-D):
-    one sort, one cumsum and one ``tau`` per row, from the candidates
-    ``theta``.  Raises ``ValueError`` on a non-finite entry."""
-    P = V.shape[-1]
-    mag = np.abs(V)
-    total = mag.sum(axis=-1, keepdims=True)
-    # The tiny relative slack makes the projection idempotent in floating
-    # point: re-projecting a result whose norm sits within rounding error of
-    # r returns it bit for bit instead of shaving another ulp off.
-    inside = total <= r * (1.0 + 1e-12)
-    if inside.all():
-        return V.copy()
-    # A NaN or inf entry makes its row's sum non-finite; a finite row whose
-    # sum overflows is still projected.
-    if not np.isfinite(total).all() and not np.isfinite(V).all():
-        raise ValueError("v contains non-finite entries")
-    u = np.negative(mag)  # sorted ascending, these are -|v| sorted descending
-    u.sort(axis=-1)
-    np.negative(u, out=u)
-    theta = u.cumsum(axis=-1)
-    theta -= r
-    theta /= _ranks(P)
-    positive = u > theta
-    # u_1 - theta_1 is r > 0, but rounds to 0 when r is below an ulp of u_1
-    positive[..., 0] = True
-    # theta at each row's last positive candidate, by its index in the flat array
-    ends = np.arange(P - 1, V.size, P).reshape(total.shape)
-    tau = theta.reshape(-1)[ends - positive[..., ::-1].argmax(axis=-1, keepdims=True)]
-    tau[inside] = 0.0  # sign(v) |v| is v itself
-    mag -= tau
-    np.maximum(mag, 0.0, out=mag)
-    mag *= np.sign(V, out=u)
-    return mag
-
-
 class TrainingDivergenceError(RuntimeError):
-    """Raised when the training loss, gradient or step stops being finite."""
+    """Raised when the training loss, gradient or step stops being finite,
+    or a step lands too far out of the ball for the projection to resolve."""
 
     def __init__(self, iteration: int):
         super().__init__(f"training diverged at iteration {iteration}")
@@ -204,60 +211,116 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
     every projection.
 
     Raises :class:`TrainingDivergenceError` if the batch loss, its gradient
-    or the gradient step becomes non-finite.
+    or the gradient step becomes non-finite, or if a step lands so far out
+    that the radius is below one ulp of its largest entry (the projection
+    would then round to a point far inside the ball, often the origin).
     """
-    X = np.asarray(dataset.X, dtype=float)
-    y = np.asarray(dataset.y, dtype=float)
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("dataset is empty")
-    if X.shape[1] != arch.layer_sizes[0]:
-        raise ValueError(
-            f"dataset has {X.shape[1]} features but architecture expects "
-            f"{arch.layer_sizes[0]}"
-        )
-    shapes = tuple(
-        (arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)
-    )
-    rng = np.random.default_rng(cfg.seed)
+    flat = None
     if init is not None:
         if init.layer_sizes != tuple(arch.layer_sizes) or init.activation is not arch.activation:
             raise ValueError("init network does not match the architecture")
-        flat = flatten(init).values.copy()
-        if np.abs(flat).sum() > cfg.radius:
-            flat = project_l1(flat, cfg.radius)
-    else:
-        flat = _init_flat(arch, cfg.radius, rng)
-    # Buffers and layer views for the whole run, written in place each step
+        flat = flatten(init).values
+    step = None if on_step is None else (lambda it, rows: on_step(it, rows[0].copy()))
+    (model,) = _train_rows([dataset], arch, cfg, [cfg.seed], [flat], step)
+    if isinstance(model, TrainingDivergenceError):
+        raise model
+    return model
+
+
+def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
+                on_step) -> list:
+    """:func:`train` for a block of trials as one loop over stacked networks.
+
+    Row ``i`` trains on ``datasets[i]`` under ``cfg`` with seed ``seeds[i]``
+    from ``inits[i]``, a parameter vector, or from the seeded random start
+    when that is None; it keeps its own permutation stream.
+    ``on_step(iteration, rows)`` sees the ``(R, P)`` iterates.  Returns per
+    row its trained network, or the :class:`TrainingDivergenceError` that
+    :func:`train` would raise; a diverged row is frozen while the others go
+    on, so every row gets the bits it would get alone.
+
+    Each row's batch sits zero-padded in an ``(R, m, d)`` buffer: padding
+    is exact, since s(0) = 0 and a zero residual add exact zeros to the
+    gradient.  The first-layer and output products run per row on the real
+    rows only, because their BLAS bits depend on the row count.
+    """
+    Xs, ys = [], []
+    for dataset in datasets:
+        X = np.asarray(dataset.X, dtype=float)
+        if X.shape[0] == 0:
+            raise ValueError("dataset is empty")
+        if X.shape[1] != arch.layer_sizes[0]:
+            raise ValueError(
+                f"dataset has {X.shape[1]} features but architecture expects "
+                f"{arch.layer_sizes[0]}"
+            )
+        Xs.append(X)
+        ys.append(np.asarray(dataset.y, dtype=float))
+    shapes = tuple(
+        (arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)
+    )
+    R, r = len(Xs), cfg.radius
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    flat = np.empty((R, arch.n_params))
+    for i, init in enumerate(inits):
+        if init is None:
+            flat[i] = _init_flat(arch, r, rngs[i])
+        else:
+            flat[i] = project_l1(init, r) if np.abs(init).sum() > r else init
+    ns = [X.shape[0] for X in Xs]
+    batches = [n if cfg.batch_size == "full" else min(cfg.batch_size, n) for n in ns]
+    sampled = [i for i in range(R) if batches[i] < ns[i]]
+    orders, cursors = [None] * R, [0] * R
+    # Buffers and layer views for the whole run, written in place each step;
+    # the padding of Xb, yb, z and out stays zero
+    m = max(batches)
+    Xb, yb = np.zeros((R, m, arch.layer_sizes[0])), np.zeros((R, m))
+    for i in set(range(R)) - set(sampled):  # full batches, fixed for the run
+        Xb[i, :ns[i]], yb[i, :ns[i]] = Xs[i], ys[i]
+    z, out = np.zeros((R, m, arch.layer_sizes[1])), np.zeros((R, m, 1))
+    scale = np.array([[2.0 / b] for b in batches])
     grad, stepped = np.empty_like(flat), np.empty_like(flat)
     layers = _layer_views(flat, shapes)
     grads = _layer_views(grad, shapes)
-
-    batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
-    order = None
-    cursor = 0
+    diverged = np.zeros(R, dtype=int)
+    live = slice(None)  # the rows still training: all, until one diverges
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
-            if batch == n:
-                Xb, yb = X, y
-            else:
-                if order is None or cursor + batch > n:
-                    order = rng.permutation(n)
-                    cursor = 0
-                idx = order[cursor:cursor + batch]
-                cursor += batch
-                Xb, yb = X[idx], y[idx]
-            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1)
-            resid = _output(layers, acts) - yb
-            _grad_params_batch(layers, acts, fds, (2.0 / batch) * resid, out=grads)
-            loss = float(resid @ resid) / batch
+            for i in sampled:
+                n, b = ns[i], batches[i]
+                if orders[i] is None or cursors[i] + b > n:
+                    orders[i] = rngs[i].permutation(n)
+                    cursors[i] = 0
+                idx = orders[i][cursors[i]:cursors[i] + b]
+                cursors[i] += b
+                np.take(Xs[i], idx, axis=0, out=Xb[i, :b])
+                np.take(ys[i], idx, out=yb[i, :b])
+            for i, b in enumerate(batches):
+                np.matmul(Xb[i, :b], layers[0][i].T, out=z[i, :b])
+            h, fd, _ = _act_terms(arch.activation, z, 1)
+            acts, fds, _ = _hidden_batch(layers[1:], arch.activation, h, 1)
+            for i, b in enumerate(batches):
+                np.matmul(acts[-1][i, :b], layers[-1][i].T, out=out[i, :b])
+            resid = out[..., 0] - yb
+            _grad_params_batch(layers, [Xb] + acts, [fd] + fds, scale * resid, out=grads)
             # flat - step_size * grad, not finite if grad is not
             np.subtract(flat, np.multiply(grad, cfg.step_size, out=stepped), out=stepped)
-            if not np.isfinite(loss) or not np.isfinite(stepped).all():
-                raise TrainingDivergenceError(it)
-            flat[:] = project_l1(stepped, cfg.radius)
+            # The spacing of a non-finite entry is NaN, so not below r
+            top = np.abs(stepped, out=grad).max(axis=1)
+            ok = np.isfinite(np.einsum("ij,ij->i", resid, resid)) & (np.spacing(top) <= r)
+            fresh = ~ok & (diverged == 0)
+            if fresh.any():
+                diverged[fresh] = it
+                live = np.flatnonzero(diverged == 0)
+                if live.size == 0:
+                    break
+            flat[live] = project_l1(stepped[live], r)
             if on_step is not None:
-                on_step(it, flat.copy())
+                on_step(it, flat)
 
-    return unflatten(FlatParams(flat, shapes), arch.activation)
+    return [
+        TrainingDivergenceError(int(at)) if at
+        else unflatten(FlatParams(row, shapes), arch.activation)
+        for row, at in zip(flat, diverged)
+    ]

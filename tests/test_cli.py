@@ -352,31 +352,48 @@ def test_run_scores_huge_students_without_warnings(tmp_path):
 
 def test_run_with_overflowing_steps_records_divergence(tmp_path):
     # Steps of 1e150 times the gradient overflow the update or the
-    # projection's sums; such a trial is diverged, not a traceback.
+    # projection's sums, or land so far out that the radius is below an ulp
+    # of their largest entry; such a trial is diverged, not a traceback and
+    # not a student that the projection rounded onto the origin.
     out_dir = tmp_path / "run"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", "--config", _overflow_config(tmp_path, 1e150, 1e150),
-                     "--seed", "3", "--out", str(out_dir)]) == 0
+                     "--seed", "3", "--out", str(out_dir)]) == 3
     rows = [line.split(",") for line in
             (out_dir / "trials.csv").read_text().strip().splitlines()[1:]]
     diverged = [row for row in rows if row[5] == "nan"]
     assert 0 < len(diverged) < len(rows)
-    assert all(float(row[8]) <= 1e150 * (1.0 + 1e-12) for row in rows if row not in diverged)
+    assert all(0.0 < float(row[8]) <= 1e150 * (1.0 + 1e-12)
+               for row in rows if row not in diverged)
 
 
-def test_run_trial_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
-    def huge_student(dataset, arch, tc):
+def test_block_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
+    def huge_students(datasets, arch, cfg, seeds, inits, on_step):
         sizes = arch.layer_sizes
-        return Network(tuple(np.full((sizes[l + 1], sizes[l]), 1e200)
-                             for l in range(arch.depth)), arch.activation)
+        return [Network(tuple(np.full((sizes[l + 1], sizes[l]), 1e200)
+                              for l in range(arch.depth)), arch.activation)
+                for _ in datasets]
 
-    monkeypatch.setattr(cli, "train", huge_student)
+    monkeypatch.setattr(cli, "_train_rows", huge_students)
     cfg = load_config(_write_config(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trial = cli._run_trial((cfg, 2, "softplus", 20, 0))
+        (trial,) = cli._run_block((cfg, 2, "softplus", ((20, 0),)))
     assert trial.diverged and math.isnan(trial.pred_l2) and math.isnan(trial.grad_l2)
+
+
+def test_trial_blocks_match_trials_trained_alone(monkeypatch):
+    # 36 trials per (activation, depth) group: a block of 32 that spans all
+    # three n, then one of 4
+    cfg = _tiny_cfg(n_grid=(20, 33, 41), repeats=12,
+                    activations=(Activation.SOFTPLUS, Activation.RELU))
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, iterations=40))
+    want = trials_to_csv(run_experiment(cfg, jobs=1).trials)
+    for jobs in (2, 3):
+        assert trials_to_csv(run_experiment(cfg, jobs=jobs).trials) == want
+    monkeypatch.setattr(cli, "_TRAIN_BLOCK", 1)  # each trial trained as train does
+    assert trials_to_csv(run_experiment(cfg, jobs=1).trials) == want
 
 
 def test_usage_errors_exit_1(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from l1net.sparsity import (
     FlatParams,
     TrainConfig,
     TrainingDivergenceError,
+    _train_rows,
     flatten,
     param_l1_norm,
-    _project_rows,
     project_l1,
     train,
     unflatten,
@@ -118,7 +120,7 @@ def test_projection_with_tied_magnitudes():
     np.testing.assert_allclose(np.abs(out).sum(), 2.0, rtol=1e-15)
 
 
-def test_project_rows_matches_project_l1_on_every_row():
+def test_projection_of_matrix_matches_each_row():
     rng = np.random.default_rng(10)
     for _ in range(200):
         P = int(rng.integers(1, 40))
@@ -128,8 +130,8 @@ def test_project_rows_matches_project_l1_on_every_row():
         norm = float(np.abs(V[0]).sum())
         for r in (rng.uniform(0.05, 1.5) * max(norm, 0.1), norm * (1 + 1e-13),
                   norm * (1 - 1e-13), norm * (1 - 1e-11), max(norm, 1e-3)):
-            rows = _project_rows(V, r)
-            np.testing.assert_array_equal(_project_rows(rows, r), rows)
+            rows = project_l1(V, r)
+            np.testing.assert_array_equal(project_l1(rows, r), rows)
             for v, got in zip(V, rows):
                 np.testing.assert_array_equal(got, project_l1(v, r))
                 # criterion 3: the KKT oracle, feasibility, idempotence
@@ -139,7 +141,14 @@ def test_project_rows_matches_project_l1_on_every_row():
     # A radius below an ulp of the largest entry rounds every threshold
     # candidate away; the result must still lie in the ball.
     for v in ([1e200, 3.0, -2.0], [1e300, 1e300, -1e300]):
-        assert np.abs(_project_rows(np.array([v]), 1.0)).sum() <= 1.0
+        assert np.abs(project_l1(np.array([v]), 1.0)).sum() <= 1.0
+
+
+def test_projection_onto_radius_zero_is_the_origin():
+    out = project_l1(np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]]), 0.0)
+    assert not out.any()
+    with pytest.raises(ValueError, match="radius"):
+        project_l1(np.ones(3), -1.0)
 
 
 @pytest.mark.parametrize("inside", [True, False])
@@ -150,15 +159,14 @@ def test_projection_rejects_nonfinite_entries(bad, inside):
     with pytest.raises(ValueError, match="non-finite"):
         project_l1(v, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        _project_rows(np.stack([np.full(4, 0.01), v]), 1.0)
+        project_l1(np.stack([np.full(4, 0.01), v]), 1.0)
 
 
 def test_projection_of_finite_vector_with_overflowing_norm():
-    # |v|_1 overflows to inf (a numpy overflow warning, silenced here), but
-    # every entry is finite: project, not raise
+    # |v|_1 overflows to inf, but every entry is finite: project, neither
+    # raise nor warn
     v = np.array([1e308, 1e308, -1e308])
-    with np.errstate(over="ignore"):
-        out = project_l1(v, 1.0)
+    out = project_l1(v, 1.0)
     assert np.isfinite(out).all() and np.abs(out).sum() <= 1.0
 
 
@@ -312,6 +320,8 @@ def _reference_train(dataset, arch, cfg):
             stepped = flat - cfg.step_size * grad
             if not np.isfinite(float(resid @ resid) / m) or not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(it)
+            if np.spacing(np.abs(stepped).max()) > cfg.radius:
+                raise TrainingDivergenceError(it)  # r is below an ulp of the step
             flat = project_l1(stepped, cfg.radius)
     return flat
 
@@ -341,3 +351,46 @@ def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
     with pytest.raises(TrainingDivergenceError) as got_info:
         train(ds, arch, wild)
     assert got_info.value.iteration == want_info.value.iteration
+
+
+def _ragged_block(activation, depth, batch_size, radius):
+    """Four trials at the sweep's d = 100 and h = 10 with n = 50, 53, 70, 99
+    (every n mod 4), each with its own data and seed, as (datasets, arch,
+    cfgs); their configs differ only in the seed.  Here the first-layer
+    product of a padded stack differs from the per-trial one in the last
+    bits."""
+    teacher = make_teacher(TeacherSpec(d=100, s=5, L=2, h=10, seed=3))
+    datasets = [synthesize(teacher, n, DataSpec(noise_std=0.1), np.random.default_rng(40 + i))
+                for i, n in enumerate((50, 53, 70, 99))]
+    arch = Architecture.mlp(100, 10, depth, activation)
+    cfgs = [TrainConfig(radius=radius or param_l1_norm(teacher), iterations=40,
+                        batch_size=batch_size, seed=11 + i) for i in range(4)]
+    return datasets, arch, cfgs
+
+
+@pytest.mark.parametrize("batch_size", ["full", 16])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
+def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_size):
+    datasets, arch, cfgs = _ragged_block(activation, depth, batch_size, None)
+    models = _train_rows(datasets, arch, cfgs[0], [c.seed for c in cfgs], [None] * 4, None)
+    for dataset, cfg, model in zip(datasets, cfgs, models):
+        want = _reference_train(dataset, arch, cfg)
+        assert flatten(model).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", ["full", 16])
+def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size):
+    datasets, arch, cfgs = _ragged_block(Activation.SOFTPLUS, 2, batch_size, 1e200)
+    # Labels of order 1e100 make row 1's steps grow until they overflow
+    datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
+    models = _train_rows(datasets, arch, cfgs[0], [c.seed for c in cfgs], [None] * 4, None)
+    for i, (dataset, cfg, model) in enumerate(zip(datasets, cfgs, models)):
+        if i == 1:
+            with pytest.raises(TrainingDivergenceError) as info:
+                _reference_train(dataset, arch, cfg)
+            assert isinstance(model, TrainingDivergenceError)
+            assert model.iteration == info.value.iteration > 1
+        else:
+            want = _reference_train(dataset, arch, cfg)
+            assert flatten(model).values.tobytes() == want.tobytes()
