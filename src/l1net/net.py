@@ -10,11 +10,12 @@ and derivative routine is a view of one batched core: a forward value pass
 that caches ``s'(z_l)`` and ``s''(z_l)`` per layer (only the orders the
 caller uses), one backward vector-Jacobian product for input and weight
 gradients, and a Laplacian propagated forward layer by layer together with
-the input Jacobian (second-order Taylor-mode differentiation, the "Forward
-Laplacian"), so every contraction is a matrix multiply and there is no
-autodiff tape.  The single-sample routines (``forward``, which caches a
-:class:`ForwardTrace`, then ``grad_input``, ``grad_params`` and
-``laplacian_input``) are the ``m = 1`` rows of the batched ones.
+the Gram matrix ``J J^T`` of the input Jacobian (second-order Taylor-mode
+differentiation, the "Forward Laplacian"), so every contraction is a matrix
+multiply and there is no autodiff tape.  The single-sample routines
+(``forward``, which caches a :class:`ForwardTrace`, then ``grad_input``,
+``grad_params`` and ``laplacian_input``) are the ``m = 1`` rows of the
+batched ones.
 
 Supported activations:
 
@@ -294,22 +295,24 @@ def grad_input(net: Network, trace: ForwardTrace) -> np.ndarray:
 def laplacian_input(net: Network, trace: ForwardTrace) -> float:
     """Exact input Laplacian ``sum_i d^2 f / dx_i^2``, propagated forward.
 
-    With ``J_k = dz_k/dx`` and ``lap_k`` the vector of Laplacians of
-    ``h_k``, one pass from the input carries
+    With ``J_k = dz_k/dx``, its Gram matrix ``G_k = J_k J_k^T`` and ``lap_k``
+    the vector of Laplacians of ``h_k``, one pass from the input carries
 
-        J_1 = theta_1,      J_{k+1} = theta_{k+1} diag(s'(z_k)) J_k
-        lap_1 = s''(z_1) |rows(J_1)|^2
-        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) |rows(J_{k+1})|^2
+        G_1 = theta_1 theta_1^T,  G_{k+1} = A_k G_k A_k^T,  A_k = theta_{k+1} diag(s'(z_k))
+        lap_1 = s''(z_1) |rows(theta_1)|^2
+        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) diag(G_{k+1})
 
-    and ``lap f = theta_L lap_{L-1}`` (second-order Taylor-mode
-    differentiation; no backward pass and no finite differences).  Cost is
-    O(L h^2 d).  For relu ``s''`` is identically zero and the result is
-    exactly 0.0.
+    and ``lap f = theta_L lap_{L-1}``, as ``diag(G_k) = |rows(J_k)|^2``
+    (second-order Taylor-mode differentiation; no backward pass, no finite
+    differences, and ``J_k`` is never formed).  Cost is O(h^2 d) per network
+    plus O(h^3) per row and layer.  For relu ``s''`` is identically zero and
+    the result is exactly 0.0.  A Laplacian that overflows raises ValueError.
     """
     _, fds, sds = _require_trace(net, trace)
     if net.activation is Activation.RELU:
         return 0.0
-    return float(_laplacian(net.layers, fds, sds)[0])
+    with np.errstate(all="ignore"):
+        return float(_laplacian(net.layers, fds, sds)[0])
 
 
 # -- batched core ------------------------------------------------------------
@@ -378,25 +381,34 @@ def _values(layers, activation, X):
 
 def _laplacian(layers, fds, sds):
     """Forward-propagated input Laplacian (see :func:`laplacian_input`)."""
-    jac = layers[0][..., np.newaxis, :, :]
-    lap = sds[0] * np.einsum("...jd,...jd->...j", jac, jac)
+    theta1 = layers[0][..., np.newaxis, :, :]
+    lap = sds[0] * np.einsum("...jd,...jd->...j", theta1, theta1)
+    gram = layers[0] @ layers[0].swapaxes(-1, -2) if len(layers) > 2 else None
     for k in range(1, len(layers) - 1):
         theta = layers[k]
-        jac = (theta[..., np.newaxis, :, :] * fds[k - 1][..., np.newaxis, :]) @ jac
-        jac_sq = np.einsum("...jd,...jd->...j", jac, jac)
-        lap = fds[k] * (lap @ theta.swapaxes(-1, -2)) + sds[k] * jac_sq
-    return _output(layers, [lap])
+        a = theta[..., np.newaxis, :, :] * fds[k - 1][..., np.newaxis, :]
+        # G_1 is shared by every row: one product over all of a network's rows
+        ag = (a @ gram if gram.ndim == a.ndim else
+              (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) @ gram).reshape(a.shape))
+        sq = np.einsum("...ij,...ij->...i", ag, a)
+        lap = fds[k] * (lap @ theta.swapaxes(-1, -2)) + sds[k] * sq
+        if k < len(layers) - 2:
+            gram = ag @ a.swapaxes(-1, -2)
+    lap = _output(layers, [lap])
+    if not np.all(np.isfinite(lap)):
+        raise ValueError("input Laplacian overflows float64")
+    return lap
 
 
-# Doubles in one row block (1 MB, so a block stays in cache); a row holds the
-# Jacobian (h d, h the widest layer) and four h-wide value and slope buffers.
+# Doubles in one row block (1 MB, so a block stays in cache); a row holds its input,
+# four h-wide buffers and, past one hidden layer, three h x h Gram-recursion matrices.
 _BLOCK_ELEMS = 2 ** 17
 
 
 def _row_blocks(layers, m):
     """Slices covering ``range(m)`` in cache-sized blocks of rows."""
     h = max(theta.shape[-2] for theta in layers[:-1])
-    rows = max(1, _BLOCK_ELEMS // (h * (layers[0].shape[-1] + 4)))
+    rows = max(1, _BLOCK_ELEMS // (layers[0].shape[-1] + h * (4 + 3 * h * (len(layers) > 2))))
     return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
@@ -424,13 +436,14 @@ def grad_input_batch(net: Network, X) -> np.ndarray:
 
 def laplacian_batch(net: Network, X) -> np.ndarray:
     """Input Laplacians for every row of X, shape (m,), computed over
-    cache-sized row blocks; exactly zero for relu."""
+    cache-sized row blocks; exactly zero for relu; ValueError on overflow."""
     X = _check_batch(net, X)
     lap = np.zeros(X.shape[0])
     if net.activation is not Activation.RELU:
-        for rows in _row_blocks(net.layers, X.shape[0]):
-            _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
-            lap[rows] = _laplacian(net.layers, fds, sds)
+        with np.errstate(all="ignore"):
+            for rows in _row_blocks(net.layers, X.shape[0]):
+                _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
+                lap[rows] = _laplacian(net.layers, fds, sds)
     return lap
 
 

@@ -234,9 +234,10 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
     Row ``i`` trains on ``datasets[i]`` under ``cfg`` with seed ``seeds[i]``
     from ``inits[i]``, a parameter vector, or from the seeded random start
     when that is None; it keeps its own permutation stream.
-    ``on_step(iteration, rows)`` sees the ``(R, P)`` iterates.  Returns per
-    row its trained network, or the :class:`TrainingDivergenceError` that
-    :func:`train` would raise; a diverged row is frozen while the others go
+    ``on_step(iteration, rows)`` sees the iterates of the rows still
+    training, one per row.  Returns per row its trained network, or the
+    :class:`TrainingDivergenceError` that :func:`train` would raise; a
+    diverged row is frozen and dropped from the stacks while the others go
     on, so every row gets the bits it would get alone.
 
     Each row's batch sits zero-padded in an ``(R, m, d)`` buffer: padding
@@ -269,13 +270,13 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
             flat[i] = project_l1(init, r) if np.abs(init).sum() > r else init
     ns = [X.shape[0] for X in Xs]
     batches = [n if cfg.batch_size == "full" else min(cfg.batch_size, n) for n in ns]
-    sampled = [i for i in range(R) if batches[i] < ns[i]]
+    sampled = {i for i in range(R) if batches[i] < ns[i]}
     orders, cursors = [None] * R, [0] * R
-    # Buffers and layer views for the whole run, written in place each step;
-    # the padding of Xb, yb, z and out stays zero
+    # Buffers and layer views, written in place each step and cut down to the
+    # live rows when a row diverges; the padding of Xb, yb, z and out stays zero
     m = max(batches)
     Xb, yb = np.zeros((R, m, arch.layer_sizes[0])), np.zeros((R, m))
-    for i in set(range(R)) - set(sampled):  # full batches, fixed for the run
+    for i in set(range(R)) - sampled:  # full batches, fixed for the run
         Xb[i, :ns[i]], yb[i, :ns[i]] = Xs[i], ys[i]
     z, out = np.zeros((R, m, arch.layer_sizes[1])), np.zeros((R, m, 1))
     scale = np.array([[2.0 / b] for b in batches])
@@ -283,25 +284,26 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
     layers = _layer_views(flat, shapes)
     grads = _layer_views(grad, shapes)
     diverged = np.zeros(R, dtype=int)
-    live = slice(None)  # the rows still training: all, until one diverges
+    rows = list(range(R))  # the trial in each stack position, while it trains
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
-            for i in sampled:
-                n, b = ns[i], batches[i]
-                if orders[i] is None or cursors[i] + b > n:
-                    orders[i] = rngs[i].permutation(n)
-                    cursors[i] = 0
-                idx = orders[i][cursors[i]:cursors[i] + b]
-                cursors[i] += b
-                np.take(Xs[i], idx, axis=0, out=Xb[i, :b])
-                np.take(ys[i], idx, out=yb[i, :b])
-            for i, b in enumerate(batches):
-                np.matmul(Xb[i, :b], layers[0][i].T, out=z[i, :b])
+            for j, i in enumerate(rows):
+                if i in sampled:
+                    n, b = ns[i], batches[i]
+                    if orders[i] is None or cursors[i] + b > n:
+                        orders[i] = rngs[i].permutation(n)
+                        cursors[i] = 0
+                    idx = orders[i][cursors[i]:cursors[i] + b]
+                    cursors[i] += b
+                    np.take(Xs[i], idx, axis=0, out=Xb[j, :b])
+                    np.take(ys[i], idx, out=yb[j, :b])
+            for j, b in enumerate([batches[i] for i in rows]):
+                np.matmul(Xb[j, :b], layers[0][j].T, out=z[j, :b])
             h, fd, _ = _act_terms(arch.activation, z, 1)
             acts, fds, _ = _hidden_batch(layers[1:], arch.activation, h, 1)
-            for i, b in enumerate(batches):
-                np.matmul(acts[-1][i, :b], layers[-1][i].T, out=out[i, :b])
+            for j, b in enumerate([batches[i] for i in rows]):
+                np.matmul(acts[-1][j, :b], layers[-1][j].T, out=out[j, :b])
             resid = out[..., 0] - yb
             _grad_params_batch(layers, [Xb] + acts, [fd] + fds, scale * resid, out=grads)
             # flat - step_size * grad, not finite if grad is not
@@ -309,18 +311,23 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
             # The spacing of a non-finite entry is NaN, so not below r
             top = np.abs(stepped, out=grad).max(axis=1)
             ok = np.isfinite(np.einsum("ij,ij->i", resid, resid)) & (np.spacing(top) <= r)
-            fresh = ~ok & (diverged == 0)
-            if fresh.any():
-                diverged[fresh] = it
-                live = np.flatnonzero(diverged == 0)
-                if live.size == 0:
+            if not ok.all():
+                diverged[np.array(rows)[~ok]] = it
+                rows = [i for i, good in zip(rows, ok) if good]
+                if not rows:
                     break
-            flat[live] = project_l1(stepped[live], r)
+                flat, stepped, Xb, yb, z, out, scale = (
+                    buf[ok] for buf in (flat, stepped, Xb, yb, z, out, scale)
+                )
+                grad = np.empty_like(flat)
+                layers, grads = _layer_views(flat, shapes), _layer_views(grad, shapes)
+            flat[...] = project_l1(stepped, r)
             if on_step is not None:
                 on_step(it, flat)
 
+    trained = dict(zip(rows, flat))
     return [
         TrainingDivergenceError(int(at)) if at
-        else unflatten(FlatParams(row, shapes), arch.activation)
-        for row, at in zip(flat, diverged)
+        else unflatten(FlatParams(trained[i], shapes), arch.activation)
+        for i, at in enumerate(diverged)
     ]

@@ -209,7 +209,7 @@ def test_green_identity_row_blocks_move_no_bit(monkeypatch):
     g = _random_net(rng, 2, 4, 2)
     one = green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5))
     # per-row terms in blocks of 7 rows (4 hidden units, d = 2)
-    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * 4 * (2 + 4))
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * (2 + 4 * 4))
     assert net_module._row_blocks(f.layers, 20)[0] == slice(0, 7)
     assert green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5)) == one
 

@@ -251,13 +251,70 @@ def test_stacked_core_matches_each_network(L, d):
             np.testing.assert_array_equal(stacked[t], single)
 
 
+def _reference_laplacian(layers, fds, sds):
+    """The Forward Laplacian written with the input Jacobian J_k = dz_k/dx:
+    J_1 = theta_1, J_{k+1} = theta_{k+1} diag(s'(z_k)) J_k, and each layer
+    adds s''(z_k) |rows(J_k)|^2.  O(h^2 d) per row and layer."""
+    jac = layers[0][..., np.newaxis, :, :]
+    lap = sds[0] * np.einsum("...jd,...jd->...j", jac, jac)
+    for k in range(1, len(layers) - 1):
+        theta = layers[k]
+        jac = (theta[..., np.newaxis, :, :] * fds[k - 1][..., np.newaxis, :]) @ jac
+        jac_sq = np.einsum("...jd,...jd->...j", jac, jac)
+        lap = fds[k] * (lap @ theta.swapaxes(-1, -2)) + sds[k] * jac_sq
+    return net_module._output(layers, [lap])
+
+
+@pytest.mark.parametrize("m", [1, 13])
+@pytest.mark.parametrize("T", [None, 5])
+@pytest.mark.parametrize("widths", [
+    (1, 6, 1), (3, 6, 1), (100, 10, 1),
+    (1, 1, 5, 1), (3, 10, 10, 1), (100, 10, 10, 1),
+    (7, 3, 8, 2, 1), (1, 1, 5, 1, 1), (3, 2, 7, 4, 1), (100, 10, 10, 10, 1),
+    (3, 3, 8, 2, 1, 1), (100, 10, 10, 10, 10, 1),
+])
+def test_gram_laplacian_matches_jacobian_reference(widths, T, m):
+    rng = np.random.default_rng(sum(widths) * 31 + m)
+    stack = () if T is None else (T,)
+    layers = [rng.normal(0.0, 0.5, size=stack + (widths[l + 1], widths[l]))
+              for l in range(len(widths) - 1)]
+    X = rng.normal(size=stack + (m, widths[0]))
+    _, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
+    got = net_module._laplacian(layers, fds, sds)
+    want = _reference_laplacian(layers, fds, sds)
+    assert got.shape == want.shape == stack + (m,)
+    if len(widths) == 3:  # no Gram matrix at L = 2: the same arithmetic
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+def test_laplacian_overflow_is_an_error(L, scale):
+    rng = np.random.default_rng(10)
+    small = _random_net(rng, 3, 4, L)
+    net = Network(tuple(scale * theta for theta in small.layers), Activation.SOFTPLUS)
+    X = rng.normal(size=(6, 3))
+    with np.errstate(over="ignore"):  # forward's own output may overflow
+        trace = forward(net, X[0])
+    if L == 2 and scale == 1e100:
+        # every s'' underflows to 0 against finite squared weights
+        np.testing.assert_array_equal(laplacian_batch(net, X), np.zeros(6))
+        assert laplacian_input(net, trace) == 0.0
+        return
+    with pytest.raises(ValueError, match="overflow"):
+        laplacian_batch(net, X)
+    with pytest.raises(ValueError, match="overflow"):
+        laplacian_input(net, trace)
+
+
 def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):
     rng = np.random.default_rng(9)
     net = _random_net(rng, 7, 6, 3)
     X = rng.normal(size=(10, 7))
     whole = laplacian_batch(net, X)
     # blocks of 3 rows: three full blocks and a ragged last one
-    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 3 * 6 * (7 + 4))
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 3 * (7 + 6 * (4 + 3 * 6)))
     assert len(net_module._row_blocks(net.layers, 10)) == 4
     np.testing.assert_allclose(laplacian_batch(net, X), whole, rtol=1e-12, atol=1e-15)
 

@@ -1,0 +1,61 @@
+"""The package's settable values stay counted.
+
+A settable value is a defaulted positional or keyword-only parameter of a
+function or lambda, or a dataclass field with a default, in
+``src/l1net/*.py``.  Each one doubles what a test or a benchmark may have
+to cover, so a change that adds one raises ``_LIMIT`` here and says why.
+"""
+
+import ast
+from pathlib import Path
+
+import l1net
+
+_LIMIT = 50
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                for stmt in node.body
+            )
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    src = Path(l1net.__file__).parent
+    counts = {
+        path.stem: _settable_values(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert sum(counts.values()) <= _LIMIT, counts
+
+
+def test_counter_sees_each_kind_of_setting():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "def f(a, b=1, *, c, d=2): pass\n"
+        "g = lambda x=0: x\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 3\n"
+        "class Plain:\n"
+        "    c: int = 4\n"
+    )
+    assert _settable_values(tree) == 4

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from l1net import sparsity
 from l1net.net import (
     Activation,
     Architecture,
     Network,
+    _act_terms,
     _grad_params_batch,
     _hidden_batch,
     _output,
@@ -380,10 +382,17 @@ def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_s
 
 
 @pytest.mark.parametrize("batch_size", ["full", 16])
-def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size):
+def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatch):
     datasets, arch, cfgs = _ragged_block(Activation.SOFTPLUS, 2, batch_size, 1e200)
     # Labels of order 1e100 make row 1's steps grow until they overflow
     datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
+    stacked = []  # rows in each step's first-layer activation pass
+
+    def act_terms(kind, z, order=2):
+        stacked.append(z.shape[0])
+        return _act_terms(kind, z, order)
+
+    monkeypatch.setattr(sparsity, "_act_terms", act_terms)
     models = _train_rows(datasets, arch, cfgs[0], [c.seed for c in cfgs], [None] * 4, None)
     for i, (dataset, cfg, model) in enumerate(zip(datasets, cfgs, models)):
         if i == 1:
@@ -391,6 +400,8 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size):
                 _reference_train(dataset, arch, cfg)
             assert isinstance(model, TrainingDivergenceError)
             assert model.iteration == info.value.iteration > 1
+            # from the step after it froze, the row is no longer computed
+            assert stacked == [4] * model.iteration + [3] * (40 - model.iteration)
         else:
             want = _reference_train(dataset, arch, cfg)
             assert flatten(model).values.tobytes() == want.tobytes()
