@@ -30,7 +30,6 @@ from .net import (
 from .sparsity import _layer_views, project_l1
 
 __all__ = [
-    "BoundAudit",
     "BoundInputs",
     "BoundReport",
     "SuiteRow",
@@ -39,7 +38,6 @@ __all__ = [
     "derivative_convergence_bound",
     "divergence_bound",
     "grad_l1_bound",
-    "lip_l2pn_bound",
     "lipschitz_param_bound",
     "log_factor",
     "model_convergence_bound",
@@ -79,13 +77,6 @@ def lipschitz_param_bound(r: float, L: int, x_inf: float) -> float:
     ``sqrt(L) (r/(L-1))^(L-1) |x|_inf``."""
     L = _check_depth(L)
     return math.sqrt(L) * (r / (L - 1)) ** (L - 1) * x_inf
-
-
-@_inf_on_overflow
-def lip_l2pn_bound(r: float, L: int, sample_x_inf_rms: float) -> float:
-    """Same constant in the empirical L2 metric; ``sample_x_inf_rms`` is
-    ``sqrt((1/n) sum_i |x_i|_inf^2)``."""
-    return lipschitz_param_bound(r, L, sample_x_inf_rms)
 
 
 @_inf_on_overflow
@@ -193,7 +184,7 @@ def model_convergence_bound(inputs: BoundInputs) -> float:
 
 
 @_inf_on_overflow
-def derivative_convergence_bound(inputs: BoundInputs, b1_exponent: int = 1) -> float:
+def derivative_convergence_bound(inputs: BoundInputs, b1_exponent: int) -> float:
     """Expected squared-L2 gradient error bound, rate ``n^(-1/4)``.
 
     Two published variants differ in whether the score bound enters as
@@ -237,17 +228,17 @@ class BoundReport:
         return dataclasses.asdict(self)
 
 
-def bound_report(inputs: BoundInputs, b1_exponent: int = 1) -> BoundReport:
-    """Evaluate the full suite on one set of inputs.
+def bound_report(inputs: BoundInputs, b1_exponent: int) -> BoundReport:
+    """Evaluate the full suite on one set of inputs (``b1_exponent`` as in
+    :func:`derivative_convergence_bound`).
 
     The pointwise Lipschitz bound is reported at the worst input
-    (``x_inf = R``); the empirical-metric variant uses ``sqrt(x_inf_sq)``
-    as the RMS.
+    (``x_inf = R``), and ``lip_l2pn`` at the RMS ``sqrt(x_inf_sq)``.
     """
     _, clamped = log_factor(inputs)
     return BoundReport(
         lip_param=lipschitz_param_bound(inputs.r, inputs.L, inputs.R),
-        lip_l2pn=lip_l2pn_bound(inputs.r, inputs.L, math.sqrt(inputs.x_inf_sq)),
+        lip_l2pn=lipschitz_param_bound(inputs.r, inputs.L, math.sqrt(inputs.x_inf_sq)),
         sup_model=sup_model_bound(inputs.R, inputs.r, inputs.L),
         grad_l1=grad_l1_bound(inputs.r, inputs.L),
         divergence=divergence_bound(inputs.r, inputs.L),
@@ -281,18 +272,6 @@ def _tally(ratios: dict, slack: float = 0.0) -> list:
         SuiteRow(suite, len(r), int(sum(x > 1.0 + slack for x in r)), max([0.0, *r]))
         for suite, r in ratios.items()
     ]
-
-
-@dataclass(frozen=True)
-class BoundAudit:
-    rows: tuple
-
-    @property
-    def total_violations(self) -> int:
-        return int(sum(row.violations for row in self.rows))
-
-    def to_csv(self) -> str:
-        return _rows_to_csv(SuiteRow, self.rows)
 
 
 _CSV_FORMATS = {"str": "%s", "int": "%d", "float": "%.17g"}
@@ -347,7 +326,7 @@ def _chain_flat(arch: Architecture, r: float, x: np.ndarray) -> np.ndarray:
 
 
 def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
-                  input_sup: float = 10.0, slack: float = 1e-9) -> BoundAudit:
+                  input_sup: float, slack: float) -> tuple:
     """Randomized audit of the pointwise inequalities.
 
     Per trial an input is drawn uniformly from the box
@@ -355,8 +334,8 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
     (Gaussian draw followed by L1 projection; every eighth trial swaps the
     first one for the near-extremal single-path net so the audit actually
     exercises the tight end of each inequality); then each inequality is
-    checked at relative slack ``slack``.  Audited rows, named by bound:
-    ``lipschitz_param`` (against the parameter distance of the pair),
+    checked at relative slack ``slack``.  Returns a :class:`SuiteRow` per
+    bound: ``lipschitz_param`` (against the parameter distance of the pair),
     ``sup_model``, ``grad_l1`` and ``divergence``.  Trials use per-trial RNG
     streams spawned from ``seed``, so the audit is deterministic and
     order-independent; ``_DRAW_BLOCK`` trials at a time are projected and
@@ -402,4 +381,4 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
                 0.0 if a == 0.0 else (a / b if b > 0.0 else math.inf)
                 for a, b in zip(lhs.tolist(), np.broadcast_to(rhs, lhs.shape).tolist())
             )
-    return BoundAudit(tuple(_tally(ratios, slack)))
+    return tuple(_tally(ratios, slack))

@@ -59,6 +59,7 @@ from .evaluate import (
     _fd_laplacian,
     _gradient_error,
     _prediction_error,
+    _scores,
     green_identity_check,
 )
 from .net import (
@@ -69,7 +70,7 @@ from .net import (
     _grad_params_batch,
     _hidden_batch,
     _laplacian,
-    _output,
+    _values,
     forward_batch,
     load_network,
     save_network,
@@ -84,7 +85,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentOutcome",
     "RadiusRule",
-    "TrainTemplate",
     "TrialResult",
     "VerifyConfig",
     "config_to_dict",
@@ -98,22 +98,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid or malformed configuration."""
-
-
-@dataclass(frozen=True)
-class TrainTemplate:
-    """Trainer settings shared by every trial (radius and seed are derived
-    per trial)."""
-
-    step_size: float = 0.05
-    iterations: int = 1000
-    batch_size: object = "full"
-
-    def __post_init__(self):
-        try:
-            TrainConfig(1.0, **dataclasses.asdict(self))
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -170,7 +154,7 @@ class ExperimentConfig:
     s: int = 5
     h: int = 10
     data: DataSpec = DataSpec()
-    train: TrainTemplate = TrainTemplate()
+    train: TrainConfig = TrainConfig()
     n_grid: tuple = (50, 60, 70, 80, 90, 100)
     n_test: int = 10_000
     repeats: int = 100
@@ -409,13 +393,6 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
     return teacher, radius
 
 
-def _scores(net: Network, X) -> tuple:
-    """Outputs and input gradients of ``net`` on the rows of ``X``, from one
-    hidden pass."""
-    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
-    return _output(net.layers, acts), _grad_input(net.layers, fds)
-
-
 @functools.lru_cache(maxsize=1)
 def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
     """The teacher's outputs and input gradients on the cell's test set,
@@ -449,16 +426,12 @@ def _score(cfg: ExperimentConfig, L: int, act: Activation, cell, seed: int, data
         # A huge student may overflow when scored; a non-finite error is divergence.
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads = _scores(model, _test_set(cfg, L))
-            resid = forward_batch(model, dataset.X) - dataset.y
-            try:
-                return TrialResult(
-                    n, repeat, act.value, L, seed,
-                    _prediction_error(values, teacher_values).value,
-                    _gradient_error(grads, teacher_grads).value,
-                    float(resid @ resid) / dataset.n, param_l1_norm(model),
-                )
-            except ValueError:  # ErrorEstimate rejects a non-finite error
-                pass
+            resid = _values(model.layers, model.activation, dataset.X) - dataset.y
+            pred = _prediction_error(values, teacher_values)
+            grad = _gradient_error(grads, teacher_grads)
+            if math.isfinite(pred) and math.isfinite(grad):
+                return TrialResult(n, repeat, act.value, L, seed, pred, grad,
+                                   float(resid @ resid) / dataset.n, param_l1_norm(model))
     nan = float("nan")
     return TrialResult(n, repeat, act.value, L, seed, nan, nan, nan, nan)
 
@@ -471,8 +444,7 @@ def _run_block(task) -> list:
     radius = _cell_data(cfg, L, act)[1]
     datasets, seeds, train_seqs = zip(*(_trial_dataset(cfg, L, act, n, repeat)
                                         for n, repeat in cells))
-    models = _train_rows(datasets, Architecture.mlp(cfg.d, cfg.h, L, act),
-                         TrainConfig(radius, **dataclasses.asdict(cfg.train)),
+    models = _train_rows(datasets, Architecture.mlp(cfg.d, cfg.h, L, act), cfg.train, radius,
                          [_seed_u64(ss) for ss in train_seqs], [None] * len(cells), None)
     return [_score(cfg, L, act, *trial) for trial in zip(cells, seeds, datasets, models)]
 
@@ -692,7 +664,7 @@ def run_verification(cfg: ExperimentConfig) -> tuple:
             )
             rows.extend(
                 dataclasses.replace(row, suite=f"bound_{row.suite}_L{L}_d{d}")
-                for row in audit.rows
+                for row in audit
             )
             fd_rows.extend(_fd_suite(
                 cfg, arch, v.trials,

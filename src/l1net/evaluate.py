@@ -3,7 +3,7 @@ finite-difference oracles for the exact derivative routines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .net import (
 )
 
 __all__ = [
-    "ErrorEstimate",
     "GreenCheck",
     "finite_diff_grad_params",
     "finite_diff_gradient",
@@ -34,23 +33,6 @@ __all__ = [
     "l2_gradient_error",
     "l2_prediction_error",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Monte-Carlo estimate of a squared L2 distance over a test set."""
-
-    value: float
-    n_test: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("prediction_l2", "gradient_l2"):
-            raise ValueError(f"unknown estimate kind {self.kind!r}")
-        if self.n_test < 1:
-            raise ValueError("n_test must be at least 1")
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError("value must be non-negative and finite")
 
 
 def _check_test_set(model, teacher, X_test):
@@ -62,29 +44,38 @@ def _check_test_set(model, teacher, X_test):
     return X
 
 
-def _prediction_error(values, teacher_values) -> ErrorEstimate:
+def _prediction_error(values, teacher_values) -> float:
     """:func:`l2_prediction_error` from the two networks' outputs."""
     diff = values - teacher_values
-    return ErrorEstimate(float(diff @ diff) / len(diff), len(diff), "prediction_l2")
+    return float(diff @ diff) / len(diff)
 
 
-def _gradient_error(grads, teacher_grads) -> ErrorEstimate:
+def _gradient_error(grads, teacher_grads) -> float:
     """:func:`l2_gradient_error` from the two networks' input gradients."""
     diff = grads - teacher_grads
     diff *= diff
-    return ErrorEstimate(float(diff.sum()) / len(diff), len(diff), "gradient_l2")
+    return float(diff.sum()) / len(diff)
 
 
-def l2_prediction_error(model: Network, teacher: Network, X_test) -> ErrorEstimate:
-    """``(1/m) sum_j (model(x_j) - teacher(x_j))^2``."""
+def _finite(error, *pair) -> float:
+    """``error(*pair)``, or ValueError where it overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = error(*pair)
+    if not math.isfinite(value):
+        raise ValueError("L2 error overflows float64")
+    return value
+
+
+def l2_prediction_error(model: Network, teacher: Network, X_test) -> float:
+    """``(1/m) sum_j (model(x_j) - teacher(x_j))^2``; ValueError on overflow."""
     X = _check_test_set(model, teacher, X_test)
-    return _prediction_error(forward_batch(model, X), forward_batch(teacher, X))
+    return _finite(_prediction_error, forward_batch(model, X), forward_batch(teacher, X))
 
 
-def l2_gradient_error(model: Network, teacher: Network, X_test) -> ErrorEstimate:
-    """``(1/m) sum_j |grad model(x_j) - grad teacher(x_j)|_2^2``."""
+def l2_gradient_error(model: Network, teacher: Network, X_test) -> float:
+    """``(1/m) sum_j |grad model(x_j) - grad teacher(x_j)|_2^2``; ValueError on overflow."""
     X = _check_test_set(model, teacher, X_test)
-    return _gradient_error(grad_input_batch(model, X), grad_input_batch(teacher, X))
+    return _finite(_gradient_error, grad_input_batch(model, X), grad_input_batch(teacher, X))
 
 
 class GreenCheck(NamedTuple):
@@ -100,10 +91,11 @@ def _green_f_terms(f: Network, X, score):
     return gf, _laplacian(f.layers, fds, sds) + np.einsum("md,md->m", gf, score)
 
 
-def _green_g_terms(g: Network, X):
-    """``grad g`` and ``g`` per row, from one pass."""
-    acts, fds, _ = _hidden_batch(g.layers, g.activation, X, 1)
-    return _grad_input(g.layers, fds), _output(g.layers, acts)
+def _scores(net: Network, X) -> tuple:
+    """Outputs and input gradients of ``net`` on the rows of ``X``, from one
+    hidden pass."""
+    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
+    return _output(net.layers, acts), _grad_input(net.layers, fds)
 
 
 # Rows drawn per chunk of a Green check; bounds its peak memory.
@@ -156,7 +148,7 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
         for rows in _row_blocks(f.layers, take):
             score = -(X[rows] - dspec.mean) * inv_var
             gf[rows], rhs_f[rows] = _green_f_terms(f, X[rows], score)
-            gg[rows], g_out[rows] = _green_g_terms(g, X[rows])
+            g_out[rows], gg[rows] = _scores(g, X[rows])
         lhs_sum += -float(np.einsum("md,md->", gf, gg))
         rhs_sum += float(rhs_f @ g_out)
     lhs = lhs_sum / m

@@ -31,6 +31,7 @@ Supported activations:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -249,21 +250,23 @@ class ForwardTrace:
 
 
 def forward(net: Network, x) -> ForwardTrace:
-    """Evaluate ``f(x)`` and cache everything the derivative routines need."""
+    """Evaluate ``f(x)`` and cache everything the derivative routines need;
+    ValueError where the pass overflows float64."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != net.input_dim:
         raise ValueError(
             f"input must be a vector of length {net.input_dim}, got shape {x.shape}"
         )
     X = _check_batch(net, x[np.newaxis, :])
-    acts, fds, sds = (
-        tuple(_freeze(a[0]) for a in arrays)
-        for arrays in _hidden_batch(net.layers, net.activation, X)
-    )
-    return ForwardTrace(
-        activations=acts, first_derivs=fds, second_derivs=sds,
-        output=float(net.layers[-1][0] @ acts[-1]), network=net,
-    )
+    with _overflow_is_an_error("forward pass"):
+        acts, fds, sds = (
+            tuple(_freeze(a[0]) for a in arrays)
+            for arrays in _hidden_batch(net.layers, net.activation, X)
+        )
+        return ForwardTrace(
+            activations=acts, first_derivs=fds, second_derivs=sds,
+            output=float(net.layers[-1][0] @ acts[-1]), network=net,
+        )
 
 
 def _require_trace(net: Network, trace: ForwardTrace) -> list:
@@ -412,6 +415,17 @@ def _row_blocks(layers, m):
     return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
+@contextlib.contextmanager
+def _overflow_is_an_error(what: str):
+    """Raise ValueError naming ``what`` where the block overflows or makes a
+    NaN (``inf - inf``), instead of a warning and an inf or NaN result."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{what} overflows float64") from None
+
+
 def _check_batch(net, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -424,14 +438,18 @@ def _check_batch(net, X):
 
 
 def forward_batch(net: Network, X) -> np.ndarray:
-    """Outputs ``f(x_i)`` for every row of X, shape (m,)."""
-    return _values(net.layers, net.activation, _check_batch(net, X))
+    """Outputs ``f(x_i)`` for every row of X, shape (m,); ValueError on overflow."""
+    X = _check_batch(net, X)
+    with _overflow_is_an_error("forward pass"):
+        return _values(net.layers, net.activation, X)
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
-    """Input gradients for every row of X, shape (m, d)."""
-    fds = _hidden_batch(net.layers, net.activation, _check_batch(net, X), 1)[1]
-    return _grad_input(net.layers, fds)
+    """Input gradients for every row of X, shape (m, d); ValueError on overflow."""
+    X = _check_batch(net, X)
+    with _overflow_is_an_error("gradient pass"):
+        fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
+        return _grad_input(net.layers, fds)
 
 
 def laplacian_batch(net: Network, X) -> np.ndarray:

@@ -156,23 +156,15 @@ class TrainingDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Projected gradient descent settings.
+    """Projected gradient descent settings shared by every trial (the radius
+    and the seed are per trial).  ``batch_size`` is either a positive integer
+    or the string ``"full"``."""
 
-    ``batch_size`` is either a positive integer or the string ``"full"``.
-    Initial weights are drawn for every layer from N(0, 2 / d_1), with
-    ``d_1`` the first hidden width, rescaled onto the L1 ball of radius
-    ``radius`` when they land outside it.
-    """
-
-    radius: float
     step_size: float = 0.05
     iterations: int = 1000
     batch_size: object = "full"
-    seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError("radius must be positive and finite")
         if not np.isfinite(self.step_size) or self.step_size <= 0.0:
             raise ValueError("step_size must be positive and finite")
         if int(self.iterations) < 1:
@@ -182,9 +174,6 @@ class TrainConfig:
             if int(self.batch_size) < 1:
                 raise ValueError('batch_size must be a positive integer or "full"')
             object.__setattr__(self, "batch_size", int(self.batch_size))
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
@@ -195,20 +184,21 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
     return project_l1(flat, radius)
 
 
-def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None,
-          on_step=None) -> Network:
-    """Fit a network to ``dataset`` by projected gradient descent.
+def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: int, *,
+          init: Network = None, on_step=None) -> Network:
+    """Fit a network to ``dataset`` by projected gradient descent inside the
+    L1 ball of radius ``radius`` (positive and finite).
 
     One iteration = one gradient step on the current batch followed by
-    projection onto the L1 ball, so every iterate (and the returned
-    network) satisfies the radius constraint.  Mini-batches are drawn by
-    reshuffling the sample order at the start of each sweep.  The run is a
-    pure function of ``(dataset, arch, cfg, init)``: identical inputs give
-    a bit-identical network.
-
-    ``init`` overrides the random initialization (it must match ``arch``).
-    ``on_step`` is called as ``on_step(iteration, params_vector)`` after
-    every projection.
+    projection onto the ball, so every iterate (and the returned network)
+    satisfies the radius constraint.  Mini-batches are drawn by reshuffling
+    the sample order at the start of each sweep.  Initial weights are drawn
+    from ``seed`` (a non-negative integer) for every layer from N(0, 2 / d_1),
+    with ``d_1`` the first hidden width, rescaled onto the ball when they
+    land outside it; ``init`` overrides them (it must match ``arch``).  The
+    run is a pure function of the arguments: identical inputs give a
+    bit-identical network.  ``on_step`` is called as
+    ``on_step(iteration, params_vector)`` after every projection.
 
     Raises :class:`TrainingDivergenceError` if the batch loss, its gradient
     or the gradient step becomes non-finite, or if a step lands so far out
@@ -221,19 +211,20 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, *, init: Network = None
             raise ValueError("init network does not match the architecture")
         flat = flatten(init).values
     step = None if on_step is None else (lambda it, rows: on_step(it, rows[0].copy()))
-    (model,) = _train_rows([dataset], arch, cfg, [cfg.seed], [flat], step)
+    (model,) = _train_rows([dataset], arch, cfg, radius, [seed], [flat], step)
     if isinstance(model, TrainingDivergenceError):
         raise model
     return model
 
 
-def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
-                on_step) -> list:
+def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, seeds,
+                inits, on_step) -> list:
     """:func:`train` for a block of trials as one loop over stacked networks.
 
-    Row ``i`` trains on ``datasets[i]`` under ``cfg`` with seed ``seeds[i]``
-    from ``inits[i]``, a parameter vector, or from the seeded random start
-    when that is None; it keeps its own permutation stream.
+    Row ``i`` trains on ``datasets[i]`` under ``cfg`` and ``radius`` with
+    seed ``seeds[i]`` from ``inits[i]``, a parameter vector, or from the
+    seeded random start when that is None; it keeps its own permutation
+    stream.
     ``on_step(iteration, rows)`` sees the iterates of the rows still
     training, one per row.  Returns per row its trained network, or the
     :class:`TrainingDivergenceError` that :func:`train` would raise; a
@@ -245,6 +236,10 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
     gradient.  The first-layer and output products run per row on the real
     rows only, because their BLAS bits depend on the row count.
     """
+    if not math.isfinite(radius) or radius <= 0.0:
+        raise ValueError("radius must be positive and finite")
+    if any(int(seed) < 0 for seed in seeds):
+        raise ValueError("seed must be a non-negative integer")
     Xs, ys = [], []
     for dataset in datasets:
         X = np.asarray(dataset.X, dtype=float)
@@ -260,8 +255,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, seeds, inits,
     shapes = tuple(
         (arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)
     )
-    R, r = len(Xs), cfg.radius
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    R, r = len(Xs), radius
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     flat = np.empty((R, arch.n_params))
     for i, init in enumerate(inits):
         if init is None:

@@ -11,7 +11,6 @@ from l1net.bounds import (
     derivative_convergence_bound,
     divergence_bound,
     grad_l1_bound,
-    lip_l2pn_bound,
     lipschitz_param_bound,
     log_factor,
     model_convergence_bound,
@@ -19,6 +18,7 @@ from l1net.bounds import (
     sup_model_bound,
     verify_bounds,
 )
+from l1net.cli import suites_to_csv
 from l1net.net import Activation, Architecture
 
 # Frozen 50-digit evaluations of the closed forms (mpmath, dps=50), quoted
@@ -62,9 +62,9 @@ def test_lipschitz_param_spot_values():
 
 
 def test_lip_l2pn_matches_param_version_for_constant_rms():
-    for r, L, c in ((1.0, 2, 2.0), (3.0, 4, 0.5)):
-        assert lip_l2pn_bound(r, L, c) == lipschitz_param_bound(r, L, c)
-    assert lip_l2pn_bound(1.0, 2, 0.0) == 0.0
+    for r, L, c in ((1.0, 2, 2.0), (3.0, 4, 0.5), (1.0, 2, 0.0)):
+        inputs = BoundInputs(r=r, L=L, P=10, n=5, R=1, b0=1, b1=1, x_inf_sq=c * c)
+        assert bound_report(inputs, 1).lip_l2pn == lipschitz_param_bound(r, L, c)
 
 
 def test_sup_model_spot_values():
@@ -192,7 +192,7 @@ def test_derivative_quarter_rate():
     a = BoundInputs(r=1, L=3, P=100, n=100, R=1, b0=1, b1=1, x_inf_sq=0)
     b = BoundInputs(r=1, L=3, P=100, n=1600, R=1, b0=1, b1=1, x_inf_sq=0)
     np.testing.assert_allclose(
-        derivative_convergence_bound(a) / derivative_convergence_bound(b),
+        derivative_convergence_bound(a, 1) / derivative_convergence_bound(b, 1),
         2.0,
         rtol=1e-12,
     )
@@ -218,7 +218,7 @@ def test_full_oracle_set_b():
 
 def test_report_dict_keys():
     inputs = BoundInputs(r=1, L=2, P=10, n=5, R=1, b0=1, b1=1, x_inf_sq=1)
-    keys = set(bound_report(inputs).to_dict())
+    keys = set(bound_report(inputs, 1).to_dict())
     assert keys == {
         "lip_param", "lip_l2pn", "sup_model", "grad_l1", "divergence",
         "c1", "rademacher", "model_convergence", "derivative_convergence",
@@ -232,7 +232,7 @@ def test_report_overflow_is_inf_not_an_error(r, L, b0):
     # (r/k)^(2k) overflows in the derivative bound at the first two points;
     # at the third every power overflows
     inputs = BoundInputs(r=r, L=L, P=10**6, n=100, R=10, b0=b0, b1=10, x_inf_sq=4)
-    got = bound_report(inputs).to_dict()
+    got = bound_report(inputs, 1).to_dict()
     values = [v for v in got.values() if not isinstance(v, bool)]
     assert not any(math.isnan(v) for v in values)
     assert got["derivative_convergence"] == math.inf
@@ -248,11 +248,11 @@ def test_report_overflow_is_inf_not_an_error(r, L, b0):
 def test_verify_bounds_clean_audit():
     for act in (Activation.SOFTPLUS, Activation.RELU):
         arch = Architecture.mlp(20, 6, 3, act)
-        audit = verify_bounds(arch, 4.0, 100, seed=5)
-        assert audit.total_violations == 0
-        names = [row.suite for row in audit.rows]
+        rows = verify_bounds(arch, 4.0, 100, seed=5, input_sup=10.0, slack=1e-9)
+        names = [row.suite for row in rows]
         assert names == ["lipschitz_param", "sup_model", "grad_l1", "divergence"]
-        for row in audit.rows:
+        for row in rows:
+            assert row.violations == 0
             assert row.trials == 100
             assert 0.0 <= row.worst_ratio <= 1.0 + 1e-9
 
@@ -261,23 +261,22 @@ def test_verify_bounds_catches_injected_bug(monkeypatch):
     exact = bounds.grad_l1_bound
     monkeypatch.setattr(bounds, "grad_l1_bound", lambda r, L: 0.5 * exact(r, L))
     arch = Architecture.mlp(20, 6, 3, Activation.SOFTPLUS)
-    audit = verify_bounds(arch, 4.0, 200, seed=5)
-    by_name = {row.suite: row for row in audit.rows}
+    rows = verify_bounds(arch, 4.0, 200, seed=5, input_sup=10.0, slack=1e-9)
+    by_name = {row.suite: row for row in rows}
     assert by_name["grad_l1"].violations > 0
-    assert audit.total_violations == by_name["grad_l1"].violations
+    assert sum(row.violations for row in rows) == by_name["grad_l1"].violations
 
 
 def test_verify_bounds_deterministic():
     arch = Architecture.mlp(10, 5, 2, Activation.SOFTPLUS)
-    a = verify_bounds(arch, 3.0, 50, seed=9)
-    b = verify_bounds(arch, 3.0, 50, seed=9)
-    assert a.to_csv() == b.to_csv()
-    assert a.to_csv().splitlines()[0] == "suite,trials,violations,worst_ratio"
+    a = verify_bounds(arch, 3.0, 50, seed=9, input_sup=10.0, slack=1e-9)
+    b = verify_bounds(arch, 3.0, 50, seed=9, input_sup=10.0, slack=1e-9)
+    assert suites_to_csv(a) == suites_to_csv(b)
+    assert suites_to_csv(a).splitlines()[0] == "suite,trials,violations,worst_ratio"
 
 
 def test_verify_bounds_zero_radius():
     arch = Architecture.mlp(5, 4, 2, Activation.SOFTPLUS)
-    audit = verify_bounds(arch, 0.0, 10, seed=1)
-    assert audit.total_violations == 0
-    for row in audit.rows:
+    for row in verify_bounds(arch, 0.0, 10, seed=1, input_sup=10.0, slack=1e-9):
+        assert row.violations == 0
         assert row.worst_ratio == 0.0

@@ -369,7 +369,7 @@ def test_run_with_overflowing_steps_records_divergence(tmp_path):
 
 
 def test_block_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
-    def huge_students(datasets, arch, cfg, seeds, inits, on_step):
+    def huge_students(datasets, arch, cfg, radius, seeds, inits, on_step):
         sizes = arch.layer_sizes
         return [Network(tuple(np.full((sizes[l + 1], sizes[l]), 1e200)
                               for l in range(arch.depth)), arch.activation)
@@ -678,7 +678,7 @@ def test_stacked_verify_suites_match_serial_reference(L, d):
     cfg = ExperimentConfig()
     arch = Architecture.mlp(d, 10, L, Activation.SOFTPLUS)
     audit = bounds.verify_bounds(arch, 5.0, 45, 77, input_sup=10.0, slack=1e-9)
-    assert list(audit.rows) == _serial_verify_bounds(arch, 5.0, 45, 77, 10.0, 1e-9)
+    assert list(audit) == _serial_verify_bounds(arch, 5.0, 45, 77, 10.0, 1e-9)
     rows = cli._fd_suite(cfg, arch, 45, 78)
     assert rows == _serial_fd_suite(cfg, arch, 45, 78)
     assert all(isinstance(row, SuiteRow) and row.trials == 45 for row in rows)

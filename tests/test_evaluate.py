@@ -6,7 +6,6 @@ from l1net import net as net_module
 from l1net.cli import ExperimentConfig, VerifyConfig, run_verification
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
 from l1net.evaluate import (
-    ErrorEstimate,
     GreenCheck,
     finite_diff_grad_params,
     finite_diff_gradient,
@@ -36,21 +35,11 @@ def _random_net(rng, d, h, L, activation=Activation.SOFTPLUS, scale=0.5):
     return Network(layers, activation)
 
 
-def test_error_estimate_kind_checked():
-    ErrorEstimate(0.1, 10, "prediction_l2")
-    ErrorEstimate(0.1, 10, "gradient_l2")
-    with pytest.raises(ValueError):
-        ErrorEstimate(0.1, 10, "l1")
-
-
 def test_prediction_error_zero_for_identical_nets():
     rng = np.random.default_rng(0)
     net = _random_net(rng, 5, 4, 2)
     X = rng.normal(size=(50, 5))
-    est = l2_prediction_error(net, net, X)
-    assert est.value == 0.0
-    assert est.n_test == 50
-    assert est.kind == "prediction_l2"
+    assert l2_prediction_error(net, net, X) == 0.0
 
 
 def test_prediction_error_matches_direct_formula():
@@ -60,7 +49,7 @@ def test_prediction_error_matches_direct_formula():
     X = rng.normal(size=(200, 6))
     est = l2_prediction_error(a, b, X)
     diff = forward_batch(a, X) - forward_batch(b, X)
-    np.testing.assert_allclose(est.value, np.mean(diff**2), rtol=1e-14)
+    np.testing.assert_allclose(est, np.mean(diff**2), rtol=1e-14)
 
 
 def test_prediction_error_scaled_output_pair():
@@ -72,7 +61,7 @@ def test_prediction_error_scaled_output_pair():
     X = rng.normal(size=(300, 4))
     est = l2_prediction_error(net, doubled, X)
     np.testing.assert_allclose(
-        est.value, np.mean(forward_batch(net, X) ** 2), rtol=1e-13
+        est, np.mean(forward_batch(net, X) ** 2), rtol=1e-13
     )
 
 
@@ -84,9 +73,8 @@ def test_gradient_error_matches_direct_formula():
     est = l2_gradient_error(a, b, X)
     diff = grad_input_batch(a, X) - grad_input_batch(b, X)
     np.testing.assert_allclose(
-        est.value, np.mean(np.sum(diff**2, axis=1)), rtol=1e-14
+        est, np.mean(np.sum(diff**2, axis=1)), rtol=1e-14
     )
-    assert est.kind == "gradient_l2"
 
 
 def test_error_estimators_reject_dimension_mismatch():
@@ -98,6 +86,21 @@ def test_error_estimators_reject_dimension_mismatch():
         l2_prediction_error(a, b, X)
     with pytest.raises(ValueError):
         l2_prediction_error(a, a, rng.normal(size=(10, 7)))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160])
+def test_error_estimators_reject_overflow(scale):
+    # at 1e100 every output and gradient is finite but the errors overflow;
+    # at 1e160 the big net's own pass overflows
+    rng = np.random.default_rng(14)
+    small = _random_net(rng, 3, 4, 2)
+    big = Network(tuple(scale * theta for theta in small.layers), small.activation)
+    X = rng.normal(size=(20, 3))
+    for error in (l2_prediction_error, l2_gradient_error):
+        with pytest.raises(ValueError, match="overflow"):
+            error(big, small, X)
+        with pytest.raises(ValueError, match="overflow"):
+            error(small, big, X)
 
 
 def test_finite_diff_gradient_close_to_exact():
@@ -256,5 +259,5 @@ def test_teacher_student_errors_shrink_with_identical_nets():
     spec = TeacherSpec(d=10, s=3, L=2, h=5, seed=30)
     teacher = make_teacher(spec)
     X = sample_truncated_normal(0.0, 1.0, 10.0, np.random.default_rng(31), size=(500, 10))
-    assert l2_prediction_error(teacher, teacher, X).value == 0.0
-    assert l2_gradient_error(teacher, teacher, X).value == 0.0
+    assert l2_prediction_error(teacher, teacher, X) == 0.0
+    assert l2_gradient_error(teacher, teacher, X) == 0.0

@@ -295,17 +295,36 @@ def test_laplacian_overflow_is_an_error(L, scale):
     small = _random_net(rng, 3, 4, L)
     net = Network(tuple(scale * theta for theta in small.layers), Activation.SOFTPLUS)
     X = rng.normal(size=(6, 3))
-    with np.errstate(over="ignore"):  # forward's own output may overflow
-        trace = forward(net, X[0])
     if L == 2 and scale == 1e100:
         # every s'' underflows to 0 against finite squared weights
         np.testing.assert_array_equal(laplacian_batch(net, X), np.zeros(6))
-        assert laplacian_input(net, trace) == 0.0
+        assert laplacian_input(net, forward(net, X[0])) == 0.0
         return
     with pytest.raises(ValueError, match="overflow"):
         laplacian_batch(net, X)
+    if scale == 1e100:  # the output is finite, only the Laplacian overflows
+        with pytest.raises(ValueError, match="overflow"):
+            laplacian_input(net, forward(net, X[0]))
+    else:
+        with pytest.raises(ValueError, match="overflow"):
+            forward(net, X[0])
+
+
+@pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
+@pytest.mark.parametrize("L", [2, 3])
+def test_value_and_gradient_overflow_is_an_error(L, activation):
+    # positive weights and inputs: every unit is active, and the output and
+    # the gradient entries are of order 1e320 or more
+    rng = np.random.default_rng(11)
+    small = _random_net(rng, 3, 4, L, activation)
+    net = Network(tuple(1e160 * np.abs(theta) for theta in small.layers), activation)
+    X = np.abs(rng.normal(size=(6, 3))) + 1.0
     with pytest.raises(ValueError, match="overflow"):
-        laplacian_input(net, trace)
+        forward(net, X[0])
+    with pytest.raises(ValueError, match="overflow"):
+        forward_batch(net, X)
+    with pytest.raises(ValueError, match="overflow"):
+        grad_input_batch(net, X)
 
 
 def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):

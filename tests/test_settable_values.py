@@ -1,17 +1,22 @@
-"""The package's settable values stay counted.
+"""The package's settable values and public names stay counted.
 
 A settable value is a defaulted positional or keyword-only parameter of a
 function or lambda, or a dataclass field with a default, in
 ``src/l1net/*.py``.  Each one doubles what a test or a benchmark may have
 to cover, so a change that adds one raises ``_LIMIT`` here and says why.
+A public name is an entry of a module's ``__all__``; a change that adds one
+raises ``_NAMES_LIMIT`` and says why.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import l1net
 
-_LIMIT = 50
+_LIMIT = 42
+_NAMES_LIMIT = 69
+_MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 
 
 def _is_dataclass(node):
@@ -44,6 +49,13 @@ def test_settable_value_count_is_pinned():
         for path in sorted(src.glob("*.py"))
     }
     assert sum(counts.values()) <= _LIMIT, counts
+
+
+def test_public_name_count_is_pinned():
+    counts = {
+        name: len(importlib.import_module(f"l1net.{name}").__all__) for name in _MODULES
+    }
+    assert sum(counts.values()) <= _NAMES_LIMIT, counts
 
 
 def test_counter_sees_each_kind_of_setting():

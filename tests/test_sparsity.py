@@ -174,15 +174,23 @@ def test_projection_of_finite_vector_with_overflowing_norm():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(radius=0.0)
+        TrainConfig(step_size=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(radius=1.0, step_size=-0.1)
+        TrainConfig(iterations=0)
     with pytest.raises(ValueError):
-        TrainConfig(radius=1.0, iterations=0)
-    with pytest.raises(ValueError):
-        TrainConfig(radius=1.0, batch_size=0)
-    cfg = TrainConfig(radius=2.0, batch_size="full")
+        TrainConfig(batch_size=0)
+    cfg = TrainConfig(batch_size="full")
     assert cfg.batch_size == "full"
+
+
+@pytest.mark.parametrize("radius, seed", [
+    (0.0, 0), (-1.0, 0), (float("inf"), 0), (float("nan"), 0), (1.0, -1),
+])
+def test_train_rejects_bad_radius_and_seed(radius, seed):
+    _, ds = _toy_problem()
+    arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
+    with pytest.raises(ValueError, match="radius|seed"):
+        train(ds, arch, TrainConfig(iterations=1), radius, seed)
 
 
 def _toy_problem(seed=0, d=2, n=200, noise=0.0):
@@ -200,7 +208,7 @@ def test_train_stationary_at_teacher():
     teacher, ds = _toy_problem(seed=3)
     r = param_l1_norm(teacher) * 1.5
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    out = train(ds, arch, TrainConfig(radius=r, iterations=50), init=teacher)
+    out = train(ds, arch, TrainConfig(iterations=50), r, 0, init=teacher)
     for a, b in zip(out.layers, teacher.layers):
         np.testing.assert_array_equal(a, b)
 
@@ -208,7 +216,7 @@ def test_train_stationary_at_teacher():
 def test_train_decreases_loss():
     teacher, ds = _toy_problem(seed=5, noise=0.05)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    cfg = TrainConfig(radius=1.1 * param_l1_norm(teacher), iterations=300, seed=9)
+    cfg = TrainConfig(iterations=300)
     shapes = flatten(teacher).shape_spec
     losses = []
 
@@ -217,7 +225,7 @@ def test_train_decreases_loss():
         resid = forward_batch(model, ds.X) - ds.y
         losses.append(float(resid @ resid) / ds.n)
 
-    train(ds, arch, cfg, on_step=full_data_loss)
+    train(ds, arch, cfg, 1.1 * param_l1_norm(teacher), 9, on_step=full_data_loss)
     assert len(losses) == 300
     assert losses[-1] < losses[0]
 
@@ -232,7 +240,7 @@ def test_train_feasible_after_every_iteration():
     def snoop(iteration, flat):
         norms.append(float(np.abs(flat).sum()))
 
-    out = train(ds, arch, TrainConfig(radius=r, iterations=100, seed=1), on_step=snoop)
+    out = train(ds, arch, TrainConfig(iterations=100), r, 1, on_step=snoop)
     assert len(norms) == 100
     assert all(l1 <= r * (1.0 + 1e-9) for l1 in norms)
     assert param_l1_norm(out) <= r * (1.0 + 1e-9)
@@ -241,9 +249,9 @@ def test_train_feasible_after_every_iteration():
 def test_train_deterministic():
     teacher, ds = _toy_problem(seed=13, noise=0.1)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    cfg = TrainConfig(radius=2.0, iterations=120, batch_size=32, seed=77)
-    a = train(ds, arch, cfg)
-    b = train(ds, arch, cfg)
+    cfg = TrainConfig(iterations=120, batch_size=32)
+    a = train(ds, arch, cfg, 2.0, 77)
+    b = train(ds, arch, cfg, 2.0, 77)
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_array_equal(la, lb)
 
@@ -251,7 +259,7 @@ def test_train_deterministic():
 def test_train_minibatch_runs_and_stays_feasible():
     teacher, ds = _toy_problem(seed=17, n=64, noise=0.1)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    out = train(ds, arch, TrainConfig(radius=1.0, iterations=200, batch_size=16, seed=2))
+    out = train(ds, arch, TrainConfig(iterations=200, batch_size=16), 1.0, 2)
     assert param_l1_norm(out) <= 1.0 + 1e-9
 
 
@@ -260,17 +268,16 @@ def test_train_divergence_raises_with_iteration():
     must report the iteration instead of returning garbage."""
     teacher, ds = _toy_problem(seed=23, noise=0.1)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    cfg = TrainConfig(radius=1e200, step_size=1e180, iterations=50, seed=4)
+    cfg = TrainConfig(step_size=1e180, iterations=50)
     with pytest.raises(TrainingDivergenceError) as info:
-        train(ds, arch, cfg)
+        train(ds, arch, cfg, 1e200, 4)
     assert info.value.iteration >= 1
 
 
 def test_trained_student_beats_init_on_train_data():
     teacher, ds = _toy_problem(seed=29, n=100, noise=0.05)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    cfg = TrainConfig(radius=1.1 * param_l1_norm(teacher), iterations=500, seed=5)
-    student = train(ds, arch, cfg)
+    student = train(ds, arch, TrainConfig(iterations=500), 1.1 * param_l1_norm(teacher), 5)
     resid = forward_batch(student, ds.X) - ds.y
     assert float(resid @ resid) / len(ds.y) < 0.05
 
@@ -290,7 +297,7 @@ def _reference_init(arch, radius, rng):
     return project_l1(flat, radius)
 
 
-def _reference_train(dataset, arch, cfg):
+def _reference_train(dataset, arch, cfg, radius, seed):
     """PGD written plainly: a layer-by-layer init, then per step fresh
     layer views, a gradient list joined by ``np.concatenate``,
     ``flat - step_size * grad``, then the projection.  Returns the final
@@ -299,8 +306,8 @@ def _reference_train(dataset, arch, cfg):
     n = X.shape[0]
     shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)]
     cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
-    rng = np.random.default_rng(cfg.seed)
-    flat = _reference_init(arch, cfg.radius, rng)
+    rng = np.random.default_rng(seed)
+    flat = _reference_init(arch, radius, rng)
     batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
     order, cursor = None, 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -322,9 +329,9 @@ def _reference_train(dataset, arch, cfg):
             stepped = flat - cfg.step_size * grad
             if not np.isfinite(float(resid @ resid) / m) or not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(it)
-            if np.spacing(np.abs(stepped).max()) > cfg.radius:
+            if np.spacing(np.abs(stepped).max()) > radius:
                 raise TrainingDivergenceError(it)  # r is below an ulp of the step
-            flat = project_l1(stepped, cfg.radius)
+            flat = project_l1(stepped, radius)
     return flat
 
 
@@ -334,56 +341,53 @@ def _reference_train(dataset, arch, cfg):
 def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
     teacher, ds = _toy_problem(seed=31, d=6, n=50, noise=0.1)
     arch = Architecture.mlp(6, 4, depth, activation)
-    cfg = TrainConfig(radius=0.6 * param_l1_norm(teacher), step_size=0.1,
-                      iterations=80, batch_size=batch_size, seed=3)
-    want = _reference_train(ds, arch, cfg)
-    got = flatten(train(ds, arch, cfg)).values
+    cfg = TrainConfig(step_size=0.1, iterations=80, batch_size=batch_size)
+    r = 0.6 * param_l1_norm(teacher)
+    want = _reference_train(ds, arch, cfg, r, 3)
+    got = flatten(train(ds, arch, cfg, r, 3)).values
     assert got.tobytes() == want.tobytes()
 
     def scribble(iteration, flat):
         flat[:] = 1e300  # on_step gets a copy; the run must not see this
-    got = flatten(train(ds, arch, cfg, on_step=scribble)).values
+    got = flatten(train(ds, arch, cfg, r, 3, on_step=scribble)).values
     assert got.tobytes() == want.tobytes()
 
     # Steps that overflow a few iterations in diverge at the same iteration
-    wild = TrainConfig(radius=1e200, step_size=1e100, iterations=50,
-                       batch_size=batch_size, seed=3)
+    wild = TrainConfig(step_size=1e100, iterations=50, batch_size=batch_size)
     with pytest.raises(TrainingDivergenceError) as want_info:
-        _reference_train(ds, arch, wild)
+        _reference_train(ds, arch, wild, 1e200, 3)
     with pytest.raises(TrainingDivergenceError) as got_info:
-        train(ds, arch, wild)
+        train(ds, arch, wild, 1e200, 3)
     assert got_info.value.iteration == want_info.value.iteration
 
 
 def _ragged_block(activation, depth, batch_size, radius):
     """Four trials at the sweep's d = 100 and h = 10 with n = 50, 53, 70, 99
     (every n mod 4), each with its own data and seed, as (datasets, arch,
-    cfgs); their configs differ only in the seed.  Here the first-layer
-    product of a padded stack differs from the per-trial one in the last
-    bits."""
+    cfg, radius, seeds).  Here the first-layer product of a padded stack
+    differs from the per-trial one in the last bits."""
     teacher = make_teacher(TeacherSpec(d=100, s=5, L=2, h=10, seed=3))
     datasets = [synthesize(teacher, n, DataSpec(noise_std=0.1), np.random.default_rng(40 + i))
                 for i, n in enumerate((50, 53, 70, 99))]
     arch = Architecture.mlp(100, 10, depth, activation)
-    cfgs = [TrainConfig(radius=radius or param_l1_norm(teacher), iterations=40,
-                        batch_size=batch_size, seed=11 + i) for i in range(4)]
-    return datasets, arch, cfgs
+    cfg = TrainConfig(iterations=40, batch_size=batch_size)
+    return datasets, arch, cfg, radius or param_l1_norm(teacher), [11, 12, 13, 14]
 
 
 @pytest.mark.parametrize("batch_size", ["full", 16])
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
 def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_size):
-    datasets, arch, cfgs = _ragged_block(activation, depth, batch_size, None)
-    models = _train_rows(datasets, arch, cfgs[0], [c.seed for c in cfgs], [None] * 4, None)
-    for dataset, cfg, model in zip(datasets, cfgs, models):
-        want = _reference_train(dataset, arch, cfg)
+    datasets, arch, cfg, r, seeds = _ragged_block(activation, depth, batch_size, None)
+    models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
+    for dataset, seed, model in zip(datasets, seeds, models):
+        want = _reference_train(dataset, arch, cfg, r, seed)
         assert flatten(model).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", ["full", 16])
 def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatch):
-    datasets, arch, cfgs = _ragged_block(Activation.SOFTPLUS, 2, batch_size, 1e200)
+    datasets, arch, cfg, r, seeds = _ragged_block(Activation.SOFTPLUS, 2, batch_size, 1e200)
     # Labels of order 1e100 make row 1's steps grow until they overflow
     datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
     stacked = []  # rows in each step's first-layer activation pass
@@ -393,15 +397,15 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatc
         return _act_terms(kind, z, order)
 
     monkeypatch.setattr(sparsity, "_act_terms", act_terms)
-    models = _train_rows(datasets, arch, cfgs[0], [c.seed for c in cfgs], [None] * 4, None)
-    for i, (dataset, cfg, model) in enumerate(zip(datasets, cfgs, models)):
+    models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
+    for i, (dataset, seed, model) in enumerate(zip(datasets, seeds, models)):
         if i == 1:
             with pytest.raises(TrainingDivergenceError) as info:
-                _reference_train(dataset, arch, cfg)
+                _reference_train(dataset, arch, cfg, r, seed)
             assert isinstance(model, TrainingDivergenceError)
             assert model.iteration == info.value.iteration > 1
             # from the step after it froze, the row is no longer computed
             assert stacked == [4] * model.iteration + [3] * (40 - model.iteration)
         else:
-            want = _reference_train(dataset, arch, cfg)
+            want = _reference_train(dataset, arch, cfg, r, seed)
             assert flatten(model).values.tobytes() == want.tobytes()
