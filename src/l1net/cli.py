@@ -395,8 +395,8 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
 
 @functools.lru_cache(maxsize=1)
 def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
-    """The teacher's outputs and input gradients on the cell's test set,
-    read-only.  One cell is cached, enough for :func:`run_experiment`'s order."""
+    """The teacher's outputs and first-layer backward signals on the cell's
+    test set, read-only.  One cell is cached, enough for :func:`run_experiment`'s order."""
     scores = _scores(_cell_data(cfg, L, act)[0], _test_set(cfg, L))
     for array in scores:
         array.flags.writeable = False
@@ -422,13 +422,14 @@ def _score(cfg: ExperimentConfig, L: int, act: Activation, cell, seed: int, data
     :class:`TrainingDivergenceError`) or an error is not finite."""
     n, repeat = cell
     if isinstance(model, Network):
-        teacher_values, teacher_grads = _teacher_scores(cfg, L, act)
+        teacher_values, teacher_delta = _teacher_scores(cfg, L, act)
+        teacher_theta = _cell_data(cfg, L, act)[0].layers[0]
         # A huge student may overflow when scored; a non-finite error is divergence.
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads = _scores(model, _test_set(cfg, L))
+            values, delta = _scores(model, _test_set(cfg, L))
             resid = _values(model.layers, model.activation, dataset.X) - dataset.y
             pred = _prediction_error(values, teacher_values)
-            grad = _gradient_error(grads, teacher_grads)
+            grad = _gradient_error(model.layers[0], delta, teacher_theta, teacher_delta)
             if math.isfinite(pred) and math.isfinite(grad):
                 return TrialResult(n, repeat, act.value, L, seed, pred, grad,
                                    float(resid @ resid) / dataset.n, param_l1_norm(model))
@@ -549,7 +550,10 @@ def _estimate_b0(cfg: ExperimentConfig, model: Network) -> float:
     teacher = _cell_data(cfg, L, model.activation)[0]
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 4, L))
     ds = synthesize(teacher, cfg.n_test, cfg.data, rng)
-    return float(np.abs(forward_batch(model, ds.X) - ds.y).max())
+    try:  # a model that does not fit the config, or whose pass overflows
+        return float(np.abs(forward_batch(model, ds.X) - ds.y).max())
+    except ValueError as exc:
+        raise ConfigError(f"cannot evaluate the model: {exc}") from None
 
 
 def report_bounds(cfg: ExperimentConfig, trained: Network = None,
@@ -790,7 +794,10 @@ def _cmd_bounds(args) -> int:
     cfg = _load(args)
     if args.b0 is not None and not 0.0 <= args.b0 < math.inf:
         raise ConfigError("--b0 must be non-negative and finite")
-    model = load_network(args.model) if args.model else None
+    try:
+        model = load_network(args.model) if args.model else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read the model: {exc}") from None
     entries = report_bounds(cfg, trained=model, b0_override=args.b0)
     for report in (entry["report"] for entry in entries):  # strict JSON has no inf
         report.update({key: "inf" for key, v in report.items() if v == math.inf})

@@ -1,5 +1,12 @@
 """L2 error estimators, a Monte-Carlo Green-identity check, and
-finite-difference oracles for the exact derivative routines."""
+finite-difference oracles for the exact derivative routines.
+
+The gradient error forms no d-wide gradient: with ``delta`` the (m, h)
+backward signal of the first hidden layer, ``grad f - grad g = [delta_f -
+delta_g, delta_g] [theta1_f; theta1_f - theta1_g]``, and with ``R`` the QR
+factor of the right factor's transpose, a row's squared gap is that of its
+row of ``[delta_f - delta_g, delta_g] R^T`` (also for d < 2h).  Differences
+keep a near-teacher error accurate and identical networks' error exactly 0."""
 
 from __future__ import annotations
 
@@ -16,12 +23,13 @@ from .net import (
     _check_batch,
     _grad_input,
     _hidden_batch,
+    _input_signal,
     _laplacian,
     _output,
+    _overflow_is_an_error,
     _row_blocks,
     _values,
     forward_batch,
-    grad_input_batch,
 )
 
 __all__ = [
@@ -50,17 +58,21 @@ def _prediction_error(values, teacher_values) -> float:
     return float(diff @ diff) / len(diff)
 
 
-def _gradient_error(grads, teacher_grads) -> float:
-    """:func:`l2_gradient_error` from the two networks' input gradients."""
-    diff = grads - teacher_grads
-    diff *= diff
-    return float(diff.sum()) / len(diff)
+def _gradient_error(theta, delta, teacher_theta, teacher_delta) -> float:
+    """:func:`l2_gradient_error` from the two networks' first layers (h, d)
+    and first-hidden-layer backward signals (m, h); inf or NaN on overflow."""
+    if np.abs(theta).max() > np.abs(teacher_theta).max():  # the terms grow with f's theta1
+        theta, delta, teacher_theta, teacher_delta = teacher_theta, teacher_delta, theta, delta
+    r = np.linalg.qr(np.concatenate([theta, theta - teacher_theta]).T, mode="r")
+    gap = np.concatenate([delta - teacher_delta, teacher_delta], axis=1) @ r.T
+    gap *= gap
+    return float(gap.sum()) / len(gap)
 
 
-def _finite(error, *pair) -> float:
-    """``error(*pair)``, or ValueError where it overflows float64."""
+def _finite(error, *args) -> float:
+    """``error(*args)``, or ValueError where it overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = error(*pair)
+        value = error(*args)
     if not math.isfinite(value):
         raise ValueError("L2 error overflows float64")
     return value
@@ -73,9 +85,18 @@ def l2_prediction_error(model: Network, teacher: Network, X_test) -> float:
 
 
 def l2_gradient_error(model: Network, teacher: Network, X_test) -> float:
-    """``(1/m) sum_j |grad model(x_j) - grad teacher(x_j)|_2^2``; ValueError on overflow."""
-    X = _check_test_set(model, teacher, X_test)
-    return _finite(_gradient_error, grad_input_batch(model, X), grad_input_batch(teacher, X))
+    """``(1/m) sum_j |grad model(x_j) - grad teacher(x_j)|_2^2`` in first-layer
+    space (module docstring), exactly 0 for identical networks; ValueError on overflow."""
+    X = _check_batch(model, _check_test_set(model, teacher, X_test))
+    h = max(len(model.layers[0]), len(teacher.layers[0]))
+    terms = []
+    for net in (model, teacher):  # zero units widen the narrower network exactly
+        with _overflow_is_an_error("gradient pass"):
+            fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
+            delta = _input_signal(net.layers, fds)
+        pad = h - delta.shape[1]
+        terms += [np.pad(net.layers[0], ((0, pad), (0, 0))), np.pad(delta, ((0, 0), (0, pad)))]
+    return _finite(_gradient_error, *terms)
 
 
 class GreenCheck(NamedTuple):
@@ -92,10 +113,10 @@ def _green_f_terms(f: Network, X, score):
 
 
 def _scores(net: Network, X) -> tuple:
-    """Outputs and input gradients of ``net`` on the rows of ``X``, from one
-    hidden pass."""
+    """Outputs and first-hidden-layer backward signals of ``net`` on the rows
+    of ``X``, from one hidden pass."""
     acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
-    return _output(net.layers, acts), _grad_input(net.layers, fds)
+    return _output(net.layers, acts), _input_signal(net.layers, fds)
 
 
 # Rows drawn per chunk of a Green check; bounds its peak memory.
@@ -148,7 +169,8 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
         for rows in _row_blocks(f.layers, take):
             score = -(X[rows] - dspec.mean) * inv_var
             gf[rows], rhs_f[rows] = _green_f_terms(f, X[rows], score)
-            g_out[rows], gg[rows] = _scores(g, X[rows])
+            g_out[rows], delta = _scores(g, X[rows])
+            gg[rows] = delta @ g.layers[0]
         lhs_sum += -float(np.einsum("md,md->", gf, gg))
         rhs_sum += float(rhs_f @ g_out)
     lhs = lhs_sum / m

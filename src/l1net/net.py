@@ -357,9 +357,13 @@ def _backward(layers, fds, seed):
     return deltas
 
 
+def _input_signal(layers, fds):
+    """The first hidden layer's backward signal; times ``theta_1``, the input gradient."""
+    return _backward(layers, fds, np.broadcast_to(layers[-1], fds[-1].shape))[0]
+
+
 def _grad_input(layers, fds):
-    seed = np.broadcast_to(layers[-1], fds[-1].shape)
-    return _backward(layers, fds, seed)[0] @ layers[0]
+    return _input_signal(layers, fds) @ layers[0]
 
 
 def _grad_params_batch(layers, acts, fds, weights, *, out=None):

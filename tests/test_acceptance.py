@@ -306,11 +306,14 @@ def test_criterion_6_convergence_rates():
 
 
 def test_criterion_7_determinism(trend_sweep):
+    # The second sweep runs on two worker processes, so the byte comparison
+    # also covers serial against parallel output.
     cfg, outcome, _ = trend_sweep
-    second = run_experiment(cfg)
+    second = run_experiment(cfg, jobs=2)
     ok = trials_to_csv(outcome.trials) == trials_to_csv(second.trials)
     _verdict(
         "determinism",
         ok,
-        f"{len(outcome.trials)} trial rows byte-identical across two sweeps",
+        f"{len(outcome.trials)} trial rows byte-identical across a serial "
+        "and a two-process sweep",
     )

@@ -41,7 +41,7 @@ from l1net.cli import (
     suites_to_csv,
     trials_to_csv,
 )
-from l1net.net import Activation, load_network
+from l1net.net import Activation, load_network, save_network
 from l1net.datagen import DataSpec, read_dataset_csv
 
 TRIAL_HEADER = "n,repeat,activation,L,seed,pred_l2,grad_l2,final_train_loss,l1_norm_final"
@@ -383,6 +383,24 @@ def test_block_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
     assert trial.diverged and math.isnan(trial.pred_l2) and math.isnan(trial.grad_l2)
 
 
+def test_block_with_huge_first_layer_is_diverged(tmp_path, monkeypatch):
+    # Only theta1 is about 1e300: the student's passes stay finite, but its
+    # errors do not, so the row is diverged, without a warning.
+    def huge_first_layer(datasets, arch, cfg, radius, seeds, inits, on_step):
+        sizes = arch.layer_sizes
+        layers = [np.full((sizes[l + 1], sizes[l]), 0.1) for l in range(arch.depth)]
+        layers[0] = np.full((sizes[1], sizes[0]), 1e300)
+        return [Network(tuple(layers), arch.activation) for _ in datasets]
+
+    monkeypatch.setattr(cli, "_train_rows", huge_first_layer)
+    cfg = load_config(_write_config(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for act in ("softplus", "relu"):
+            (trial,) = cli._run_block((cfg, 2, act, ((20, 0),)))
+            assert trial.diverged and math.isnan(trial.grad_l2)
+
+
 def test_trial_blocks_match_trials_trained_alone(monkeypatch):
     # 36 trials per (activation, depth) group: a block of 32 that spans all
     # three n, then one of 4
@@ -471,6 +489,26 @@ def test_bounds_rejects_bad_b0(tmp_path, capsys, b0):
     out_dir = tmp_path / "bounds"
     assert main(["bounds", "--config", cfg_path, "--out", str(out_dir), "--b0", b0]) == 1
     assert "--b0 must be non-negative and finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model", ["wrong_d", "bad_json", "missing", "huge"])
+def test_bounds_rejects_unusable_model(tmp_path, capsys, model):
+    # A model file that cannot be read, or a network that does not fit the
+    # config or overflows on its test set, is a config error, not a traceback.
+    cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2])
+    path = tmp_path / "model.json"
+    rng = np.random.default_rng(18)
+    if model == "bad_json":
+        path.write_text('{"activation": "softplus", "layers": [[1.0,')
+    elif model != "missing":
+        d, scale = (5, 1.0) if model == "wrong_d" else (12, 1e160)
+        save_network(Network((scale * rng.normal(size=(10, d)),
+                              scale * rng.normal(size=(1, 10))), Activation.SOFTPLUS), path)
+    out_dir = tmp_path / "bounds"
+    assert main(["bounds", "--config", cfg_path, "--out", str(out_dir),
+                 "--model", str(path)]) == 1
+    assert "l1net: config error:" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

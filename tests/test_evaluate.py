@@ -77,6 +77,76 @@ def test_gradient_error_matches_direct_formula():
     )
 
 
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_gradient_error_matches_extended_precision(L, activation):
+    # Students at distance 10^k from their teacher, for k = -8 .. 0, against
+    # delta_f theta1_f - delta_g theta1_g assembled in np.longdouble from the
+    # same float64 signals.  The gap shrinks with the distance, so reducing
+    # d-wide float64 gradients loses about eps / 10^k of it (1e-8 at k = -8);
+    # the first-layer reducer stays near eps, below the reference's own error
+    # (about 2e-11 at k = -8).
+    ld = np.longdouble
+    worst = 0.0
+    for d in (1, 3, 20, 100):
+        for h in (5, 10):
+            rng = np.random.default_rng(1000 * L + 10 * d + h)
+            teacher = _random_net(rng, d, h, L, activation)
+            X = rng.normal(size=(64, d))
+            teacher_delta = evaluate._scores(teacher, X)[1]
+            for k in range(-8, 1):
+                student = Network(tuple(theta + 10.0 ** k * rng.normal(size=theta.shape)
+                                        for theta in teacher.layers), activation)
+                delta = evaluate._scores(student, X)[1]
+                gap = (delta.astype(ld) @ student.layers[0].astype(ld)
+                       - teacher_delta.astype(ld) @ teacher.layers[0].astype(ld))
+                want = (gap * gap).sum() / len(X)
+                got = evaluate._gradient_error(student.layers[0], delta,
+                                               teacher.layers[0], teacher_delta)
+                worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-10
+
+
+def test_gradient_error_of_unequal_widths_matches_direct_formula():
+    rng = np.random.default_rng(15)
+    a = _random_net(rng, 6, 7, 3)
+    b = _random_net(rng, 6, 4, 2)
+    X = rng.normal(size=(150, 6))
+    diff = grad_input_batch(a, X) - grad_input_batch(b, X)
+    for est in (l2_gradient_error(a, b, X), l2_gradient_error(b, a, X)):
+        np.testing.assert_allclose(est, np.mean(np.sum(diff**2, axis=1)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+def test_gradient_error_of_rescaled_student(activation):
+    # theta1 times 1e150 and theta2 over 1e150 leave the gradient of an L=2
+    # network nearly as it is, but make the student's first layer dwarf the
+    # teacher's; the reducer must not cancel terms of size 1e150.
+    rng = np.random.default_rng(16)
+    a = _random_net(rng, 6, 5, 2, activation)
+    b = _random_net(rng, 6, 5, 2, activation)
+    huge = Network((a.layers[0] * 1e150, a.layers[1] * 1e-150), activation)
+    X = rng.normal(size=(150, 6))
+    diff = grad_input_batch(huge, X) - grad_input_batch(b, X)
+    want = np.mean(np.sum(diff**2, axis=1))
+    np.testing.assert_allclose(l2_gradient_error(huge, b, X), want, rtol=1e-13)
+    np.testing.assert_allclose(l2_gradient_error(b, huge, X), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("scale, x_scale", [(1e300, 1.0), (1.7e308, 1e-300)])
+def test_gradient_error_of_huge_first_layer_is_an_overflow(scale, x_scale):
+    # Only theta1 is huge and the passes stay finite: the gap overflows, and
+    # at 1.7e308 the QR factor itself is NaN.  Either way the error is a
+    # ValueError, with no warning and no LinAlgError.
+    rng = np.random.default_rng(17)
+    small = _random_net(rng, 3, 4, 2)
+    big = Network((np.full((4, 3), scale), small.layers[1]), small.activation)
+    X = x_scale * rng.normal(size=(20, 3))
+    for pair in ((big, small), (small, big)):
+        with pytest.raises(ValueError, match="L2 error overflows"):
+            l2_gradient_error(*pair, X)
+
+
 def test_error_estimators_reject_dimension_mismatch():
     rng = np.random.default_rng(4)
     a = _random_net(rng, 5, 4, 2)
