@@ -1,114 +1,9 @@
 """L1-ball constrained dense networks: exact input derivatives,
-generalization-bound auditing, and a teacher-student experiment runner."""
+generalization-bound auditing, and a teacher-student experiment runner.
+
+Each public name is imported from the one module that lists it in its
+``__all__``: ``l1net.net``, ``sparsity``, ``datagen``, ``evaluate``,
+``bounds`` or ``cli``.  The package itself holds only ``__version__``.
+"""
 
 __version__ = "0.1.0"
-
-from .bounds import (
-    BoundInputs,
-    BoundReport,
-    bound_report,
-    c1,
-    derivative_convergence_bound,
-    divergence_bound,
-    grad_l1_bound,
-    lipschitz_param_bound,
-    model_convergence_bound,
-    rademacher_bound,
-    sup_model_bound,
-    verify_bounds,
-)
-from .datagen import (
-    DataSpec,
-    Dataset,
-    TeacherSpec,
-    grad_log_density,
-    make_teacher,
-    sample_truncated_normal,
-    synthesize,
-)
-from .evaluate import (
-    finite_diff_gradient,
-    finite_diff_laplacian,
-    green_identity_check,
-    l2_gradient_error,
-    l2_prediction_error,
-)
-from .net import (
-    Activation,
-    Architecture,
-    ForwardTrace,
-    Network,
-    activation_eval,
-    forward,
-    forward_batch,
-    grad_input,
-    grad_input_batch,
-    grad_params,
-    laplacian_batch,
-    laplacian_input,
-    load_network,
-    network_from_json,
-    network_to_json,
-    save_network,
-)
-from .sparsity import (
-    FlatParams,
-    TrainConfig,
-    TrainingDivergenceError,
-    flatten,
-    param_l1_norm,
-    project_l1,
-    train,
-    unflatten,
-)
-
-__all__ = [
-    "Activation",
-    "Architecture",
-    "BoundInputs",
-    "BoundReport",
-    "DataSpec",
-    "Dataset",
-    "FlatParams",
-    "ForwardTrace",
-    "Network",
-    "TeacherSpec",
-    "TrainConfig",
-    "TrainingDivergenceError",
-    "activation_eval",
-    "bound_report",
-    "c1",
-    "derivative_convergence_bound",
-    "divergence_bound",
-    "finite_diff_gradient",
-    "finite_diff_laplacian",
-    "flatten",
-    "forward",
-    "forward_batch",
-    "grad_input",
-    "grad_input_batch",
-    "grad_l1_bound",
-    "grad_log_density",
-    "grad_params",
-    "green_identity_check",
-    "l2_gradient_error",
-    "l2_prediction_error",
-    "laplacian_batch",
-    "laplacian_input",
-    "lipschitz_param_bound",
-    "load_network",
-    "make_teacher",
-    "model_convergence_bound",
-    "network_from_json",
-    "network_to_json",
-    "param_l1_norm",
-    "project_l1",
-    "rademacher_bound",
-    "sample_truncated_normal",
-    "save_network",
-    "sup_model_bound",
-    "synthesize",
-    "train",
-    "unflatten",
-    "verify_bounds",
-]

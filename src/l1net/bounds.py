@@ -347,8 +347,6 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
 
     def draw(index, rng):
         x = rng.uniform(-input_sup, input_sup, size=arch.layer_sizes[0])
-        if r == 0.0:  # the all-zero net is the only member of the ball
-            return x, _chain_flat(arch, r, x), _chain_flat(arch, r, x)
         chain = index % 8 == 7
         net_a = _chain_flat(arch, r, x) if chain else _gaussian_flat(arch, rng)
         return x, net_a, _gaussian_flat(arch, rng)

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    Architecture,
     BoundInputs,
     SuiteRow,
     _draw_blocks,
@@ -64,6 +63,7 @@ from .evaluate import (
 )
 from .net import (
     Activation,
+    Architecture,
     Network,
     _gaussian_layers,
     _grad_input,
@@ -384,12 +384,15 @@ def _cell_data(cfg: ExperimentConfig, L: int, act: Activation):
     """Teacher and training radius for one (depth, activation) cell.  The
     teacher's weights depend only on the depth, so both activations share
     them, and the radius (a function of their L1 norm) too.  Cached per
-    process."""
+    process.  A rule whose product overflows or underflows is a config error."""
     teacher = make_teacher(TeacherSpec(
         d=cfg.d, s=cfg.s, L=L, h=cfg.h,
         seed=_seed_u64(_seed_seq(cfg.master_seed, 0, L)),
     ), activation=act)
     radius = cfg.radius_rule.radius_for(param_l1_norm(teacher))
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(f"radius_rule gives training radius {radius!r} at depth {L}; "
+                          "it must be positive and finite")
     return teacher, radius
 
 

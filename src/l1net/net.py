@@ -283,16 +283,20 @@ def grad_params(net: Network, trace: ForwardTrace) -> list:
 
     The gradient w.r.t. ``theta_l`` is the outer product ``D_l h_{l-1}^T``
     of the backward signal ``D_l = df/dz_l`` (see :func:`_backward`) with
-    the layer input.  Returns one array per layer, shaped like that layer.
+    the layer input.  Returns one array per layer, shaped like that layer;
+    ValueError where a gradient overflows float64.
     """
     acts, fds, _ = _require_trace(net, trace)
-    return _grad_params_batch(net.layers, acts, fds, np.ones(1))
+    with _overflow_is_an_error("gradient pass"):
+        return _grad_params_batch(net.layers, acts, fds, np.ones(1))
 
 
 def grad_input(net: Network, trace: ForwardTrace) -> np.ndarray:
-    """Exact input gradient ``theta_1^T (s'(z_1) * theta_2^T (... theta_L^T))``."""
+    """Exact input gradient ``theta_1^T (s'(z_1) * theta_2^T (... theta_L^T))``;
+    ValueError where it overflows float64."""
     _, fds, _ = _require_trace(net, trace)
-    return _grad_input(net.layers, fds)[0]
+    with _overflow_is_an_error("gradient pass"):
+        return _grad_input(net.layers, fds)[0]
 
 
 def laplacian_input(net: Network, trace: ForwardTrace) -> float:

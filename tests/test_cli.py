@@ -154,6 +154,19 @@ def test_radius_rule_forms(tmp_path):
     assert cfg.radius_rule.radius_for(4.0) == 8.0
 
 
+@pytest.mark.parametrize("argv", [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["bounds"]],
+                         ids=["run_jobs1", "run_jobs2", "bounds"])
+def test_overflowing_radius_is_a_config_error(tmp_path, capsys, argv):
+    # a finite multiplier whose product with the teacher's L1 norm is inf
+    cfg_path = _write_config(tmp_path, radius_rule={"teacher_multiplier": 1e308},
+                             n_grid=[20], repeats=1, train={"iterations": 5})
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("l1net: config error: radius_rule") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _tiny_cfg(**overrides):
     path_free = {
         "d": 12, "s": 3, "h": 4,
@@ -577,9 +590,11 @@ def _scaled(fn, factor):
 
 
 # One planted fault per suite: (module, function, factor, the suite that
-# must catch it and no other suite may flag)
+# must catch it and no other suite may flag).  The Lipschitz and divergence
+# audits have no row: at this budget a halved bound passes both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
+    (bounds, "sup_model_bound", 0.5, "bound_sup_model"),
     (cli, "_grad_params_batch", 1.001, "fd_grad_params"),
     (cli, "_grad_input", 1.001, "fd_grad_input"),
     (cli, "_laplacian", 1.02, "fd_laplacian_input"),

@@ -327,6 +327,27 @@ def test_value_and_gradient_overflow_is_an_error(L, activation):
         grad_input_batch(net, X)
 
 
+def test_single_sample_input_gradient_overflow_is_an_error():
+    # at x = 0 every shifted softplus is 0, so the output is finite, but
+    # each gradient entry is 2 * 1e10 * 0.5 * 1e300
+    net = Network((1e300 * np.ones((2, 3)), 1e10 * np.ones((1, 2))), Activation.SOFTPLUS)
+    trace = forward(net, np.zeros(3))
+    assert trace.output == 0.0
+    with pytest.raises(ValueError, match="overflow"):
+        grad_input(net, trace)
+    with pytest.raises(ValueError, match="overflow"):
+        grad_input_batch(net, np.zeros((1, 3)))
+
+
+def test_single_sample_weight_gradient_overflow_is_an_error():
+    # the output is of order 1e200, but df/dtheta_1 = 1e200 * s'(z) * x is 1e400
+    net = Network((1e-200 * np.ones((2, 3)), 1e200 * np.ones((1, 2))), Activation.SOFTPLUS)
+    trace = forward(net, 1e200 * np.ones(3))
+    assert np.isfinite(trace.output)
+    with pytest.raises(ValueError, match="overflow"):
+        grad_params(net, trace)
+
+
 def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):
     rng = np.random.default_rng(9)
     net = _random_net(rng, 7, 6, 3)

@@ -5,11 +5,14 @@ function or lambda, or a dataclass field with a default, in
 ``src/l1net/*.py``.  Each one doubles what a test or a benchmark may have
 to cover, so a change that adds one raises ``_LIMIT`` here and says why.
 A public name is an entry of a module's ``__all__``; a change that adds one
-raises ``_NAMES_LIMIT`` and says why.
+raises ``_NAMES_LIMIT`` and says why.  Each public name has one home, the
+module that lists it, and is imported from there alone; the package root
+holds only ``__version__``.
 """
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import l1net
@@ -56,6 +59,25 @@ def test_public_name_count_is_pinned():
         name: len(importlib.import_module(f"l1net.{name}").__all__) for name in _MODULES
     }
     assert sum(counts.values()) <= _NAMES_LIMIT, counts
+
+
+def test_each_public_name_has_one_home():
+    exposed = [name for name, value in vars(l1net).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert exposed == [] and l1net.__version__
+    homes = {}
+    for module in _MODULES:
+        for name in importlib.import_module(f"l1net.{module}").__all__:
+            assert homes.setdefault(name, module) == module, name
+    strays = [
+        (path.stem, node.module, alias.name)
+        for path in sorted(Path(l1net.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if homes.get(alias.name, node.module) != node.module
+    ]
+    assert strays == []
 
 
 def test_counter_sees_each_kind_of_setting():
