@@ -70,6 +70,7 @@ from .net import (
     _grad_params_batch,
     _hidden_batch,
     _laplacian,
+    _pieces,
     _values,
     forward_batch,
     load_network,
@@ -367,16 +368,20 @@ class ExperimentOutcome:
     all_diverged_cells: tuple
 
 
-@functools.lru_cache(maxsize=32)
+_HELD_TEST_SET = {}  # the one test set a process holds, keyed by (config, depth)
+
+
 def _test_set(cfg: ExperimentConfig, L: int) -> np.ndarray:
-    """The shared test inputs of depth ``L``, read-only.  Cached per process."""
-    rng = np.random.default_rng(_seed_seq(cfg.master_seed, 1, L))
-    X_test = sample_truncated_normal(
-        cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
-        size=(cfg.n_test, cfg.d),
-    )
-    X_test.flags.writeable = False
-    return X_test
+    """The shared test inputs of depth ``L``, read-only.  A process holds one
+    test set and lets it go before it draws the next."""
+    if (cfg, L) not in _HELD_TEST_SET:
+        _HELD_TEST_SET.clear()
+        rng = np.random.default_rng(_seed_seq(cfg.master_seed, 1, L))
+        X_test = sample_truncated_normal(cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor,
+                                         rng, size=(cfg.n_test, cfg.d))
+        X_test.flags.writeable = False
+        _HELD_TEST_SET[cfg, L] = X_test
+    return _HELD_TEST_SET[cfg, L]
 
 
 @functools.lru_cache(maxsize=32)
@@ -464,15 +469,16 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     The trials of each (activation, depth) group are trained in blocks of
     at most ``_TRAIN_BLOCK`` consecutive (n, repeat) cells, each block as
     one stacked loop with the bits of trials trained alone; each group
-    scores the teacher once per process.  With ``jobs > 1`` the blocks are
-    distributed over a process pool; block composition never depends on
-    ``jobs``.  Trials are returned in (n, activation, depth, repeat) order,
-    identical for any ``jobs``.
+    scores the teacher once per process.  Blocks run depth by depth, both
+    activations of a depth back to back, so one test set is held at a time.
+    With ``jobs > 1`` the blocks are distributed over a process pool; block
+    composition never depends on ``jobs``.  Trials are returned in (n,
+    activation, depth, repeat) order, identical for any ``jobs``.
     """
     cells = list(itertools.product(cfg.n_grid, range(cfg.repeats)))
     blocks = [
         (cfg, L, act.value, tuple(cells[start:start + _TRAIN_BLOCK]))
-        for act, L in itertools.product(cfg.activations, cfg.depths)
+        for L, act in itertools.product(cfg.depths, cfg.activations)
         for start in range(0, len(cells), _TRAIN_BLOCK)
     ]
     if jobs > 1:
@@ -534,15 +540,11 @@ def _estimate_x_inf_sq(cfg: ExperimentConfig) -> float:
     draws = 100_000
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 3))
     total = 0.0
-    remaining = draws
-    while remaining > 0:
-        take = min(20_000, remaining)
-        remaining -= take
-        X = sample_truncated_normal(
-            cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
-            size=(take, cfg.d),
-        )
-        total += float((np.abs(X).max(axis=1) ** 2).sum())
+    for start in range(0, draws, 20_000):  # the chunk sums set the bits
+        X = sample_truncated_normal(cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng,
+                                    size=(min(20_000, draws - start), cfg.d))
+        total += float((np.maximum(X.max(axis=1), -X.min(axis=1)) ** 2).sum())  # max_i |x_i|^2
+        del X  # one chunk alive at a time
     return total / draws
 
 
@@ -612,7 +614,8 @@ _BOUND_SLACK = 1e-9
 
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     """Exact derivatives vs finite differences over random draws, evaluated
-    a block of draws at a time as one stack of networks.
+    as stacks of networks whose largest perturbation stack (``2 h^2 d``
+    doubles a draw) fits ``_BLOCK_ELEMS``; a draw keeps its unstacked bits.
 
     Relative error for the two gradients is the worst entry deviation over
     the largest entry magnitude; the Laplacian (a scalar that can pass
@@ -629,8 +632,10 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
             cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng, size=sizes[0],
         ))
 
-    for block in _draw_blocks(seed, trials, draw):
-        *layers, X = (np.stack(part) for part in zip(*block))
+    per_draw = max(2 * sizes[l + 1] ** 2 * sizes[l] for l in range(len(sizes) - 2))
+    for stack in (block[piece] for block in _draw_blocks(seed, trials, draw)
+                  for piece in _pieces(len(block), per_draw)):
+        *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         acts, fds, sds = _hidden_batch(layers, arch.activation, X)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Activation, Network, _gaussian_layers, forward_batch
+from .net import Activation, Network, _gaussian_layers, _pieces, forward_batch
 
 __all__ = [
     "DataSpec",
@@ -105,8 +105,7 @@ class Dataset:
             raise ValueError("y must be a vector with one entry per row of X")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        bound = self.data_spec.input_bound * (1.0 + 1e-12)
-        if not np.all(np.abs(X - self.data_spec.mean) <= bound):
+        if not _in_box(X, self.data_spec.mean, self.data_spec.input_bound * (1.0 + 1e-12)).all():
             raise ValueError("X contains entries outside the truncation box")
         X.flags.writeable = False
         y.flags.writeable = False
@@ -122,6 +121,16 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _in_box(x, mean, bound) -> np.ndarray:
+    """``|x - mean| <= bound`` entrywise, in cache-sized pieces through one scratch buffer."""
+    flat, keep, pieces = x.reshape(-1), np.empty(x.size, bool), _pieces(x.size, 1)
+    scratch = np.empty(pieces[0].stop if pieces else 0)
+    for piece in pieces:
+        part = np.subtract(flat[piece], mean, out=scratch[:piece.stop - piece.start])
+        np.less_equal(np.abs(part, out=part), bound, out=keep[piece])
+    return keep.reshape(x.shape)
+
+
 def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
                             size=None):
     """Normal draws conditioned on ``|x - mean| <= cutoff_factor * std``.
@@ -131,7 +140,9 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
     box (at least 68% are).  Below 1 that rate falls like ``0.8 *
     cutoff_factor``, so proposals are uniform on the box instead, kept with
     probability ``exp(-u^2 / 2)`` for the standardized draw ``u`` (at least
-    85% are).  ``size=None`` returns a scalar.
+    85% are).  ``size=None`` returns a scalar.  Masks are made in cache-sized
+    pieces; drawing a uniform proposal's acceptance piece by piece after it
+    reads the generator's stream as one whole draw would.
     """
     if not np.isfinite(std) or std <= 0.0:
         raise ValueError("std must be positive and finite")
@@ -142,13 +153,20 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
     def propose(k):
         if cutoff_factor >= 1.0:
             x = rng.normal(mean, std, size=k)
-            return x, np.abs(x - mean) <= bound
-        u = rng.uniform(-cutoff_factor, cutoff_factor, size=k)
-        x = mean + std * u
-        return x, (np.abs(x - mean) <= bound) & (rng.random(k) < np.exp(-0.5 * u * u))
+            return x, _in_box(x, mean, bound)
+        x = rng.uniform(-cutoff_factor, cutoff_factor, size=k)
+        keep = np.empty(k, bool)
+        for piece in _pieces(k, 1):
+            u = x[piece]
+            weight = -0.5 * u * u
+            accept = rng.random(len(u)) < np.exp(weight, out=weight)
+            u *= std  # x = mean + std * u, in place
+            u += mean
+            keep[piece] = _in_box(u, mean, bound) & accept
+        return x, keep
 
-    flat, keep = propose(1 if size is None else int(np.prod(size)))
-    bad = ~keep
+    flat, bad = propose(1 if size is None else int(np.prod(size)))
+    np.logical_not(bad, out=bad)
     while bad.any():
         flat[bad], keep = propose(int(bad.sum()))
         bad[bad] = ~keep

@@ -137,11 +137,11 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
 
     The draws are taken ``_GREEN_CHUNK`` (100k) rows at a time, which
     bounds peak memory, and each chunk's per-row terms are computed over
-    cache-sized row blocks.  Each block makes one hidden-layer pass per
-    network: f's pass yields its gradient and Laplacian, which are reduced
-    to per-row terms before g's pass yields its gradient and output, so the
-    two networks' caches are never alive at once.  The sums over the chunk
-    then run on the whole chunk, so the block size moves no bit.
+    cache-sized row blocks into buffers allocated once per check.  Each
+    block makes one hidden-layer pass per network: f's pass yields its
+    gradient and Laplacian, reduced to per-row terms before g's pass yields
+    its gradient and output, so the two networks' caches never coexist.
+    The chunk's sums run on the whole chunk, so block size moves no bit.
 
     Softplus networks only: a relu network has an almost-everywhere zero
     Laplacian and the identity degenerates.
@@ -157,22 +157,22 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     inv_var = 1.0 / (dspec.x_std ** 2)
     lhs_sum = 0.0
     rhs_sum = 0.0
-    remaining = m
-    while remaining > 0:
-        take = min(_GREEN_CHUNK, remaining)
-        remaining -= take
+    chunk = min(_GREEN_CHUNK, m)
+    gf, gg = np.empty((chunk, d)), np.empty((chunk, d))
+    rhs_f, g_out = np.empty(chunk), np.empty(chunk)
+    for start in range(0, m, chunk):
+        take = min(chunk, m - start)
         X = _check_batch(f, sample_truncated_normal(
             dspec.mean, dspec.x_std, dspec.cutoff_factor, rng, size=(take, d)
         ))
-        gf, gg = np.empty((take, d)), np.empty((take, d))
-        rhs_f, g_out = np.empty(take), np.empty(take)
         for rows in _row_blocks(f.layers, take):
             score = -(X[rows] - dspec.mean) * inv_var
             gf[rows], rhs_f[rows] = _green_f_terms(f, X[rows], score)
             g_out[rows], delta = _scores(g, X[rows])
             gg[rows] = delta @ g.layers[0]
-        lhs_sum += -float(np.einsum("md,md->", gf, gg))
-        rhs_sum += float(rhs_f @ g_out)
+        del X  # one chunk of draws alive at a time
+        lhs_sum += -float(np.einsum("md,md->", gf[:take], gg[:take]))
+        rhs_sum += float(rhs_f[:take] @ g_out[:take])
     lhs = lhs_sum / m
     rhs = rhs_sum / m
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
@@ -214,16 +214,17 @@ def _fd_grad_params(layers, activation, X, step):
     for l in range(1, len(layers)):
         theta = layers[l - 1]
         d_out, d_in = theta.shape[-2:]
-        h_prev = acts[l - 1]
-        z_base = h_prev @ theta.swapaxes(-1, -2)
+        z_base = (acts[l - 1] @ theta.swapaxes(-1, -2))[..., 0, :, np.newaxis]
         lead = z_base.shape[:-2]
-        # z[..., 0 or 1, k, j, :] is z_l with theta_l[k, j] moved by +step or -step
-        z = np.broadcast_to(z_base[..., np.newaxis, np.newaxis, :],
+        moved = step * acts[l - 1]
+        # a[..., 0 or 1, k, j, :] is h_l with theta_l[k, j] moved by +step or
+        # -step: h_l (= s(z_l)) but for entry k, s(z_l[k] +- step h_{l-1}[j])
+        a = np.broadcast_to(acts[l][..., np.newaxis, np.newaxis, :],
                             lead + (2, d_out, d_in, d_out)).copy()
         rows = np.arange(d_out)
-        z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
-        z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
-        a = _act_terms(activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0)[0]
+        a[..., rows, :, rows] = np.moveaxis(_act_terms(
+            activation, np.stack([z_base + moved, z_base - moved], axis=-3), 0)[0], -2, 0)
+        a = a.reshape(lead + (2 * d_out * d_in, d_out))
         outs = _values(layers[l:], activation, a).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
@@ -248,9 +249,9 @@ def finite_diff_grad_params(net: Network, x, step: float) -> list:
     Perturbing ``theta_l[k, j]`` by ``+-step`` shifts the preactivation
     ``z_l[k]`` by ``+-step * h_{l-1}[j]`` and nothing else, so all
     perturbations of one layer are propagated as a single batch from that
-    layer instead of re-running the full forward pass per entry.  This is
-    arithmetically the difference quotient of the perturbed output (up to
-    one rounding in the preactivation) and keeps the oracle fast enough for
-    thousand-draw sweeps.
+    layer instead of re-running the full forward pass per entry; of each
+    perturbed ``h_l`` only the moved entry is evaluated again.  This is the
+    difference quotient of the perturbed output (up to one rounding in the
+    preactivation) and keeps the oracle fast enough for thousand-draw sweeps.
     """
     return _fd_grad_params(net.layers, net.activation, _fd_input(net, x, step), step)

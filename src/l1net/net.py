@@ -411,16 +411,21 @@ def _laplacian(layers, fds, sds):
     return lap
 
 
-# Doubles in one row block (1 MB, so a block stays in cache); a row holds its input,
+# Doubles in one cache-sized piece (1 MB), such as a row block: a row holds its input,
 # four h-wide buffers and, past one hidden layer, three h x h Gram-recursion matrices.
 _BLOCK_ELEMS = 2 ** 17
+
+
+def _pieces(n, per_item):
+    """Slices over ``range(n)``: as many items of ``per_item`` doubles as fit ``_BLOCK_ELEMS``."""
+    step = max(1, _BLOCK_ELEMS // per_item)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _row_blocks(layers, m):
     """Slices covering ``range(m)`` in cache-sized blocks of rows."""
     h = max(theta.shape[-2] for theta in layers[:-1])
-    rows = max(1, _BLOCK_ELEMS // (layers[0].shape[-1] + h * (4 + 3 * h * (len(layers) > 2))))
-    return [slice(start, start + rows) for start in range(0, m, rows)]
+    return _pieces(m, layers[0].shape[-1] + h * (4 + 3 * h * (len(layers) > 2)))
 
 
 @contextlib.contextmanager

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from l1net import bounds, cli, evaluate
 from l1net.bounds import SuiteRow, _tally
 from l1net.datagen import sample_truncated_normal
+from l1net import net as net_module
 from l1net.evaluate import (
     finite_diff_grad_params,
     finite_diff_gradient,
@@ -242,17 +245,68 @@ def test_parallel_jobs_match_serial():
     assert trials_to_csv(serial.trials) == trials_to_csv(parallel.trials)
 
 
-def test_test_set_is_shared_across_activations():
+def test_test_set_is_shared_across_activations(monkeypatch):
     cfg = _tiny_cfg(activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3))
-    cli._test_set.cache_clear()
+    drawn = []  # weak references to the test sets drawn
+
+    def counting_sampler(*args, size=None):
+        test_set = size == (cfg.n_test, cfg.d)
+        # one test set alive at a time, also while the next is drawn
+        assert not test_set or all(ref() is None for ref in drawn)
+        x = sample_truncated_normal(*args, size=size)
+        if test_set:
+            drawn.append(weakref.ref(x))
+        return x
+
+    monkeypatch.setattr(cli, "sample_truncated_normal", counting_sampler)
+    monkeypatch.setattr(cli, "_HELD_TEST_SET", {})
     run_experiment(cfg, jobs=1)
     # one draw per depth, shared by both activations
-    assert cli._test_set.cache_info().misses == len(cfg.depths)
+    assert len(drawn) == len(cfg.depths)
+    assert drawn[-1]() is not None
     # the bound report reads the teachers and radii, never the test sets
     cli._cell_data.cache_clear()
-    cli._test_set.cache_clear()
+    cli._HELD_TEST_SET.clear()
+    drawn.clear()
     report_bounds(cfg)
-    assert cli._test_set.cache_info().misses == 0
+    assert drawn == []
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_x_inf_sq_estimate_holds_one_chunk_at_a_time():
+    # 20k x 100 draws per chunk; two chunks and an |X| copy peaked at 4x one
+    cfg = ExperimentConfig()
+    _, peak = _traced_peak(lambda: cli._estimate_x_inf_sq(cfg))
+    assert peak <= 1.35 * 20_000 * cfg.d * 8
+
+
+def test_fd_suite_memory_fits_cache_sized_stacks():
+    # a 32-draw stack of L=4, d=100 perturbations peaked at 35.7 MB
+    arch = Architecture.mlp(100, 10, 4, Activation.SOFTPLUS)
+    rows, peak = _traced_peak(lambda: cli._fd_suite(ExperimentConfig(), arch, 40, 5))
+    assert peak <= 10 * 2 ** 20
+    assert all(row.violations == 0 for row in rows)
+
+
+@pytest.mark.parametrize("L, d", [(2, 5), (4, 5), (2, 100), (4, 100)])
+def test_fd_suite_substacks_move_no_bit(monkeypatch, L, d):
+    # every draw's ratios, in 1-draw stacks and in whole 32-draw blocks
+    monkeypatch.setattr(cli, "_tally", lambda ratios: ratios)
+    arch = Architecture.mlp(d, 10, L, Activation.SOFTPLUS)
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 1)
+    single = cli._fd_suite(ExperimentConfig(), arch, 40, 6)
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 2 ** 40)
+    whole = cli._fd_suite(ExperimentConfig(), arch, 40, 6)
+    assert len(single) == 3 and all(len(r) == 40 for r in single.values())
+    assert single == whole
 
 
 def test_teacher_scored_once_per_activation_and_depth():

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
+
+from l1net import net as net_module
 
 from l1net.datagen import (
     DataSpec,
@@ -95,6 +99,58 @@ def test_truncated_normal_deterministic():
     a = sample_truncated_normal(0.0, 1.0, 10.0, np.random.default_rng(5), size=100)
     b = sample_truncated_normal(0.0, 1.0, 10.0, np.random.default_rng(5), size=100)
     np.testing.assert_array_equal(a, b)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 0.5])
+def test_truncated_normal_peak_memory_near_its_output(cutoff):
+    # the masks come in cache-sized pieces, with no float temporary as large
+    # as the draw (full-size temporaries peaked at 3.0x and 5.1x the output)
+    x, peak = _traced_peak(lambda: sample_truncated_normal(
+        0.0, 1.0, cutoff, np.random.default_rng(1), size=(20_000, 100)))
+    assert peak <= 1.35 * x.nbytes
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 1.5, 0.5])
+def test_truncated_normal_pieces_move_no_bit(monkeypatch, cutoff):
+    def draw():
+        rng = _CountingGenerator(8)
+        x = sample_truncated_normal(0.3, 2.0, cutoff, rng, size=(37, 11))
+        # the stream goes on where one whole-array draw leaves it
+        return x, rng.random(3), rng.proposals
+
+    whole, after, proposals = draw()
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7)
+    pieces, after_pieces, _ = draw()
+    assert whole.tobytes() == pieces.tobytes()
+    assert after.tobytes() == after_pieces.tobytes()
+    # both proposal kinds are rejected somewhere, except at 10 sigma
+    assert (proposals > whole.size) == (cutoff < 10.0)
+
+
+def test_dataset_box_check_is_the_samplers(monkeypatch):
+    # the check reads every piece and keeps its 1e-12 slack and NaN verdict
+    spec = DataSpec(x_std=1.5, mean=-0.7)
+    bound = spec.input_bound * (1.0 + 1e-12)
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7)
+    X = np.zeros((5, 4))
+    for value in (spec.mean + bound, np.nextafter(spec.mean + bound, np.inf),
+                  spec.mean - bound, np.nextafter(spec.mean - bound, -np.inf),
+                  spec.mean + spec.input_bound, np.nan, np.inf):
+        X[-1, -1] = value
+        if np.all(np.abs(X - spec.mean) <= bound):
+            Dataset(X, np.zeros(5), spec)
+        else:
+            with pytest.raises(ValueError, match="^X contains entries outside the truncation box$"):
+                Dataset(X, np.zeros(5), spec)
 
 
 def test_make_teacher_sparsity_pattern():

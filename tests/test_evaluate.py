@@ -227,6 +227,50 @@ def test_finite_diff_grad_params_close_to_exact():
             assert float(np.max(np.abs(a - e))) / scale <= 1e-7
 
 
+def _fd_grad_params_full_stack(layers, activation, X, step):
+    """Reference: the oracle built as it was before only the moved entries
+    were evaluated again, applying the activation to every entry of each
+    layer's whole perturbed preactivation stack (2 d_out d_in d_out values)."""
+    acts = net_module._hidden_batch(layers, activation, X, 0)[0]
+    grads = []
+    for l in range(1, len(layers)):
+        theta = layers[l - 1]
+        d_out, d_in = theta.shape[-2:]
+        h_prev = acts[l - 1]
+        z_base = h_prev @ theta.swapaxes(-1, -2)
+        lead = z_base.shape[:-2]
+        z = np.broadcast_to(z_base[..., np.newaxis, np.newaxis, :],
+                            lead + (2, d_out, d_in, d_out)).copy()
+        rows = np.arange(d_out)
+        z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
+        z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
+        a = net_module._act_terms(activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0)[0]
+        outs = net_module._values(layers[l:], activation, a).reshape(lead + (2,) + theta.shape[-2:])
+        grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
+    h_last = acts[-1]
+    base = net_module._output(layers, acts)[..., np.newaxis]
+    grads.append(((base + step * h_last) - (base - step * h_last)) / (2.0 * step))
+    return grads
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("d", [5, 100])
+@pytest.mark.parametrize("stack", [None, 6])
+def test_fd_grad_params_keeps_the_full_stack_bits(activation, L, d, stack):
+    rng = np.random.default_rng(100 * L + d)
+    lead = () if stack is None else (stack,)
+    sizes = (d,) + (10,) * (L - 1) + (1,)
+    layers = [rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=lead + (sizes[l + 1], sizes[l]))
+              for l in range(L)]
+    X = rng.normal(size=lead + (1, d))
+    got = evaluate._fd_grad_params(layers, activation, X, 1e-4)
+    want = _fd_grad_params_full_stack(layers, activation, X, 1e-4)
+    assert [g.shape for g in got] == [w.shape for w in want] == [th.shape for th in layers]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_green_identity_zero_network():
     zero = Network(
         (np.zeros((3, 2)), np.zeros((1, 3))), Activation.SOFTPLUS
