@@ -3,7 +3,8 @@
 All bounds are driven by the scalar inputs collected in
 :class:`BoundInputs`: the L1 radius ``r``, depth ``L``, parameter count
 ``P``, sample size ``n``, input sup-norm bound ``R``, loss bound ``b0``,
-score bound ``b1`` and an estimate of ``E ||x||_inf^2``.
+score bound ``b1`` and ``E ||x||_inf^2``, which the command line computes
+exactly from the input law by quadrature.
 :func:`verify_bounds` hammers the pointwise inequalities (parameter
 Lipschitz, sup bound, gradient L1 bound, Laplacian bound) with random
 networks sampled inside the ball.
@@ -117,7 +118,8 @@ def c1(R: float, r: float, L: int, P: int) -> float:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Scalar inputs shared by the complexity and convergence bounds."""
+    """Scalar inputs shared by the complexity and convergence bounds;
+    ``x_inf_sq`` is ``E ||x||_inf^2`` under the input law."""
 
     r: float
     L: int
@@ -151,15 +153,14 @@ def log_factor(inputs: BoundInputs) -> tuple:
 
     When ``c1 sqrt(n) <= 1`` the log is non-positive and the raw factor can
     dip below 1, which would turn the complexity bound vacuous (or
-    negative); it is clamped at 1 in that regime.  Returns
+    negative); it is clamped at 1 in that regime, before the log is taken,
+    so a ``c1`` that underflows to 0 is clamped too.  Returns
     ``(factor, clamped)``.
     """
-    raw = 1.0 + math.log(
-        c1(inputs.R, inputs.r, inputs.L, inputs.P) * math.sqrt(inputs.n)
-    ) * math.sqrt(inputs.x_inf_sq)
-    if raw < 1.0:
+    scale = c1(inputs.R, inputs.r, inputs.L, inputs.P) * math.sqrt(inputs.n)
+    if scale <= 1.0:
         return 1.0, True
-    return raw, False
+    return 1.0 + math.log(scale) * math.sqrt(inputs.x_inf_sq), False
 
 
 @_inf_on_overflow

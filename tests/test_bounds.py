@@ -128,6 +128,15 @@ def test_log_factor_clamp():
     assert factor > 1.0 and not clamped
 
 
+@pytest.mark.parametrize("R, r", [(5e-324, 1.0), (1.0, 1.7976931348623157e308)],
+                         ids=["tiny_box", "largest_radius"])
+def test_log_factor_clamps_before_the_log_when_c1_is_zero(R, r):
+    # c1 underflows to 0, whose log is a math domain error
+    inputs = BoundInputs(r=r, L=2, P=10, n=5, R=R, b0=1, b1=1, x_inf_sq=1)
+    assert c1(inputs.R, inputs.r, inputs.L, inputs.P) == 0.0
+    assert log_factor(inputs) == (1.0, True)
+
+
 def test_rademacher_frozen_value():
     inputs = BoundInputs(r=1, L=2, P=100, n=100, R=1, b0=1, b1=1, x_inf_sq=1)
     np.testing.assert_allclose(

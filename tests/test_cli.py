@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from l1net import bounds, cli, evaluate
+from l1net import bounds, cli, datagen, evaluate
 from l1net.bounds import SuiteRow, _tally
 from l1net.datagen import sample_truncated_normal
 from l1net import net as net_module
@@ -281,11 +281,23 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_x_inf_sq_estimate_holds_one_chunk_at_a_time():
-    # 20k x 100 draws per chunk; two chunks and an |X| copy peaked at 4x one
+def test_report_bounds_draws_nothing(monkeypatch):
+    # E max_i x_i^2 comes from quadrature; 10^5 sampled rows peaked at 18 MB
+    calls = []
+
+    def counting_sampler(*args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return sample_truncated_normal(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_truncated_normal", counting_sampler)
+    monkeypatch.setattr(datagen, "sample_truncated_normal", counting_sampler)
     cfg = ExperimentConfig()
-    _, peak = _traced_peak(lambda: cli._estimate_x_inf_sq(cfg))
-    assert peak <= 1.35 * 20_000 * cfg.d * 8
+    cli._cell_data.cache_clear()
+    entries, peak = _traced_peak(lambda: report_bounds(cfg))
+    assert calls == []
+    assert peak <= 2 ** 20
+    assert {e["inputs"]["x_inf_sq"] for e in entries} == {
+        datagen._expected_max_sq(cfg.data, cfg.d)}
 
 
 def test_fd_suite_memory_fits_cache_sized_stacks():
@@ -528,6 +540,31 @@ def test_bounds_json_is_strict_when_bounds_overflow(tmp_path):
     assert sum(value == "inf" for r in reports for value in r.values()) > 0
     # the library keeps the float
     assert report_bounds(load_config(str(path)))[0]["report"]["grad_l1"] == math.inf
+
+
+def test_bounds_on_extreme_data_values_reports_or_rejects(tmp_path, capsys):
+    # each data value either gives a report or one config-error line; none
+    # raises, prints a traceback or warns
+    values = [5e-324, 1e-300, 1e300, sys.float_info.max]
+    codes = {}
+    for key, value in ((k, v) for k in ("x_std", "mean", "cutoff_factor") for v in values):
+        out = tmp_path / f"{key}-{value!r}"
+        cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2], data={key: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bounds", "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert caught == [], (key, value)
+        if code == 0:
+            doc = json.loads((out / "bounds.json").read_text())
+            assert all(math.isfinite(e["inputs"]["x_inf_sq"]) for e in doc["reports"])
+        else:
+            assert code == 1 and err.startswith("l1net: config error:"), (key, value, err)
+            assert err.count("\n") == 1 and not out.exists()
+        codes[key, value] = code
+    # a tiny box or a far mean near 0 still has a report; an infinite box does not
+    assert codes["mean", 5e-324] == codes["cutoff_factor", 5e-324] == 0
+    assert codes["x_std", sys.float_info.max] == codes["mean", 1e300] == 1
 
 
 def test_bounds_command_b0_sources(tmp_path):
@@ -802,6 +839,18 @@ def test_run_verification_deterministic():
     rows_b, ok_b = run_verification(cfg)
     assert ok_a and ok_b
     assert suites_to_csv(rows_a) == suites_to_csv(rows_b)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # concurrent.futures.process and multiprocessing cost every start about
+    # 25 ms; only run_experiment(jobs > 1) imports them
+    code = ("import sys, l1net.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_package_imports_without_scipy():

@@ -1,13 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from l1net import net as net_module
 
 from l1net.datagen import (
     DataSpec,
+    _expected_max_sq,
     Dataset,
     TeacherSpec,
     dataset_to_csv,
@@ -267,3 +269,67 @@ def test_csv_round_trip_exact(tmp_path):
     back = read_dataset_csv(path, dspec)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.y, ds.y)
+
+
+# -- E max_i x_i^2 by quadrature -----------------------------------------------
+
+_MAX_SQ_LAWS = [  # (mean, x_std, cutoff_factor)
+    (0.0, 1.0, 10.0),  # the default law, tail cut below double precision
+    (0.7, 1.3, 3.0),  # shifted mean
+    (-1.2, 0.8, 40.0),  # shifted, with a far box
+    (0.3, 2.0, 0.5),  # cutoff_factor < 1
+    (3.0, 0.5, 2.0),  # a box that excludes 0
+    (-3.0, 0.5, 2.0),  # its mirror image
+    (2.0, 1.0, 1.5),  # a box whose near edge is a kink of q
+]
+
+
+def _max_sq_reference(mean, x_std, cutoff, d):
+    """``int_0^T 2t (1 - q(t)^d) dt`` by adaptive quadrature over scipy's
+    truncated-normal CDF, split at q's kinks."""
+    law = stats.truncnorm(-cutoff, cutoff, loc=mean, scale=x_std)
+    low, high = mean - cutoff * x_std, mean + cutoff * x_std
+
+    def integrand(t):
+        lo, hi = max(-t, low), min(t, high)
+        q = law.cdf(hi) - law.cdf(lo) if hi > lo else 0.0
+        return 2.0 * t * (1.0 - q ** d)
+
+    T = max(abs(low), abs(high))
+    kinks = [k for k in (abs(mean) - cutoff * x_std, cutoff * x_std - mean,
+                         cutoff * x_std + mean) if 0.0 < k < T]
+    with warnings.catch_warnings():  # quad's roundoff notice near 1e-13
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(integrand, 0.0, T, points=kinks or None, limit=500,
+                              epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("d", [1, 7, 100])
+@pytest.mark.parametrize("law", _MAX_SQ_LAWS, ids=str)
+def test_expected_max_sq_matches_scipy(law, d):
+    mean, x_std, cutoff = law
+    got = _expected_max_sq(DataSpec(x_std=x_std, cutoff_factor=cutoff, mean=mean), d)
+    assert got == pytest.approx(_max_sq_reference(mean, x_std, cutoff, d), rel=1e-10, abs=0)
+    # E max_i x_i^2 lies between the squared near and far ends of |x|'s range
+    near, far = max(0.0, abs(mean) - cutoff * x_std), abs(mean) + cutoff * x_std
+    assert near ** 2 <= got <= far ** 2
+
+
+@pytest.mark.parametrize("d", [1, 100])
+@pytest.mark.parametrize("mean", [0.0, -1.2, 5.0])
+def test_expected_max_sq_ignores_a_box_past_double_precision(mean, d):
+    at = {c: _expected_max_sq(DataSpec(cutoff_factor=c, mean=mean), d) for c in (40.0, 1e300)}
+    assert at[1e300] == at[40.0]
+
+
+def test_expected_max_sq_agrees_with_sampling():
+    # the retired 10^5-draw estimate, in 20k-row chunks, as the reference
+    spec, d, draws = DataSpec(), 100, 100_000
+    rng = np.random.default_rng(np.random.SeedSequence((0, 3)))
+    maxima = np.concatenate([
+        np.abs(sample_truncated_normal(spec.mean, spec.x_std, spec.cutoff_factor, rng,
+                                       size=(20_000, d))).max(axis=1) ** 2
+        for _ in range(draws // 20_000)
+    ])
+    standard_error = maxima.std(ddof=1) / np.sqrt(draws)
+    assert abs(_expected_max_sq(spec, d) - maxima.mean()) <= 4.0 * standard_error
