@@ -4,7 +4,7 @@ All bounds are driven by the scalar inputs collected in
 :class:`BoundInputs`: the L1 radius ``r``, depth ``L``, parameter count
 ``P``, sample size ``n``, input sup-norm bound ``R``, loss bound ``b0``,
 score bound ``b1`` and ``E ||x||_inf^2``, which the command line computes
-exactly from the input law by quadrature.
+from the input law by quadrature.
 :func:`verify_bounds` hammers the pointwise inequalities (parameter
 Lipschitz, sup bound, gradient L1 bound, Laplacian bound) with random
 networks sampled inside the ball.
@@ -154,13 +154,17 @@ def log_factor(inputs: BoundInputs) -> tuple:
     When ``c1 sqrt(n) <= 1`` the log is non-positive and the raw factor can
     dip below 1, which would turn the complexity bound vacuous (or
     negative); it is clamped at 1 in that regime, before the log is taken,
-    so a ``c1`` that underflows to 0 is clamped too.  Returns
-    ``(factor, clamped)``.
+    so a ``c1`` that underflows to 0 is clamped too.  Where ``c1 sqrt(n)``
+    overflows (a tiny ``r``), its log is taken as a sum of logs, so the factor
+    is finite for every positive finite ``r``.  Returns ``(factor, clamped)``.
     """
     scale = c1(inputs.R, inputs.r, inputs.L, inputs.P) * math.sqrt(inputs.n)
     if scale <= 1.0:
         return 1.0, True
-    return 1.0 + math.log(scale) * math.sqrt(inputs.x_inf_sq), False
+    log_scale = math.log(scale) if scale < math.inf else (  # c1 is c1(r = 1) / r
+        math.log(c1(inputs.R, 1.0, inputs.L, inputs.P)) + math.log(inputs.n) / 2
+        - math.log(inputs.r))
+    return 1.0 + log_scale * math.sqrt(inputs.x_inf_sq), False
 
 
 @_inf_on_overflow
@@ -365,7 +369,7 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
         acts, fds, sds = _hidden_batch(net_a, arch.activation, X)
         out_a = _output(net_a, acts)[:, 0]
-        out_b = _values(net_b, arch.activation, X)[:, 0]
+        out_b = _values(net_b, arch.activation, X, None)[:, 0]
         dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))
         checks = {
             "lipschitz_param": (np.abs(out_a - out_b), dist * [

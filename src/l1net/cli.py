@@ -37,6 +37,7 @@ from . import __version__
 from .bounds import (
     BoundInputs,
     SuiteRow,
+    _DRAW_BLOCK,
     _draw_blocks,
     _rows_to_csv,
     _tally,
@@ -56,6 +57,7 @@ from .evaluate import (
     _fd_grad_params,
     _fd_gradient,
     _fd_laplacian,
+    _fd_workspace,
     _gradient_error,
     _prediction_error,
     _scores,
@@ -436,7 +438,7 @@ def _score(cfg: ExperimentConfig, L: int, act: Activation, cell, seed: int, data
         # A huge student may overflow when scored; a non-finite error is divergence.
         with np.errstate(over="ignore", invalid="ignore"):
             values, delta = _scores(model, _test_set(cfg, L))
-            resid = _values(model.layers, model.activation, dataset.X) - dataset.y
+            resid = _values(model.layers, model.activation, dataset.X, None) - dataset.y
             pred = _prediction_error(values, teacher_values)
             grad = _gradient_error(model.layers[0], delta, teacher_theta, teacher_delta)
             if math.isfinite(pred) and math.isfinite(grad):
@@ -626,19 +628,21 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         ))
 
     per_draw = max(2 * sizes[l + 1] ** 2 * sizes[l] for l in range(len(sizes) - 2))
+    # the first sub-stack is the largest; one workspace serves them all
+    work = _fd_workspace(sizes, _pieces(min(trials, _DRAW_BLOCK), per_draw)[0].stop)
     for stack in (block[piece] for block in _draw_blocks(seed, trials, draw)
                   for piece in _pieces(len(block), per_draw)):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         acts, fds, sds = _hidden_batch(layers, arch.activation, X)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
-        approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP)
+        approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
         den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
         exact_g = _grad_input(layers, fds)[:, 0]
-        approx_g = _fd_gradient(layers, arch.activation, X, _FD_GRAD_STEP)
+        approx_g = _fd_gradient(layers, arch.activation, X, _FD_GRAD_STEP, work)
         exact_l = _laplacian(layers, fds, sds)[:, 0]
-        approx_l = _fd_laplacian(layers, arch.activation, X, _FD_LAP_STEP)
+        approx_l = _fd_laplacian(layers, arch.activation, X, _FD_LAP_STEP, work)
         errs = (
             num / np.maximum(den, 1e-12) / _FD_GRAD_TOL,
             np.abs(approx_g - exact_g).max(axis=1)
@@ -809,7 +813,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    rows, ok = run_verification(cfg)
+    try:  # data whose score scale 1 / x_std^2, box or network passes leave float64
+        with np.errstate(over="raise", invalid="raise"):
+            rows, ok = run_verification(cfg)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"cannot verify {cfg.data}: {exc}") from None
     path = _write(args.out, "verify.csv", suites_to_csv(rows))
     for row in rows:
         status = "ok" if row.violations == 0 else "FAIL"

@@ -19,7 +19,7 @@ from .datagen import DataSpec, sample_truncated_normal
 from .net import (
     Activation,
     Network,
-    _act_terms,
+    _act_value_in_place,
     _check_batch,
     _grad_input,
     _hidden_batch,
@@ -183,32 +183,53 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
 #
 # Central differences from forward values only, independent of the closed-form
 # derivative routines above, to cross-check them.  Each private oracle takes a
-# stack of networks at one input each, X (T, 1, d); the public ones are its
-# unstacked case, X (1, d).
+# stack of networks at one input each, X (T, 1, d), and a workspace from
+# ``_fd_workspace`` that holds its perturbed stack and value pass; it returns
+# fresh arrays.  The public ones are its unstacked case, X (1, d).
 
 
-def _fd_input(net: Network, x, step: float) -> np.ndarray:
+def _fd_workspace(sizes, draws):
+    """Three flat buffers (see :func:`net._values`) that hold any perturbed
+    stack of the oracles, or preactivation over its rows, for ``draws`` networks."""
+    stacks = [(2 * sizes[0] + 1) * max(sizes[:-1])] + [
+        2 * sizes[l] * sizes[l - 1] * max(sizes[l:-1]) for l in range(1, len(sizes) - 1)]
+    return tuple(np.empty(draws * max(stacks)) for _ in range(3))
+
+
+def _fd_args(net: Network, x, step: float) -> tuple:
+    """A private oracle's arguments for ``net`` at the one input ``x``."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    return _check_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
+    X = _check_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
+    return net.layers, net.activation, X, step, _fd_workspace(net.layer_sizes, 1)
 
 
-def _fd_gradient(layers, activation, X, step):
+def _axis_outputs(layers, activation, X, step, work, center):
+    """Outputs at ``X + step e_i`` for every coordinate i, then at ``X - step
+    e_i``, then at ``X`` when ``center``, from a stack built in ``work[0]``."""
     d = X.shape[-1]
     eye = np.eye(d) * step
-    outs = _values(layers, activation, np.concatenate([X + eye, X - eye], axis=-2))
+    stack = np.ndarray(X.shape[:-2] + (2 * d + center, d), buffer=work[0])
+    np.add(X, eye, out=stack[..., :d, :])
+    np.subtract(X, eye, out=stack[..., d:2 * d, :])
+    stack[..., 2 * d:, :] = X  # no row unless center
+    return _values(layers, activation, stack, work)
+
+
+def _fd_gradient(layers, activation, X, step, work):
+    d = X.shape[-1]
+    outs = _axis_outputs(layers, activation, X, step, work, False)
     return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
 
 
-def _fd_laplacian(layers, activation, X, step):
+def _fd_laplacian(layers, activation, X, step, work):
     d = X.shape[-1]
-    eye = np.eye(d) * step
-    outs = _values(layers, activation, np.concatenate([X + eye, X - eye, X], axis=-2))
+    outs = _axis_outputs(layers, activation, X, step, work, True)
     center = outs[..., -1:]
     return (outs[..., :d] - 2.0 * center + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
 
 
-def _fd_grad_params(layers, activation, X, step):
+def _fd_grad_params(layers, activation, X, step, work):
     acts = _hidden_batch(layers, activation, X, 0)[0]
     grads = []
     for l in range(1, len(layers)):
@@ -219,13 +240,15 @@ def _fd_grad_params(layers, activation, X, step):
         moved = step * acts[l - 1]
         # a[..., 0 or 1, k, j, :] is h_l with theta_l[k, j] moved by +step or
         # -step: h_l (= s(z_l)) but for entry k, s(z_l[k] +- step h_{l-1}[j])
-        a = np.broadcast_to(acts[l][..., np.newaxis, np.newaxis, :],
-                            lead + (2, d_out, d_in, d_out)).copy()
+        a = np.ndarray(lead + (2, d_out, d_in, d_out), buffer=work[0])
+        np.copyto(a, acts[l][..., np.newaxis, np.newaxis, :])
+        z = np.stack([z_base + moved, z_base - moved], axis=-3,
+                     out=np.ndarray(lead + (2, d_out, d_in), buffer=work[1]))
         rows = np.arange(d_out)
-        a[..., rows, :, rows] = np.moveaxis(_act_terms(
-            activation, np.stack([z_base + moved, z_base - moved], axis=-3), 0)[0], -2, 0)
+        a[..., rows, :, rows] = np.moveaxis(
+            _act_value_in_place(activation, z, np.ndarray(z.shape, buffer=work[2])), -2, 0)
         a = a.reshape(lead + (2 * d_out * d_in, d_out))
-        outs = _values(layers[l:], activation, a).reshape(lead + (2,) + theta.shape[-2:])
+        outs = _values(layers[l:], activation, a, work).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
     base = _output(layers, acts)[..., np.newaxis]
@@ -235,12 +258,12 @@ def _fd_grad_params(layers, activation, X, step):
 
 def finite_diff_gradient(net: Network, x, step: float) -> np.ndarray:
     """``(f(x + h e_i) - f(x - h e_i)) / 2h`` for every coordinate."""
-    return _fd_gradient(net.layers, net.activation, _fd_input(net, x, step), step)
+    return _fd_gradient(*_fd_args(net, x, step))
 
 
 def finite_diff_laplacian(net: Network, x, step: float) -> float:
     """``sum_i (f(x + h e_i) - 2 f(x) + f(x - h e_i)) / h^2``."""
-    return float(_fd_laplacian(net.layers, net.activation, _fd_input(net, x, step), step))
+    return float(_fd_laplacian(*_fd_args(net, x, step)))
 
 
 def finite_diff_grad_params(net: Network, x, step: float) -> list:
@@ -254,4 +277,4 @@ def finite_diff_grad_params(net: Network, x, step: float) -> list:
     difference quotient of the perturbed output (up to one rounding in the
     preactivation) and keeps the oracle fast enough for thousand-draw sweeps.
     """
-    return _fd_grad_params(net.layers, net.activation, _fd_input(net, x, step), step)
+    return _fd_grad_params(*_fd_args(net, x, step))

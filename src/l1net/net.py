@@ -99,6 +99,18 @@ def _relu_terms(z, order):
     return value, first, np.zeros_like(value) if order > 1 else None
 
 
+def _act_value_in_place(kind, z, e):
+    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``) as scratch:
+    the value operations of :func:`_act_terms`, so the same bits."""
+    if kind is Activation.RELU:
+        return np.maximum(z, 0.0, out=z)
+    np.log1p(np.exp(np.negative(np.abs(z, out=e), out=e), out=e), out=e)
+    np.maximum(z, 0.0, out=z)
+    z += e
+    z -= _LOG2
+    return z
+
+
 def _act_terms(kind, z, order=2):
     """``(s(z), s'(z), s''(z))``; derivatives above ``order`` are None."""
     if kind is Activation.SOFTPLUS:
@@ -385,9 +397,18 @@ def _output(layers, acts):
     return (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
 
 
-def _values(layers, activation, X):
-    """Outputs ``f(x_i)`` for every row, from a value-only pass."""
-    return _output(layers, _hidden_batch(layers, activation, X, 0)[0])
+def _values(layers, activation, X, work):
+    """Outputs ``f(x_i)`` for every row, from a value-only pass into fresh
+    arrays, or into ``work``'s three flat buffers: the first two take turns
+    holding a preactivation with its value written over it (``X`` may lie in
+    the first), and the third holds ``exp(-|z|)``."""
+    if work is None:
+        return _output(layers, _hidden_batch(layers, activation, X, 0)[0])
+    for i, theta in enumerate(layers[:-1]):
+        z = np.ndarray(X.shape[:-1] + theta.shape[-2:-1], buffer=work[1 - i % 2])
+        X = _act_value_in_place(activation, np.matmul(X, theta.swapaxes(-1, -2), out=z),
+                                np.ndarray(z.shape, buffer=work[2]))
+    return _output(layers, [X])
 
 
 def _laplacian(layers, fds, sds):
@@ -454,7 +475,7 @@ def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,); ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("forward pass"):
-        return _values(net.layers, net.activation, X)
+        return _values(net.layers, net.activation, X, None)
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:

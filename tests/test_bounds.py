@@ -137,6 +137,17 @@ def test_log_factor_clamps_before_the_log_when_c1_is_zero(R, r):
     assert log_factor(inputs) == (1.0, True)
 
 
+def test_log_factor_stays_finite_when_c1_overflows():
+    # c1 = c1(r = 1) / r overflows at the smallest radius; its log does not
+    tiny = BoundInputs(r=5e-324, L=2, P=10, n=20, R=10, b0=1, b1=10, x_inf_sq=4)
+    assert c1(tiny.R, tiny.r, tiny.L, tiny.P) == math.inf
+    factor, clamped = log_factor(tiny)
+    want = math.log(c1(tiny.R, 1.0, tiny.L, tiny.P)) + math.log(tiny.n) / 2 - math.log(tiny.r)
+    assert factor == 1.0 + want * 2.0 and not clamped
+    report = bound_report(tiny, 1)
+    assert report.rademacher == report.model_convergence == report.derivative_convergence == 0.0
+
+
 def test_rademacher_frozen_value():
     inputs = BoundInputs(r=1, L=2, P=100, n=100, R=1, b0=1, b1=1, x_inf_sq=1)
     np.testing.assert_allclose(

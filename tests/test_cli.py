@@ -567,6 +567,46 @@ def test_bounds_on_extreme_data_values_reports_or_rejects(tmp_path, capsys):
     assert codes["x_std", sys.float_info.max] == codes["mean", 1e300] == 1
 
 
+@pytest.mark.parametrize("radius", [5e-324, 1e-300])
+def test_bounds_at_a_tiny_radius_read_zero(tmp_path, radius):
+    # at 5e-324 c1 overflows; the complexity and convergence bounds still read 0
+    cfg_path = _write_config(tmp_path, radius_rule={"absolute": radius})
+    out_dir = tmp_path / "bounds"
+    assert main(["bounds", "--config", cfg_path, "--out", str(out_dir)]) == 0
+    for entry in json.loads((out_dir / "bounds.json").read_text())["reports"]:
+        report = entry["report"]
+        assert report["rademacher"] == report["model_convergence"] == 0.0
+        assert report["derivative_convergence"] == 0.0
+
+
+def test_verify_on_extreme_data_values_passes_fails_or_rejects(tmp_path, capsys):
+    # each data value passes, fails verification or gives one config-error
+    # line; none raises, prints a traceback or warns
+    maximum = sys.float_info.max
+    codes = {}
+    for key, value in ((k, v) for k in ("x_std", "mean", "cutoff_factor", "noise_std")
+                       for v in (5e-324, 1e-300, 1e300, maximum)):
+        out = tmp_path / f"{key}-{value!r}"
+        overrides = _verify_overrides()
+        overrides["verify"]["trials"] = 2
+        cfg_path = _write_config(tmp_path, data={key: value}, **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert caught == [] and code in (0, 1, 2), (key, value, code)
+        if code == 1:
+            assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
+            assert not out.exists()
+        codes[key, value] = code
+    # a score scale 1 / x_std^2 or a box that leaves float64, or an input
+    # whose network passes overflow, cannot be verified
+    assert {codes[case] for case in [("x_std", 5e-324), ("x_std", 1e-300), ("x_std", 1e300),
+                                     ("x_std", maximum), ("cutoff_factor", maximum),
+                                     ("mean", maximum)]} == {1}
+    assert codes["noise_std", maximum] == codes["mean", 1e-300] == 0
+
+
 def test_bounds_command_b0_sources(tmp_path):
     cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2])
     out_override = tmp_path / "b_override"
@@ -680,21 +720,27 @@ def _scaled(fn, factor):
     return faulty
 
 
-# One planted fault per suite: (module, function, factor, the suite that
-# must catch it and no other suite may flag).  The Lipschitz and divergence
-# audits have no row: at this budget a halved bound passes both.
+# One planted fault per suite, and for the finite-difference suites one on
+# each side of the comparison, the exact derivative and its oracle: (module,
+# function, factor, the suite that must catch it and no other suite may
+# flag).  The Lipschitz and divergence audits have no row: at this budget a
+# halved bound passes both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
     (bounds, "sup_model_bound", 0.5, "bound_sup_model"),
     (cli, "_grad_params_batch", 1.001, "fd_grad_params"),
     (cli, "_grad_input", 1.001, "fd_grad_input"),
     (cli, "_laplacian", 1.02, "fd_laplacian_input"),
+    (cli, "_fd_grad_params", 1.001, "fd_grad_params"),
+    (cli, "_fd_gradient", 1.001, "fd_grad_input"),
+    (cli, "_fd_laplacian", 1.02, "fd_laplacian_input"),
     (evaluate, "_laplacian", -1.0, "green_identity_d3"),
 ]
 
 
 @pytest.mark.parametrize(
-    "module, name, factor, suite", FAULTS, ids=[fault[-1] for fault in FAULTS]
+    "module, name, factor, suite", FAULTS,
+    ids=[f"{suite}_oracle" if name.startswith("_fd_") else suite for _, name, _, suite in FAULTS],
 )
 def test_verify_command_detects_injected_bug(tmp_path, monkeypatch, module, name,
                                              factor, suite):

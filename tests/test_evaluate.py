@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,7 +247,7 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
         z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
         z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
         a = net_module._act_terms(activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0)[0]
-        outs = net_module._values(layers[l:], activation, a).reshape(lead + (2,) + theta.shape[-2:])
+        outs = net_module._values(layers[l:], activation, a, None).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
     base = net_module._output(layers, acts)[..., np.newaxis]
@@ -264,11 +266,66 @@ def test_fd_grad_params_keeps_the_full_stack_bits(activation, L, d, stack):
     layers = [rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=lead + (sizes[l + 1], sizes[l]))
               for l in range(L)]
     X = rng.normal(size=lead + (1, d))
-    got = evaluate._fd_grad_params(layers, activation, X, 1e-4)
+    got = evaluate._fd_grad_params(layers, activation, X, 1e-4,
+                                   evaluate._fd_workspace(sizes, stack or 1))
     want = _fd_grad_params_full_stack(layers, activation, X, 1e-4)
     assert [g.shape for g in got] == [w.shape for w in want] == [th.shape for th in layers]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def _fd_concatenated(layers, activation, X, step, center):
+    """Reference: the perturbed stack built by ``np.concatenate`` and evaluated
+    with fresh arrays, as before the oracles took a workspace."""
+    d = X.shape[-1]
+    eye = np.eye(d) * step
+    outs = net_module._values(
+        layers, activation, np.concatenate([X + eye, X - eye] + [X] * center, axis=-2), None)
+    if center:
+        return (outs[..., :d] - 2.0 * outs[..., -1:] + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
+    return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
+
+
+def _stacked_draw(rng, activation, L, d, draws):
+    sizes = (d,) + (10,) * (L - 1) + (1,)
+    layers = [rng.normal(0.0, np.sqrt(2.0 / sizes[l]), size=(draws, sizes[l + 1], sizes[l]))
+              for l in range(L)]
+    return sizes, layers, rng.normal(size=(draws, 1, d))
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("d", [5, 100])
+def test_fd_oracles_in_a_reused_workspace_keep_the_concatenated_bits(activation, L, d):
+    # one workspace across stacks of 6, 2 and 6 draws: stale contents must not leak
+    rng = np.random.default_rng(10 * L + d)
+    work = evaluate._fd_workspace(_stacked_draw(rng, activation, L, d, 1)[0], 6)
+    for draws in (6, 2, 6):
+        _, layers, X = _stacked_draw(rng, activation, L, d, draws)
+        grad = evaluate._fd_gradient(layers, activation, X, 1e-4, work)
+        lap = evaluate._fd_laplacian(layers, activation, X, 1e-3, work)
+        params = evaluate._fd_grad_params(layers, activation, X, 1e-4, work)
+        assert grad.tobytes() == _fd_concatenated(layers, activation, X, 1e-4, False).tobytes()
+        assert lap.tobytes() == _fd_concatenated(layers, activation, X, 1e-3, True).tobytes()
+        for out in [grad, lap, *params]:
+            assert not any(np.shares_memory(out, buf) for buf in work)
+
+
+@pytest.mark.parametrize("oracle, step", [("_fd_gradient", 1e-4), ("_fd_laplacian", 1e-3),
+                                          ("_fd_grad_params", 1e-4)])
+def test_fd_oracles_allocate_little_beside_their_workspace(oracle, step):
+    # a 6-draw, d=100, L=4 stack: 1.35-5.77 MB of temporaries before the workspace
+    sizes, layers, X = _stacked_draw(np.random.default_rng(4), Activation.SOFTPLUS, 4, 100, 6)
+    work = evaluate._fd_workspace(sizes, 6)
+    fn = getattr(evaluate, oracle)
+    fn(layers, Activation.SOFTPLUS, X, step, work)
+    tracemalloc.start()
+    try:
+        fn(layers, Activation.SOFTPLUS, X, step, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 19
 
 
 def test_green_identity_zero_network():
