@@ -37,7 +37,6 @@ from . import __version__
 from .bounds import (
     BoundInputs,
     SuiteRow,
-    _DRAW_BLOCK,
     _draw_blocks,
     _rows_to_csv,
     _tally,
@@ -628,12 +627,12 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         ))
 
     per_draw = max(2 * sizes[l + 1] ** 2 * sizes[l] for l in range(len(sizes) - 2))
-    # the first sub-stack is the largest; one workspace serves them all
-    work = _fd_workspace(sizes, _pieces(min(trials, _DRAW_BLOCK), per_draw)[0].stop)
+    work = None
     for stack in (block[piece] for block in _draw_blocks(seed, trials, draw)
                   for piece in _pieces(len(block), per_draw)):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
+        work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest
         acts, fds, sds = _hidden_batch(layers, arch.activation, X)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
         approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
@@ -660,7 +659,13 @@ def _small_green_net(d: int, rng) -> Network:
 
 def run_verification(cfg: ExperimentConfig) -> tuple:
     """All property suites; returns ``(rows, ok)``, with ``ok`` false when
-    any :class:`SuiteRow` shows a violation."""
+    any :class:`SuiteRow` shows a violation.  ConfigError, before any suite,
+    where the score scale ``1 / x_std^2``, the box ``[-R, R]`` or the square of
+    the draws' scale ``|mean| + x_std`` (room for the networks' gain) leaves float64."""
+    scale = abs(cfg.data.mean) + cfg.data.x_std
+    if not (cfg.data.x_std * cfg.data.x_std > 0.0 and scale * scale < math.inf
+            and 2.0 * cfg.data.input_bound < math.inf):
+        raise ConfigError(f"cannot verify {cfg.data}: its draws or score scale leave float64")
     v = cfg.verify
     rows, fd_rows = [], []
     for L in v.depths:
@@ -813,11 +818,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    try:  # data whose score scale 1 / x_std^2, box or network passes leave float64
-        with np.errstate(over="raise", invalid="raise"):
-            rows, ok = run_verification(cfg)
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"cannot verify {cfg.data}: {exc}") from None
+    rows, ok = run_verification(cfg)
     path = _write(args.out, "verify.csv", suites_to_csv(rows))
     for row in rows:
         status = "ok" if row.violations == 0 else "FAIL"

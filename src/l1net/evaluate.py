@@ -189,15 +189,13 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
 
 
 def _fd_workspace(sizes, draws):
-    """Three flat buffers (see :func:`net._values`) that hold any perturbed
-    stack of the oracles, or preactivation over its rows, for ``draws`` networks."""
+    """Three flat buffers (see :func:`net._values`) for any oracle's stacks of ``draws`` networks."""
     stacks = [(2 * sizes[0] + 1) * max(sizes[:-1])] + [
         2 * sizes[l] * sizes[l - 1] * max(sizes[l:-1]) for l in range(1, len(sizes) - 1)]
     return tuple(np.empty(draws * max(stacks)) for _ in range(3))
 
 
 def _fd_args(net: Network, x, step: float) -> tuple:
-    """A private oracle's arguments for ``net`` at the one input ``x``."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     X = _check_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
@@ -205,28 +203,26 @@ def _fd_args(net: Network, x, step: float) -> tuple:
 
 
 def _axis_outputs(layers, activation, X, step, work, center):
-    """Outputs at ``X + step e_i`` for every coordinate i, then at ``X - step
-    e_i``, then at ``X`` when ``center``, from a stack built in ``work[0]``."""
+    """Outputs at ``X + step e_i`` and at ``X - step e_i`` for every coordinate
+    i, and at ``X`` when ``center``, from a stack built in ``work[0]``."""
     d = X.shape[-1]
     eye = np.eye(d) * step
     stack = np.ndarray(X.shape[:-2] + (2 * d + center, d), buffer=work[0])
     np.add(X, eye, out=stack[..., :d, :])
     np.subtract(X, eye, out=stack[..., d:2 * d, :])
     stack[..., 2 * d:, :] = X  # no row unless center
-    return _values(layers, activation, stack, work)
+    outs = _values(layers, activation, stack, work)
+    return outs[..., :d], outs[..., d:2 * d], outs[..., 2 * d:]
 
 
 def _fd_gradient(layers, activation, X, step, work):
-    d = X.shape[-1]
-    outs = _axis_outputs(layers, activation, X, step, work, False)
-    return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
+    plus, minus, _ = _axis_outputs(layers, activation, X, step, work, False)
+    return (plus - minus) / (2.0 * step)
 
 
 def _fd_laplacian(layers, activation, X, step, work):
-    d = X.shape[-1]
-    outs = _axis_outputs(layers, activation, X, step, work, True)
-    center = outs[..., -1:]
-    return (outs[..., :d] - 2.0 * center + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
+    plus, minus, center = _axis_outputs(layers, activation, X, step, work, True)
+    return (plus - 2.0 * center + minus).sum(axis=-1) / (step * step)
 
 
 def _fd_grad_params(layers, activation, X, step, work):

@@ -100,15 +100,14 @@ def _relu_terms(z, order):
 
 
 def _act_value_in_place(kind, z, e):
-    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``) as scratch:
-    the value operations of :func:`_act_terms`, so the same bits."""
+    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``; fresh when
+    None) as scratch: the value operations of :func:`_act_terms`, so the same bits."""
     if kind is Activation.RELU:
         return np.maximum(z, 0.0, out=z)
-    np.log1p(np.exp(np.negative(np.abs(z, out=e), out=e), out=e), out=e)
-    np.maximum(z, 0.0, out=z)
-    z += e
-    z -= _LOG2
-    return z
+    e = np.abs(z, out=e)
+    np.log1p(np.exp(np.negative(e, out=e), out=e), out=e)
+    np.add(np.maximum(z, 0.0, out=z), e, out=z)
+    return np.subtract(z, _LOG2, out=z)
 
 
 def _act_terms(kind, z, order=2):
@@ -398,16 +397,14 @@ def _output(layers, acts):
 
 
 def _values(layers, activation, X, work):
-    """Outputs ``f(x_i)`` for every row, from a value-only pass into fresh
-    arrays, or into ``work``'s three flat buffers: the first two take turns
-    holding a preactivation with its value written over it (``X`` may lie in
-    the first), and the third holds ``exp(-|z|)``."""
-    if work is None:
-        return _output(layers, _hidden_batch(layers, activation, X, 0)[0])
+    """Outputs ``f(x_i)`` for every row, from a value-only pass into fresh arrays
+    or ``work``'s three flat buffers: the first two take turns holding a layer
+    (``X`` may lie in the first), and the third holds ``exp(-|z|)``."""
     for i, theta in enumerate(layers[:-1]):
-        z = np.ndarray(X.shape[:-1] + theta.shape[-2:-1], buffer=work[1 - i % 2])
-        X = _act_value_in_place(activation, np.matmul(X, theta.swapaxes(-1, -2), out=z),
-                                np.ndarray(z.shape, buffer=work[2]))
+        shape = X.shape[:-1] + theta.shape[-2:-1]
+        z, e = (None, None) if work is None else (
+            np.ndarray(shape, buffer=work[1 - i % 2]), np.ndarray(shape, buffer=work[2]))
+        X = _act_value_in_place(activation, np.matmul(X, theta.swapaxes(-1, -2), out=z), e)
     return _output(layers, [X])
 
 

@@ -599,11 +599,11 @@ def test_verify_on_extreme_data_values_passes_fails_or_rejects(tmp_path, capsys)
             assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
             assert not out.exists()
         codes[key, value] = code
-    # a score scale 1 / x_std^2 or a box that leaves float64, or an input
-    # whose network passes overflow, cannot be verified
+    # a score scale 1 / x_std^2, a box or a squared scale |mean| + x_std that
+    # leaves float64 cannot be verified; the check runs before any suite
     assert {codes[case] for case in [("x_std", 5e-324), ("x_std", 1e-300), ("x_std", 1e300),
                                      ("x_std", maximum), ("cutoff_factor", maximum),
-                                     ("mean", maximum)]} == {1}
+                                     ("mean", 1e300), ("mean", maximum)]} == {1}
     assert codes["noise_std", maximum] == codes["mean", 1e-300] == 0
 
 

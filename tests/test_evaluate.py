@@ -276,11 +276,11 @@ def test_fd_grad_params_keeps_the_full_stack_bits(activation, L, d, stack):
 
 def _fd_concatenated(layers, activation, X, step, center):
     """Reference: the perturbed stack built by ``np.concatenate`` and evaluated
-    with fresh arrays, as before the oracles took a workspace."""
+    by the full hidden-layer pass, as before the oracles took a workspace."""
     d = X.shape[-1]
     eye = np.eye(d) * step
-    outs = net_module._values(
-        layers, activation, np.concatenate([X + eye, X - eye] + [X] * center, axis=-2), None)
+    stack = np.concatenate([X + eye, X - eye] + [X] * center, axis=-2)
+    outs = net_module._output(layers, net_module._hidden_batch(layers, activation, stack, 0)[0])
     if center:
         return (outs[..., :d] - 2.0 * outs[..., -1:] + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
     return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
@@ -307,6 +307,9 @@ def test_fd_oracles_in_a_reused_workspace_keep_the_concatenated_bits(activation,
         params = evaluate._fd_grad_params(layers, activation, X, 1e-4, work)
         assert grad.tobytes() == _fd_concatenated(layers, activation, X, 1e-4, False).tobytes()
         assert lap.tobytes() == _fd_concatenated(layers, activation, X, 1e-3, True).tobytes()
+        # the value pass on fresh arrays, as forward_batch runs it, keeps the bits too
+        assert net_module._values(layers, activation, X, None).tobytes() == net_module._output(
+            layers, net_module._hidden_batch(layers, activation, X, 0)[0]).tobytes()
         for out in [grad, lap, *params]:
             assert not any(np.shares_memory(out, buf) for buf in work)
 
