@@ -100,6 +100,12 @@ def divergence_bound(r: float, L: int) -> float:
 
     For L = 2 the max runs over an empty set and is taken to be 1, so the
     bound reduces to ``(L/4)(r/L)^L``.
+
+    Known limit: at L = 2 this is not a bound once ``r > 27/8``.  The
+    Laplacian is cubic in the weights (``theta_2 s''(0) theta_1^2`` on a single
+    path) while ``r^2/8`` is quadratic: weights ``r/2`` per layer give
+    ``r^3/32`` at x = 0 (3.906 at r = 5, against 3.125), and the split
+    ``theta_2 = r/3, theta_1 = 2r/3`` gives ``r^3/27`` (4.63).
     """
     L = _check_depth(L)
     inner = max(((r / k) ** k for k in range(2, L)), default=1.0)

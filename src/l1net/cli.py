@@ -45,6 +45,7 @@ from .bounds import (
 )
 from .datagen import (
     DataSpec,
+    Dataset,
     TeacherSpec,
     _expected_max_sq,
     make_teacher,
@@ -413,13 +414,22 @@ def _teacher_scores(cfg: ExperimentConfig, L: int, act: Activation):
     return scores
 
 
+def _synthesize(teacher: Network, n: int, data: DataSpec, rng) -> Dataset:
+    """:func:`datagen.synthesize`, with a data law whose draws or labels leave
+    float64 (a ValueError) turned into a config error."""
+    try:
+        return synthesize(teacher, n, data, rng)
+    except ValueError as exc:
+        raise ConfigError(f"cannot draw a dataset from {data}: {exc}") from None
+
+
 def _trial_dataset(cfg: ExperimentConfig, L: int, act: Activation, n: int,
                    repeat: int):
     """One trial's training set, its recorded seed and the seed sequence
     of its training stream."""
     ss = _seed_seq(cfg.master_seed, 2, _ACT_CODE[act], L, n, repeat)
     data_ss, train_ss = ss.spawn(2)
-    dataset = synthesize(
+    dataset = _synthesize(
         _cell_data(cfg, L, act)[0], n, cfg.data, np.random.default_rng(data_ss)
     )
     return dataset, _seed_u64(ss), train_ss
@@ -545,7 +555,7 @@ def _estimate_b0(cfg: ExperimentConfig, model: Network) -> float:
     L = model.depth
     teacher = _cell_data(cfg, L, model.activation)[0]
     rng = np.random.default_rng(_seed_seq(cfg.master_seed, 4, L))
-    ds = synthesize(teacher, cfg.n_test, cfg.data, rng)
+    ds = _synthesize(teacher, cfg.n_test, cfg.data, rng)
     try:  # a model that does not fit the config, or whose pass overflows
         return float(np.abs(forward_batch(model, ds.X) - ds.y).max())
     except ValueError as exc:

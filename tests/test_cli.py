@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -565,6 +566,48 @@ def test_bounds_on_extreme_data_values_reports_or_rejects(tmp_path, capsys):
     # a tiny box or a far mean near 0 still has a report; an infinite box does not
     assert codes["mean", 5e-324] == codes["cutoff_factor", 5e-324] == 0
     assert codes["x_std", sys.float_info.max] == codes["mean", 1e300] == 1
+
+
+def test_run_and_datagen_on_extreme_data_values_run_or_reject(tmp_path, capsys):
+    # each data value writes its files, ends with every cell diverged or gives
+    # one config-error line; none raises, prints a traceback or warns
+    maximum = sys.float_info.max
+    codes = {}
+    for key, value, command in itertools.product(
+            ("x_std", "noise_std", "mean", "cutoff_factor"),
+            (5e-324, 1e-300, 1e300, maximum), ("run", "datagen")):
+        out = tmp_path / f"{command}-{key}-{value!r}"
+        cfg_path = _write_config(tmp_path, teacher={"d": 3, "s": 2, "h": 3}, n_grid=[10],
+                                 n_test=50, repeats=1, train={"iterations": 5},
+                                 data={key: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert caught == [] and code in (0, 1, 3), (command, key, value, code)
+        if code == 1:
+            assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
+            assert not out.exists()
+        codes[command, key, value] = code
+    # inputs, labels or teacher outputs that leave float64 cannot be drawn
+    rejected = {case for case, code in codes.items() if code == 1}
+    assert rejected == {(command, key, maximum) for command in ("run", "datagen")
+                        for key in ("x_std", "noise_std", "mean")}
+    # at 1e300 the students of `run` diverge; every other case writes its files
+    assert {case for case, code in codes.items() if code == 3} == {
+        ("run", key, 1e300) for key in ("x_std", "noise_std", "mean")}
+
+
+def test_bounds_model_on_unlabelable_data_is_a_config_error(tmp_path, capsys):
+    # b0 from a model draws a fresh dataset, through the same helper as run
+    gen_dir = tmp_path / "gen"
+    assert main(["datagen", "--config", _write_config(tmp_path), "--out", str(gen_dir)]) == 0
+    cfg_path = _write_config(tmp_path, data={"noise_std": sys.float_info.max})
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg_path, "--model", str(gen_dir / "teacher.json"),
+                 "--out", str(tmp_path / "bounds")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("l1net: config error: cannot draw a dataset") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("radius", [5e-324, 1e-300])

@@ -5,7 +5,7 @@ import pytest
 
 from l1net import evaluate
 from l1net import net as net_module
-from l1net.cli import ExperimentConfig, VerifyConfig, run_verification
+from l1net.cli import ExperimentConfig, VerifyConfig, _small_green_net, run_verification
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
 from l1net.evaluate import (
     GreenCheck,
@@ -369,26 +369,34 @@ def test_green_identity_rel_gap_definition():
     np.testing.assert_allclose(chk.rel_gap, want, rtol=1e-12)
 
 
-def test_green_identity_chunking_consistent(monkeypatch):
+def test_green_identity_row_blocks_move_only_last_digits(monkeypatch):
     rng = np.random.default_rng(12)
     f = _random_net(rng, 2, 4, 2)
     g = _random_net(rng, 2, 4, 2)
     one = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
-    monkeypatch.setattr(evaluate, "_GREEN_CHUNK", 7_000)
+    # per-row terms in blocks of 7 rows (4 hidden units, d = 2), each block's
+    # sums joining the running sums: same draws, another grouping of the sums
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * (2 + 4 * 4))
+    assert net_module._row_blocks(f.layers, 20)[0] == slice(0, 7)
     many = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
     np.testing.assert_allclose(one.lhs, many.lhs, rtol=1e-12)
     np.testing.assert_allclose(one.rhs, many.rhs, rtol=1e-12)
 
 
-def test_green_identity_row_blocks_move_no_bit(monkeypatch):
-    rng = np.random.default_rng(14)
-    f = _random_net(rng, 2, 4, 2)
-    g = _random_net(rng, 2, 4, 2)
-    one = green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5))
-    # per-row terms in blocks of 7 rows (4 hidden units, d = 2)
-    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * (2 + 4 * 4))
-    assert net_module._row_blocks(f.layers, 20)[0] == slice(0, 7)
-    assert green_identity_check(f, g, DataSpec(), 20_000, np.random.default_rng(5)) == one
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_green_identity_memory_does_not_grow_with_m(d):
+    # draws taken and summed one 2^17-double piece at a time: 2.5-3.1 MB at
+    # m = 200k, where 100k-row chunks with chunk-sized buffers took 5.2-9.9 MB
+    rng = np.random.default_rng(d)
+    f, g = _small_green_net(d, rng), _small_green_net(d, rng)
+    green_identity_check(f, g, DataSpec(), 10_000, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        green_identity_check(f, g, DataSpec(), 200_000, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("factor", [0.5, -1.0])
