@@ -369,7 +369,7 @@ def test_green_identity_rel_gap_definition():
     np.testing.assert_allclose(chk.rel_gap, want, rtol=1e-12)
 
 
-def test_green_identity_row_blocks_move_only_last_digits(monkeypatch):
+def test_green_identity_chunking_consistent(monkeypatch):
     rng = np.random.default_rng(12)
     f = _random_net(rng, 2, 4, 2)
     g = _random_net(rng, 2, 4, 2)
@@ -381,6 +381,34 @@ def test_green_identity_row_blocks_move_only_last_digits(monkeypatch):
     many = green_identity_check(f, g, DataSpec(), 50_000, np.random.default_rng(4))
     np.testing.assert_allclose(one.lhs, many.lhs, rtol=1e-12)
     np.testing.assert_allclose(one.rhs, many.rhs, rtol=1e-12)
+
+
+def test_green_identity_row_blocks_move_no_bit(monkeypatch):
+    # the per-row terms the check sums (grad f, lap f + grad f . score, g and
+    # grad g) are the same bits in 7-row blocks as in the default blocks, so
+    # block size moves only the grouping of the sums
+    rng = np.random.default_rng(14)
+    f = _random_net(rng, 2, 4, 2)
+    g = _random_net(rng, 2, 4, 2)
+    dspec = DataSpec()
+    X = sample_truncated_normal(dspec.mean, dspec.x_std, dspec.cutoff_factor,
+                                np.random.default_rng(5), size=(2_000, 2))
+
+    def row_terms():
+        blocks = []
+        for rows in net_module._row_blocks(f.layers, len(X)):
+            x = X[rows]
+            gf, rhs_f = evaluate._green_f_terms(f, x, -(x - dspec.mean) / dspec.x_std ** 2)
+            g_out, delta = evaluate._scores(g, x)
+            blocks.append((gf, rhs_f, g_out, delta @ g.layers[0]))
+        return [np.concatenate(parts) for parts in zip(*blocks)]
+
+    one = row_terms()
+    assert len(net_module._row_blocks(f.layers, len(X))) == 1
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 7 * (2 + 4 * 4))
+    assert net_module._row_blocks(f.layers, len(X))[0] == slice(0, 7)
+    for whole, blocked in zip(one, row_terms()):
+        assert whole.shape == blocked.shape and np.array_equal(whole, blocked)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
