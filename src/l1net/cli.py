@@ -48,6 +48,7 @@ from .datagen import (
     Dataset,
     TeacherSpec,
     _expected_max_sq,
+    _integral,
     make_teacher,
     sample_truncated_normal,
     synthesize,
@@ -123,6 +124,16 @@ class RadiusRule:
         return self.value * teacher_l1
 
 
+def _store_integers(cfg, prefix: str, scalars, tuples):
+    """Store each named field of ``cfg`` (each entry, for ``tuples``) as an int;
+    ConfigError naming the field where one is not a whole number."""
+    for name in scalars:
+        object.__setattr__(cfg, name, _integral(getattr(cfg, name), prefix + name, ConfigError))
+    for name in tuples:
+        object.__setattr__(cfg, name, tuple(
+            _integral(v, prefix + name, ConfigError) for v in getattr(cfg, name)))
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Sampling budget of the ``verify`` subcommand.  Its gates are pinned
@@ -138,12 +149,13 @@ class VerifyConfig:
     green_tol: float = 0.05
 
     def __post_init__(self):
+        _store_integers(self, "verify.", ("trials", "green_m", "green_pairs"), ("depths", "dims"))
         for name, low in (("trials", 1), ("green_m", 10_000), ("green_pairs", 1)):
-            if int(getattr(self, name)) < low:
+            if getattr(self, name) < low:
                 raise ConfigError(f"verify.{name} must be at least {low}")
-        if not self.depths or any(int(L) < 2 for L in self.depths):
+        if not self.depths or any(L < 2 for L in self.depths):
             raise ConfigError("verify.depths must be non-empty with every L >= 2")
-        if not self.dims or any(int(d) < 1 for d in self.dims):
+        if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigError("verify.dims must be non-empty and positive")
         if not 0.0 < self.green_tol < math.inf:
             raise ConfigError("verify.green_tol must be positive and finite")
@@ -170,29 +182,31 @@ class ExperimentConfig:
     verify: VerifyConfig = VerifyConfig()
 
     def __post_init__(self):
-        if int(self.d) < 1 or int(self.h) < 1:
+        _store_integers(self, "", ("d", "s", "h", "n_test", "repeats", "master_seed",
+                                   "b1_exponent"), ("n_grid", "depths"))
+        if self.d < 1 or self.h < 1:
             raise ConfigError("teacher d and h must be positive")
-        if not 1 <= int(self.s) <= int(self.d):
+        if not 1 <= self.s <= self.d:
             raise ConfigError("teacher sparsity s must satisfy 1 <= s <= d")
         if not self.n_grid:
             raise ConfigError("n_grid must be non-empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError("n_grid must be strictly ascending")
-        if any(int(n) < 1 for n in self.n_grid):
+        if any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid entries must be positive")
-        if int(self.repeats) < 1:
+        if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
-        if int(self.n_test) < 1:
+        if self.n_test < 1:
             raise ConfigError("n_test must be at least 1")
         if not self.activations:
             raise ConfigError("activations must be non-empty")
-        if not self.depths or any(int(L) < 2 for L in self.depths):
+        if not self.depths or any(L < 2 for L in self.depths):
             raise ConfigError("depths must be non-empty with every L >= 2")
         if self.b1_exponent not in (1, 2):
             raise ConfigError("b1_exponent must be 1 or 2")
         if not np.isfinite(self.b0) or self.b0 < 0.0:
             raise ConfigError("b0 must be non-negative and finite")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
 
 

@@ -10,6 +10,7 @@ remaining ``d - s`` coordinates are exactly irrelevant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ __all__ = [
     "synthesize",
     "write_dataset_csv",
 ]
+
+
+def _integral(value, name: str, error):
+    """``value`` as an int; ``error`` naming the field ``name`` when it is a
+    bool, not a number, or not a finite whole number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -77,16 +87,16 @@ class TeacherSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.d) < 1 or int(self.h) < 1:
-            raise ValueError("d and h must be positive")
-        if not 1 <= int(self.s) <= int(self.d):
-            raise ValueError("s must satisfy 1 <= s <= d")
-        if int(self.L) < 2:
-            raise ValueError("L must be at least 2")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
         for name in ("d", "s", "L", "h", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _integral(getattr(self, name), name, ValueError))
+        if self.d < 1 or self.h < 1:
+            raise ValueError("d and h must be positive")
+        if not 1 <= self.s <= self.d:
+            raise ValueError("s must satisfy 1 <= s <= d")
+        if self.L < 2:
+            raise ValueError("L must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,9 @@ gradients, and a Laplacian propagated forward layer by layer together with
 the Gram matrix ``J J^T`` of the input Jacobian (second-order Taylor-mode
 differentiation, the "Forward Laplacian"), so every contraction is a matrix
 multiply and there is no autodiff tape.  The single-sample routines
-(``forward``, which caches a :class:`ForwardTrace`, then ``grad_input``,
-``grad_params`` and ``laplacian_input``) are the ``m = 1`` rows of the
-batched ones.
+(``forward``, which returns a :class:`ForwardTrace`, then ``grad_input`` and
+``laplacian_input``) evaluate that trace's one input row through the same
+core.
 
 Supported activations:
 
@@ -46,12 +46,11 @@ __all__ = [
     "Architecture",
     "ForwardTrace",
     "Network",
-    "activation_eval",
     "forward",
     "forward_batch",
     "grad_input",
     "grad_input_batch",
-    "grad_params",
+    "grad_params_batch",
     "laplacian_batch",
     "laplacian_input",
     "load_network",
@@ -117,21 +116,6 @@ def _act_terms(kind, z, order=2):
     if kind is Activation.RELU:
         return _relu_terms(z, order)
     raise ValueError(f"unknown activation: {kind!r}")
-
-
-def activation_eval(kind: Activation, z) -> tuple:
-    """Evaluate an activation with its first and second derivative.
-
-    Returns ``(value, first, second)``.  Scalar input gives floats; array
-    input gives arrays of the same shape.  Non-finite input is rejected.
-    """
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("activation input must be finite")
-    terms = _act_terms(kind, np.atleast_1d(arr))
-    if arr.ndim == 0:
-        return tuple(float(t[0]) for t in terms)
-    return terms
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -244,100 +228,52 @@ def _gaussian_layers(sizes, rng) -> list:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Cached quantities from one forward pass at a single input.
+    """One forward pass: the input as a read-only (1, d) ``row``, its
+    ``output`` f(x), and the ``network`` it came from, which the derivative
+    routines check against the network they are handed."""
 
-    ``activations[l]`` is ``h_l`` (with ``h_0`` the input), and
-    ``first_derivs`` / ``second_derivs`` hold ``s'(z_l)`` / ``s''(z_l)`` for
-    the hidden layers ``l = 1 .. L-1``.  The originating network is kept so
-    derivative routines can verify the trace matches the network they are
-    handed.
-    """
-
-    activations: tuple
-    first_derivs: tuple
-    second_derivs: tuple
+    row: np.ndarray
     output: float
     network: Network
 
 
 def forward(net: Network, x) -> ForwardTrace:
-    """Evaluate ``f(x)`` and cache everything the derivative routines need;
-    ValueError where the pass overflows float64."""
+    """Evaluate ``f(x)`` at one input vector; ValueError where the pass
+    overflows float64."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != net.input_dim:
         raise ValueError(
             f"input must be a vector of length {net.input_dim}, got shape {x.shape}"
         )
-    X = _check_batch(net, x[np.newaxis, :])
+    X = _freeze(_check_batch(net, x[np.newaxis, :]))
     with _overflow_is_an_error("forward pass"):
-        acts, fds, sds = (
-            tuple(_freeze(a[0]) for a in arrays)
-            for arrays in _hidden_batch(net.layers, net.activation, X)
-        )
-        return ForwardTrace(
-            activations=acts, first_derivs=fds, second_derivs=sds,
-            output=float(net.layers[-1][0] @ acts[-1]), network=net,
-        )
+        acts = _hidden_batch(net.layers, net.activation, X, 0)[0]
+        return ForwardTrace(row=X, output=float(net.layers[-1][0] @ acts[-1][0]), network=net)
 
 
-def _require_trace(net: Network, trace: ForwardTrace) -> list:
-    """Check that ``trace`` came from ``net``; return its activations and
-    slopes ``s'``, ``s''`` as lists of (1, d_l) rows for the batched core."""
+def _trace_row(net: Network, trace: ForwardTrace) -> np.ndarray:
     if trace.network is not net:
         raise ValueError("trace was not produced by forward() on this network")
-    cached = (trace.activations, trace.first_derivs, trace.second_derivs)
-    return [[v[np.newaxis, :] for v in vectors] for vectors in cached]
-
-
-def grad_params(net: Network, trace: ForwardTrace) -> list:
-    """Exact gradient of the output w.r.t. every weight matrix.
-
-    The gradient w.r.t. ``theta_l`` is the outer product ``D_l h_{l-1}^T``
-    of the backward signal ``D_l = df/dz_l`` (see :func:`_backward`) with
-    the layer input.  Returns one array per layer, shaped like that layer;
-    ValueError where a gradient overflows float64.
-    """
-    acts, fds, _ = _require_trace(net, trace)
-    with _overflow_is_an_error("gradient pass"):
-        return _grad_params_batch(net.layers, acts, fds, np.ones(1))
+    return trace.row
 
 
 def grad_input(net: Network, trace: ForwardTrace) -> np.ndarray:
     """Exact input gradient ``theta_1^T (s'(z_1) * theta_2^T (... theta_L^T))``;
     ValueError where it overflows float64."""
-    _, fds, _ = _require_trace(net, trace)
-    with _overflow_is_an_error("gradient pass"):
-        return _grad_input(net.layers, fds)[0]
+    return _input_gradients(net, _trace_row(net, trace))[0]
 
 
 def laplacian_input(net: Network, trace: ForwardTrace) -> float:
-    """Exact input Laplacian ``sum_i d^2 f / dx_i^2``, propagated forward.
-
-    With ``J_k = dz_k/dx``, its Gram matrix ``G_k = J_k J_k^T`` and ``lap_k``
-    the vector of Laplacians of ``h_k``, one pass from the input carries
-
-        G_1 = theta_1 theta_1^T,  G_{k+1} = A_k G_k A_k^T,  A_k = theta_{k+1} diag(s'(z_k))
-        lap_1 = s''(z_1) |rows(theta_1)|^2
-        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) diag(G_{k+1})
-
-    and ``lap f = theta_L lap_{L-1}``, as ``diag(G_k) = |rows(J_k)|^2``
-    (second-order Taylor-mode differentiation; no backward pass, no finite
-    differences, and ``J_k`` is never formed).  Cost is O(h^2 d) per network
-    plus O(h^3) per row and layer.  For relu ``s''`` is identically zero and
-    the result is exactly 0.0.  A Laplacian that overflows raises ValueError.
-    """
-    _, fds, sds = _require_trace(net, trace)
-    if net.activation is Activation.RELU:
-        return 0.0
-    with np.errstate(all="ignore"):
-        return float(_laplacian(net.layers, fds, sds)[0])
+    """Exact input Laplacian ``sum_i d^2 f / dx_i^2`` (see
+    :func:`laplacian_batch`); exactly 0.0 for relu, ValueError on overflow."""
+    return float(_laplacians(net, _trace_row(net, trace))[0])
 
 
 # -- batched core ------------------------------------------------------------
 #
 # Row-major batches: X has shape (m, d) and every per-layer cache below has
-# shape (m, d_l).  The single-sample routines above are the m = 1 rows of
-# these helpers.  Each also takes a stack of T networks of one shape, as
+# shape (m, d_l).  The single-sample routines above call these helpers on
+# one row.  Each also takes a stack of T networks of one shape, as
 # weights (T, d_out, d_in) and inputs (T, m, d): every network's matmuls keep
 # their 2-D shapes in the stack, so its results keep their unstacked bits.
 
@@ -409,7 +345,7 @@ def _values(layers, activation, X, work):
 
 
 def _laplacian(layers, fds, sds):
-    """Forward-propagated input Laplacian (see :func:`laplacian_input`)."""
+    """Forward-propagated input Laplacian (see :func:`laplacian_batch`)."""
     theta1 = layers[0][..., np.newaxis, :, :]
     lap = sds[0] * np.einsum("...jd,...jd->...j", theta1, theta1)
     gram = layers[0] @ layers[0].swapaxes(-1, -2) if len(layers) > 2 else None
@@ -468,6 +404,22 @@ def _check_batch(net, X):
     return X
 
 
+def _input_gradients(net, X):
+    with _overflow_is_an_error("gradient pass"):
+        fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
+        return _grad_input(net.layers, fds)
+
+
+def _laplacians(net, X):
+    lap = np.zeros(X.shape[0])
+    if net.activation is not Activation.RELU:
+        with np.errstate(all="ignore"):
+            for rows in _row_blocks(net.layers, X.shape[0]):
+                _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
+                lap[rows] = _laplacian(net.layers, fds, sds)
+    return lap
+
+
 def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,); ValueError on overflow."""
     X = _check_batch(net, X)
@@ -477,23 +429,39 @@ def forward_batch(net: Network, X) -> np.ndarray:
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
     """Input gradients for every row of X, shape (m, d); ValueError on overflow."""
+    return _input_gradients(net, _check_batch(net, X))
+
+
+def grad_params_batch(net: Network, X) -> list:
+    """Gradient of ``sum_i f(x_i)`` over the rows of X w.r.t. every weight
+    matrix, one array per layer and shaped like it: ``D_l^T H_{l-1}``, the
+    backward signals ``D_l = df/dz_l`` (see :func:`_backward`) against the
+    layer inputs, one row per sample; ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("gradient pass"):
-        fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
-        return _grad_input(net.layers, fds)
+        acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
+        return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]))
 
 
 def laplacian_batch(net: Network, X) -> np.ndarray:
-    """Input Laplacians for every row of X, shape (m,), computed over
-    cache-sized row blocks; exactly zero for relu; ValueError on overflow."""
-    X = _check_batch(net, X)
-    lap = np.zeros(X.shape[0])
-    if net.activation is not Activation.RELU:
-        with np.errstate(all="ignore"):
-            for rows in _row_blocks(net.layers, X.shape[0]):
-                _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
-                lap[rows] = _laplacian(net.layers, fds, sds)
-    return lap
+    """Exact input Laplacians ``sum_i d^2 f / dx_i^2`` for every row of X,
+    shape (m,), propagated forward.
+
+    With ``J_k = dz_k/dx``, its Gram matrix ``G_k = J_k J_k^T`` and ``lap_k``
+    the vector of Laplacians of ``h_k``, one pass from the input carries
+
+        G_1 = theta_1 theta_1^T,  G_{k+1} = A_k G_k A_k^T,  A_k = theta_{k+1} diag(s'(z_k))
+        lap_1 = s''(z_1) |rows(theta_1)|^2
+        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) diag(G_{k+1})
+
+    and ``lap f = theta_L lap_{L-1}``, as ``diag(G_k) = |rows(J_k)|^2``
+    (second-order Taylor-mode differentiation; no backward pass, no finite
+    differences, and ``J_k`` is never formed).  Cost is O(h^2 d) per network
+    plus O(h^3) per row and layer, over cache-sized row blocks.  For relu
+    ``s''`` is identically zero and every result is exactly 0.0.  A Laplacian
+    that overflows raises ValueError.
+    """
+    return _laplacians(net, _check_batch(net, X))
 
 
 # -- serialization -----------------------------------------------------------

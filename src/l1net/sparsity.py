@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _integral
 from .net import (
     Architecture,
     Network,
@@ -167,13 +168,14 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.step_size) or self.step_size <= 0.0:
             raise ValueError("step_size must be positive and finite")
-        if int(self.iterations) < 1:
+        object.__setattr__(self, "iterations", _integral(self.iterations, "iterations", ValueError))
+        if self.iterations < 1:
             raise ValueError("iterations must be a positive integer")
-        object.__setattr__(self, "iterations", int(self.iterations))
         if self.batch_size != "full":
-            if int(self.batch_size) < 1:
+            object.__setattr__(
+                self, "batch_size", _integral(self.batch_size, "batch_size", ValueError))
+            if self.batch_size < 1:
                 raise ValueError('batch_size must be a positive integer or "full"')
-            object.__setattr__(self, "batch_size", int(self.batch_size))
 
 
 def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:

@@ -29,7 +29,7 @@ from l1net.net import (
     Network,
     forward,
     grad_input,
-    grad_params,
+    grad_params_batch,
     laplacian_input,
 )
 from l1net.sparsity import project_l1
@@ -72,7 +72,7 @@ def trend_sweep():
 
 
 def test_criterion_1_derivative_correctness():
-    """grad_params / grad_input vs central finite differences (step 1e-4)
+    """grad_params_batch / grad_input vs central finite differences (step 1e-4)
     and laplacian_input vs second-order differences (step 1e-3), 1000 draws
     per architecture.  Relative error uses the largest exact entry as the
     denominator (floored at 1 for the Laplacian, whose exact value can pass
@@ -89,7 +89,7 @@ def test_criterion_1_derivative_correctness():
                 x = sample_truncated_normal(0.0, 1.0, 10.0, rng, size=d)
                 trace = forward(net, x)
 
-                exact_p = grad_params(net, trace)
+                exact_p = grad_params_batch(net, x[None])
                 approx_p = finite_diff_grad_params(net, x, 1e-4)
                 num = max(
                     float(np.abs(a - e).max()) for a, e in zip(approx_p, exact_p)

@@ -27,10 +27,10 @@ from l1net.net import (
     _gaussian_layers,
     forward,
     grad_input,
-    grad_params,
+    grad_params_batch,
     laplacian_input,
 )
-from l1net.sparsity import project_l1
+from l1net.sparsity import TrainConfig, project_l1
 from l1net.cli import (
     ConfigError,
     ExperimentConfig,
@@ -146,6 +146,32 @@ def test_config_rejects_bad_values(tmp_path):
     cfg = load_config(str(path))
     assert cfg.n_test == 10_000 and type(cfg.n_test) is int
     assert cfg.train.batch_size == 32 and type(cfg.train.batch_size) is int
+
+
+_TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3}
+
+
+@pytest.mark.parametrize("make, field, error", [
+    (lambda v: ExperimentConfig(repeats=v), "repeats", ConfigError),
+    (lambda v: ExperimentConfig(n_test=v), "n_test", ConfigError),
+    (lambda v: ExperimentConfig(d=v), "d", ConfigError),
+    (lambda v: ExperimentConfig(depths=(v,)), "depths", ConfigError),
+    (lambda v: cli.VerifyConfig(trials=v), "verify.trials", ConfigError),
+    (lambda v: TrainConfig(iterations=v), "iterations", ValueError),
+    (lambda v: TrainConfig(batch_size=v), "batch_size", ValueError),
+    (lambda v: datagen.TeacherSpec(**{**_TEACHER, "L": v}), "L", ValueError),
+])
+def test_library_integer_fields_take_only_whole_numbers(make, field, error):
+    # The JSON loader already rejected these; built in Python they used to be
+    # truncated, overflow, or pass and fail later with a TypeError.
+    for value in (2.5, 2.7, math.inf, math.nan, True, "8"):
+        with pytest.raises(error, match=f"^{field} must be an integer") as info:
+            make(value)
+        assert type(info.value) is error
+    for value in (8.0, np.int64(8), np.float64(8.0)):
+        stored = getattr(make(value), field.split(".")[-1])
+        first = stored[0] if isinstance(stored, tuple) else stored
+        assert stored in (8, (8,)) and type(first) is int
 
 
 def test_radius_rule_forms(tmp_path):
@@ -885,7 +911,7 @@ def _serial_fd_suite(cfg, arch, trials, seed):
         x = sample_truncated_normal(cfg.data.mean, cfg.data.x_std,
                                     cfg.data.cutoff_factor, rng, size=sizes[0])
         trace = forward(net, x)
-        exact = grad_params(net, trace)
+        exact = grad_params_batch(net, x[None])
         approx = finite_diff_grad_params(net, x, 1e-4)
         num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
         den = max(float(np.abs(e).max()) for e in exact)

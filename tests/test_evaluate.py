@@ -23,7 +23,7 @@ from l1net.net import (
     forward_batch,
     grad_input,
     grad_input_batch,
-    grad_params,
+    grad_params_batch,
     laplacian_batch,
     laplacian_input,
 )
@@ -222,7 +222,7 @@ def test_finite_diff_grad_params_close_to_exact():
     for L in (2, 3):
         net = _random_net(rng, 7, 5, L)
         x = rng.uniform(-2.0, 2.0, size=7)
-        exact = grad_params(net, forward(net, x))
+        exact = grad_params_batch(net, x[None])
         approx = finite_diff_grad_params(net, x, 1e-4)
         for e, a in zip(exact, approx):
             scale = max(float(np.max(np.abs(e))), 1e-12)

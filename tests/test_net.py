@@ -9,12 +9,11 @@ from l1net.net import (
     Activation,
     Architecture,
     Network,
-    activation_eval,
     forward,
     forward_batch,
     grad_input,
     grad_input_batch,
-    grad_params,
+    grad_params_batch,
     laplacian_batch,
     laplacian_input,
     load_network,
@@ -44,8 +43,13 @@ def _random_net(rng, d, h, L, activation=Activation.SOFTPLUS, scale=0.5):
     return Network(layers, activation)
 
 
+def _terms(kind, z):
+    """``(s(z), s'(z), s''(z))`` at one point, from the activation kernel."""
+    return tuple(t[0] for t in net_module._act_terms(kind, np.array([z])))
+
+
 def test_softplus_at_zero_is_exact():
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, 0.0)
+    v, d1, d2 = _terms(Activation.SOFTPLUS, 0.0)
     assert v == 0.0
     assert d1 == 0.5
     assert d2 == 0.25
@@ -53,20 +57,20 @@ def test_softplus_at_zero_is_exact():
 
 def test_softplus_table():
     for z, expected in SOFTPLUS_TABLE.items():
-        got = activation_eval(Activation.SOFTPLUS, z)
+        got = _terms(Activation.SOFTPLUS, z)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
 
 
 def test_softplus_large_argument_stable():
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, 50.0)
+    v, d1, d2 = _terms(Activation.SOFTPLUS, 50.0)
     assert abs(v - (50.0 - np.log(2.0))) <= 1e-9
     assert d1 <= 1.0 and 1.0 - d1 <= 1e-20
     assert d2 <= 1e-20
     np.testing.assert_allclose(v, 49.306852819440055, rtol=1e-15)
     # and nothing overflows way out in the tails
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, 700.0)
+    v, d1, d2 = _terms(Activation.SOFTPLUS, 700.0)
     assert np.isfinite(v) and d1 == 1.0 and d2 == 0.0
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, -700.0)
+    v, d1, d2 = _terms(Activation.SOFTPLUS, -700.0)
     assert np.isfinite(v) and d1 >= 0.0 and d2 >= 0.0
 
 
@@ -80,7 +84,7 @@ def test_softplus_kernel_matches_references():
         [709.8, 710.0, 744.4, 745.0, 1e10, 1e300],
     ])
     z = np.concatenate([mags, -mags])
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, z)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z)
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     # The shift by log 2 cancels near z = 0 in both, so the value is
     # compared on the scale of the unshifted log(1 + e^z).
@@ -94,31 +98,22 @@ def test_softplus_kernel_matches_references():
     assert (v[0], d1[0], d2[0]) == (0.0, 0.5, 0.25)
     assert (v[mags.size], d1[mags.size], d2[mags.size]) == (0.0, 0.5, 0.25)
     for i in range(0, z.size, 37):
-        scalar = activation_eval(Activation.SOFTPLUS, float(z[i]))
-        assert all(type(t) is float for t in scalar)
-        assert scalar == (v[i], d1[i], d2[i])
+        assert _terms(Activation.SOFTPLUS, z[i]) == (v[i], d1[i], d2[i])
 
 
 def test_relu_branches():
-    assert activation_eval(Activation.RELU, -3.0) == (0.0, 0.0, 0.0)
-    assert activation_eval(Activation.RELU, 2.5) == (2.5, 1.0, 0.0)
+    assert _terms(Activation.RELU, -3.0) == (0.0, 0.0, 0.0)
+    assert _terms(Activation.RELU, 2.5) == (2.5, 1.0, 0.0)
     # subgradient convention at the kink
-    assert activation_eval(Activation.RELU, 0.0) == (0.0, 0.0, 0.0)
+    assert _terms(Activation.RELU, 0.0) == (0.0, 0.0, 0.0)
 
 
-def test_activation_eval_array_matches_scalar():
+def test_act_terms_array_matches_one_point():
     z = np.array([-1.5, -0.3, 0.0, 0.7, 2.25])
-    v, d1, d2 = activation_eval(Activation.SOFTPLUS, z)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z)
     for i, zi in enumerate(z):
-        vi, d1i, d2i = activation_eval(Activation.SOFTPLUS, float(zi))
+        vi, d1i, d2i = _terms(Activation.SOFTPLUS, zi)
         assert v[i] == vi and d1[i] == d1i and d2[i] == d2i
-
-
-def test_activation_eval_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        activation_eval(Activation.SOFTPLUS, np.nan)
-    with pytest.raises(ValueError):
-        activation_eval(Activation.RELU, np.inf)
 
 
 def test_network_validation():
@@ -170,9 +165,10 @@ def test_worked_example_forward_and_derivatives():
     np.testing.assert_allclose(grad_input(net, trace0), [0.0], atol=0.0)
     np.testing.assert_allclose(laplacian_input(net, trace0), 0.5, rtol=1e-15)
 
-    trace1 = forward(net, np.array([1.0]))
+    x1 = np.array([1.0])
+    trace1 = forward(net, x1)
     np.testing.assert_allclose(trace1.output, SIGMA_1 + SIGMA_M1, rtol=1e-15)
-    g = grad_params(net, trace1)
+    g = grad_params_batch(net, x1[None])
     np.testing.assert_allclose(g[1], [[SIGMA_1, SIGMA_M1]], rtol=1e-15)
 
 
@@ -188,8 +184,7 @@ def test_trace_from_other_network_rejected():
 def test_grad_params_shapes_match_layers():
     rng = np.random.default_rng(1)
     net = _random_net(rng, 6, 4, 3)
-    trace = forward(net, rng.normal(size=6))
-    grads = grad_params(net, trace)
+    grads = grad_params_batch(net, rng.normal(size=6)[None])
     assert len(grads) == net.depth
     for g, layer in zip(grads, net.layers):
         assert g.shape == layer.shape
@@ -247,8 +242,25 @@ def test_stacked_core_matches_each_network(L, d):
         assert value[t, 0] == trace.output
         np.testing.assert_array_equal(grad[t, 0], grad_input(net, trace))
         assert lap[t, 0] == laplacian_input(net, trace)
-        for stacked, single in zip(weights, grad_params(net, trace)):
+        for stacked, single in zip(weights, grad_params_batch(net, X[t, 0][None])):
             np.testing.assert_array_equal(stacked[t], single)
+
+
+def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
+    # A fault planted in a public batched routine must show against the
+    # single-sample ones, which the benchmark checks it with.
+    rng = np.random.default_rng(12)
+    net = _random_net(rng, 6, 5, 3)
+    x = rng.normal(size=6)
+    _, fds, sds = net_module._hidden_batch(net.layers, net.activation, x[None])
+    grad = net_module._grad_input(net.layers, fds)[0]
+    lap = float(net_module._laplacian(net.layers, fds, sds)[0])
+    for name in ("grad_input_batch", "laplacian_batch"):
+        exact = getattr(net_module, name)
+        monkeypatch.setattr(net_module, name, lambda f, X, exact=exact: 1.02 * exact(f, X))
+    trace = forward(net, x)
+    assert grad_input(net, trace).tobytes() == grad.tobytes()
+    assert laplacian_input(net, trace) == lap
 
 
 def _reference_laplacian(layers, fds, sds):
@@ -342,10 +354,10 @@ def test_single_sample_input_gradient_overflow_is_an_error():
 def test_single_sample_weight_gradient_overflow_is_an_error():
     # the output is of order 1e200, but df/dtheta_1 = 1e200 * s'(z) * x is 1e400
     net = Network((1e-200 * np.ones((2, 3)), 1e200 * np.ones((1, 2))), Activation.SOFTPLUS)
-    trace = forward(net, 1e200 * np.ones(3))
-    assert np.isfinite(trace.output)
+    x = 1e200 * np.ones(3)
+    assert np.isfinite(forward(net, x).output)
     with pytest.raises(ValueError, match="overflow"):
-        grad_params(net, trace)
+        grad_params_batch(net, x[None])
 
 
 def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):
@@ -378,8 +390,9 @@ def test_softplus_trace_derivative_ranges():
     rng = np.random.default_rng(4)
     net = _random_net(rng, 5, 6, 3)
     for _ in range(50):
-        trace = forward(net, rng.normal(size=5) * 3)
-        for d1, d2 in zip(trace.first_derivs, trace.second_derivs):
+        X = (rng.normal(size=5) * 3)[None]
+        _, fds, sds = net_module._hidden_batch(net.layers, net.activation, X)
+        for d1, d2 in zip(fds, sds):
             assert np.all(d1 > 0.0) and np.all(d1 < 1.0)
             assert np.all(d2 > 0.0) and np.all(d2 <= 0.25)
 

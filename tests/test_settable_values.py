@@ -18,7 +18,7 @@ from pathlib import Path
 import l1net
 
 _LIMIT = 42
-_NAMES_LIMIT = 69
+_NAMES_LIMIT = 68
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 
 
