@@ -373,7 +373,7 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         net_b = _layer_views(flats[len(xs):], shapes)
         X = np.stack(xs)[:, np.newaxis, :]
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
-        acts, fds, sds = _hidden_batch(net_a, arch.activation, X)
+        acts, fds, sds = _hidden_batch(net_a, arch.activation, X, 2, last_value=True)
         out_a = _output(net_a, acts)[:, 0]
         out_b = _values(net_b, arch.activation, X, None)[:, 0]
         dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))

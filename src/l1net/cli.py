@@ -497,9 +497,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     one stacked loop with the bits of trials trained alone; each group
     scores the teacher once per process.  Blocks run depth by depth, both
     activations of a depth back to back, so one test set is held at a time.
-    With ``jobs > 1`` the blocks are distributed over a process pool; block
-    composition never depends on ``jobs``.  Trials are returned in (n,
-    activation, depth, repeat) order, identical for any ``jobs``.
+    With ``jobs > 1`` the blocks are distributed over a process pool of at
+    most one worker per block; block composition never depends on ``jobs``.
+    Trials are returned in (n, activation, depth, repeat) order, identical
+    for any ``jobs``.
     """
     cells = list(itertools.product(cfg.n_grid, range(cfg.repeats)))
     blocks = [
@@ -510,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             done = list(pool.map(_run_block, blocks))
     else:
         done = [_run_block(block) for block in blocks]
@@ -657,7 +658,7 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest
-        acts, fds, sds = _hidden_batch(layers, arch.activation, X)
+        acts, fds, sds = _hidden_batch(layers, arch.activation, X, 2, last_value=True)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
         approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)

@@ -93,7 +93,7 @@ def l2_gradient_error(model: Network, teacher: Network, X_test) -> float:
     terms = []
     for net in (model, teacher):  # zero units widen the narrower network exactly
         with _overflow_is_an_error("gradient pass"):
-            fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
+            fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=False)[1]
             delta = _input_signal(net.layers, fds)
         pad = h - delta.shape[1]
         terms += [np.pad(net.layers[0], ((0, pad), (0, 0))), np.pad(delta, ((0, 0), (0, pad)))]
@@ -108,7 +108,7 @@ class GreenCheck(NamedTuple):
 
 def _green_f_terms(f: Network, X, score):
     """``grad f`` and ``lap f + grad f . score`` per row, from one pass."""
-    _, fds, sds = _hidden_batch(f.layers, f.activation, X, 2)
+    _, fds, sds = _hidden_batch(f.layers, f.activation, X, 2, last_value=False)
     gf = _grad_input(f.layers, fds)
     return gf, _laplacian(f.layers, fds, sds) + np.einsum("md,md->m", gf, score)
 
@@ -116,7 +116,7 @@ def _green_f_terms(f: Network, X, score):
 def _scores(net: Network, X) -> tuple:
     """Outputs and first-hidden-layer backward signals of ``net`` on the rows
     of ``X``, from one hidden pass."""
-    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
+    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
     return _output(net.layers, acts), _input_signal(net.layers, fds)
 
 
@@ -139,8 +139,9 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     so memory does not grow with ``m``, and each piece's rows are evaluated
     in cache-sized row blocks whose terms join the running sums at once.
     Each block makes one hidden-layer pass per network: f's pass yields its
-    gradient and Laplacian, reduced to per-row terms before g's pass yields
-    its gradient and output, so the two networks' caches never coexist.
+    gradient and Laplacian (it skips f's last hidden value, which nothing
+    reads), reduced to per-row terms before g's pass yields its gradient and
+    output, so the two networks' caches never coexist.
     Block size moves only the grouping of the sums, so the last digits.
 
     Softplus networks only: a relu network has an almost-everywhere zero
@@ -219,7 +220,7 @@ def _fd_laplacian(layers, activation, X, step, work):
 
 
 def _fd_grad_params(layers, activation, X, step, work):
-    acts = _hidden_batch(layers, activation, X, 0)[0]
+    acts = _hidden_batch(layers, activation, X, 0, last_value=True)[0]
     grads = []
     for l in range(1, len(layers)):
         theta = layers[l - 1]

@@ -8,8 +8,10 @@ A network is an immutable stack of weight matrices ``theta_l`` of shape
 where ``s`` acts elementwise.  There are no bias terms.  Every evaluation
 and derivative routine is a view of one batched core: a forward value pass
 that caches ``s'(z_l)`` and ``s''(z_l)`` per layer (only the orders the
-caller uses), one backward vector-Jacobian product for input and weight
-gradients, and a Laplacian propagated forward layer by layer together with
+caller uses; passes that never read ``f(x)``, such as the input-gradient and
+Laplacian ones, skip the last hidden layer's value), one backward
+vector-Jacobian product for input and weight gradients, and a Laplacian
+propagated forward layer by layer together with
 the Gram matrix ``J J^T`` of the input Jacobian (second-order Taylor-mode
 differentiation, the "Forward Laplacian"), so every contraction is a matrix
 multiply and there is no autodiff tape.  The single-sample routines
@@ -67,21 +69,22 @@ class Activation(enum.Enum):
     RELU = "relu"
 
 
-def _softplus_terms(z, order):
+def _softplus_terms(z, order, value):
     # One e = exp(-|z|) (which cannot overflow) serves every term:
     # s = max(z, 0) + log1p(e) - log 2 and s' = exp(min(z, 0)) / (1 + e),
     # whose numerator is 1 for z >= 0 and e otherwise.  Each step writes in
-    # place, so no array beyond e, value and first is allocated.
+    # place, so no array beyond e, value and first is allocated; without
+    # ``value`` the slopes take the same steps, so the same bits.
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    value = np.log1p(e)
-    first = np.maximum(z, 0.0)
-    value += first
-    value -= _LOG2
+    value, first = (np.log1p(e), np.maximum(z, 0.0)) if value else (None, None)
+    if value is not None:
+        value += first
+        value -= _LOG2
     if order < 1:
         return value, None, None
-    np.minimum(z, 0.0, out=first)
+    first = np.minimum(z, 0.0, out=first)
     np.exp(first, out=first)
     e += 1.0
     first /= e
@@ -92,10 +95,9 @@ def _softplus_terms(z, order):
     return value, first, e
 
 
-def _relu_terms(z, order):
-    value = np.maximum(z, 0.0)
+def _relu_terms(z, order, value):
     first = (z > 0.0).astype(float) if order > 0 else None
-    return value, first, np.zeros_like(value) if order > 1 else None
+    return np.maximum(z, 0.0) if value else None, first, np.zeros_like(z) if order > 1 else None
 
 
 def _act_value_in_place(kind, z, e):
@@ -109,12 +111,13 @@ def _act_value_in_place(kind, z, e):
     return np.subtract(z, _LOG2, out=z)
 
 
-def _act_terms(kind, z, order=2):
-    """``(s(z), s'(z), s''(z))``; derivatives above ``order`` are None."""
+def _act_terms(kind, z, order, *, value):
+    """``(s(z), s'(z), s''(z))``; derivatives above ``order`` are None, and
+    so is ``s(z)`` unless ``value``."""
     if kind is Activation.SOFTPLUS:
-        return _softplus_terms(z, order)
+        return _softplus_terms(z, order, value)
     if kind is Activation.RELU:
-        return _relu_terms(z, order)
+        return _relu_terms(z, order, value)
     raise ValueError(f"unknown activation: {kind!r}")
 
 
@@ -247,7 +250,7 @@ def forward(net: Network, x) -> ForwardTrace:
         )
     X = _freeze(_check_batch(net, x[np.newaxis, :]))
     with _overflow_is_an_error("forward pass"):
-        acts = _hidden_batch(net.layers, net.activation, X, 0)[0]
+        acts = _hidden_batch(net.layers, net.activation, X, 0, last_value=True)[0]
         return ForwardTrace(row=X, output=float(net.layers[-1][0] @ acts[-1][0]), network=net)
 
 
@@ -278,14 +281,16 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 # their 2-D shapes in the stack, so its results keep their unstacked bits.
 
 
-def _hidden_batch(layers, activation, X, order=2):
+def _hidden_batch(layers, activation, X, order, *, last_value):
     """Hidden activations and activation slopes ``s'``, ``s''`` per layer;
     ``acts[0]`` is ``X``.  Slopes above ``order`` are not computed and
-    appear as None."""
+    appear as None, and so does the last hidden layer's value (which only
+    the output reads) unless ``last_value``."""
     acts, fds, sds = [X], [], []
-    for theta in layers[:-1]:
+    for l, theta in enumerate(layers[:-1], 1):
         z = acts[-1] @ theta.swapaxes(-1, -2)
-        value, first, second = _act_terms(activation, z, order)
+        value, first, second = _act_terms(
+            activation, z, order, value=last_value or l < len(layers) - 1)
         fds.append(first)
         sds.append(second)
         acts.append(value)
@@ -406,7 +411,7 @@ def _check_batch(net, X):
 
 def _input_gradients(net, X):
     with _overflow_is_an_error("gradient pass"):
-        fds = _hidden_batch(net.layers, net.activation, X, 1)[1]
+        fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=False)[1]
         return _grad_input(net.layers, fds)
 
 
@@ -415,7 +420,8 @@ def _laplacians(net, X):
     if net.activation is not Activation.RELU:
         with np.errstate(all="ignore"):
             for rows in _row_blocks(net.layers, X.shape[0]):
-                _, fds, sds = _hidden_batch(net.layers, net.activation, X[rows])
+                _, fds, sds = _hidden_batch(
+                    net.layers, net.activation, X[rows], 2, last_value=False)
                 lap[rows] = _laplacian(net.layers, fds, sds)
     return lap
 
@@ -439,7 +445,7 @@ def grad_params_batch(net: Network, X) -> list:
     layer inputs, one row per sample; ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("gradient pass"):
-        acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1)
+        acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
         return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]))
 
 

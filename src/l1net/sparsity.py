@@ -297,8 +297,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
                     np.take(ys[i], idx, out=yb[j, :b])
             for j, b in enumerate([batches[i] for i in rows]):
                 np.matmul(Xb[j, :b], layers[0][j].T, out=z[j, :b])
-            h, fd, _ = _act_terms(arch.activation, z, 1)
-            acts, fds, _ = _hidden_batch(layers[1:], arch.activation, h, 1)
+            h, fd, _ = _act_terms(arch.activation, z, 1, value=True)
+            acts, fds, _ = _hidden_batch(layers[1:], arch.activation, h, 1, last_value=True)
             for j, b in enumerate([batches[i] for i in rows]):
                 np.matmul(acts[-1][j, :b], layers[-1][j].T, out=out[j, :b])
             resid = out[..., 0] - yb

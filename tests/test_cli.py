@@ -272,6 +272,34 @@ def test_parallel_jobs_match_serial():
     assert trials_to_csv(serial.trials) == trials_to_csv(parallel.trials)
 
 
+def test_pool_has_at_most_one_worker_per_block(monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # one (activation, depth) group per block: 2 x 2 groups of 4 trials
+    cfg = _tiny_cfg(activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3))
+    serial = run_experiment(cfg, jobs=1)
+    assert workers == []
+    pooled = run_experiment(cfg, jobs=10 ** 6)
+    assert workers == [4]
+    assert trials_to_csv(pooled.trials) == trials_to_csv(serial.trials)
+
+
 def test_test_set_is_shared_across_activations(monkeypatch):
     cfg = _tiny_cfg(activations=(Activation.SOFTPLUS, Activation.RELU), depths=(2, 3))
     drawn = []  # weak references to the test sets drawn

@@ -233,7 +233,7 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
     """Reference: the oracle built as it was before only the moved entries
     were evaluated again, applying the activation to every entry of each
     layer's whole perturbed preactivation stack (2 d_out d_in d_out values)."""
-    acts = net_module._hidden_batch(layers, activation, X, 0)[0]
+    acts = net_module._hidden_batch(layers, activation, X, 0, last_value=True)[0]
     grads = []
     for l in range(1, len(layers)):
         theta = layers[l - 1]
@@ -246,7 +246,8 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
         rows = np.arange(d_out)
         z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
         z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
-        a = net_module._act_terms(activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0)[0]
+        a = net_module._act_terms(
+            activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0, value=True)[0]
         outs = net_module._values(layers[l:], activation, a, None).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
@@ -280,7 +281,8 @@ def _fd_concatenated(layers, activation, X, step, center):
     d = X.shape[-1]
     eye = np.eye(d) * step
     stack = np.concatenate([X + eye, X - eye] + [X] * center, axis=-2)
-    outs = net_module._output(layers, net_module._hidden_batch(layers, activation, stack, 0)[0])
+    outs = net_module._output(
+        layers, net_module._hidden_batch(layers, activation, stack, 0, last_value=True)[0])
     if center:
         return (outs[..., :d] - 2.0 * outs[..., -1:] + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
     return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
@@ -308,8 +310,9 @@ def test_fd_oracles_in_a_reused_workspace_keep_the_concatenated_bits(activation,
         assert grad.tobytes() == _fd_concatenated(layers, activation, X, 1e-4, False).tobytes()
         assert lap.tobytes() == _fd_concatenated(layers, activation, X, 1e-3, True).tobytes()
         # the value pass on fresh arrays, as forward_batch runs it, keeps the bits too
+        acts = net_module._hidden_batch(layers, activation, X, 0, last_value=True)[0]
         assert net_module._values(layers, activation, X, None).tobytes() == net_module._output(
-            layers, net_module._hidden_batch(layers, activation, X, 0)[0]).tobytes()
+            layers, acts).tobytes()
         for out in [grad, lap, *params]:
             assert not any(np.shares_memory(out, buf) for buf in work)
 
@@ -329,6 +332,46 @@ def test_fd_oracles_allocate_little_beside_their_workspace(oracle, step):
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 19
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_passes_without_the_last_value_keep_their_bits(monkeypatch, activation, L):
+    # grad f, lap f, the gradient error and f's Green terms never read the
+    # last hidden layer's value, so they skip it; a reference pass that takes
+    # every layer's value gives the same bits.
+    rng = np.random.default_rng(40 + L)
+    f, g = (_random_net(rng, 3, 6, L, activation) for _ in range(2))
+    X = rng.normal(size=(50, 3))
+
+    def outputs():
+        out = [grad_input_batch(f, X), laplacian_batch(f, X), l2_gradient_error(f, g, X)]
+        if activation is Activation.SOFTPLUS:
+            out.append(green_identity_check(f, g, DataSpec(), 10 ** 4, np.random.default_rng(5)))
+        return [np.asarray(o).tobytes() for o in out]
+
+    skipped = []  # per hidden pass: whether it skips the last value
+    lean = net_module._hidden_batch
+
+    def spy(layers, act, Y, order, *, last_value):
+        skipped.append(not last_value)
+        return lean(layers, act, Y, order, last_value=last_value)
+
+    def every_value(layers, act, Y, order, *, last_value):
+        return lean(layers, act, Y, order, last_value=True)
+
+    def outputs_with(hidden):
+        monkeypatch.setattr(net_module, "_hidden_batch", hidden)
+        monkeypatch.setattr(evaluate, "_hidden_batch", hidden)
+        return outputs()
+
+    assert outputs_with(spy) == outputs_with(every_value)
+    if activation is Activation.RELU:  # a zero Laplacian takes no pass; no Green check
+        assert skipped == [True] * 3
+    else:  # grad, lap, the error's two networks, then f and g per Green row block
+        assert skipped[:4] == [True] * 4 and skipped[4:] == [True, False] * (len(skipped[4:]) // 2)
+    acts = lean(f.layers, activation, X, 1, last_value=False)[0]
+    assert acts[-1] is None and all(a is not None for a in acts[:-1])
 
 
 def test_green_identity_zero_network():

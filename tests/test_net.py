@@ -45,7 +45,7 @@ def _random_net(rng, d, h, L, activation=Activation.SOFTPLUS, scale=0.5):
 
 def _terms(kind, z):
     """``(s(z), s'(z), s''(z))`` at one point, from the activation kernel."""
-    return tuple(t[0] for t in net_module._act_terms(kind, np.array([z])))
+    return tuple(t[0] for t in net_module._act_terms(kind, np.array([z]), 2, value=True))
 
 
 def test_softplus_at_zero_is_exact():
@@ -84,7 +84,7 @@ def test_softplus_kernel_matches_references():
         [709.8, 710.0, 744.4, 745.0, 1e10, 1e300],
     ])
     z = np.concatenate([mags, -mags])
-    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z, 2, value=True)
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     # The shift by log 2 cancels near z = 0 in both, so the value is
     # compared on the scale of the unshifted log(1 + e^z).
@@ -110,10 +110,26 @@ def test_relu_branches():
 
 def test_act_terms_array_matches_one_point():
     z = np.array([-1.5, -0.3, 0.0, 0.7, 2.25])
-    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z, 2, value=True)
     for i, zi in enumerate(z):
         vi, d1i, d2i = _terms(Activation.SOFTPLUS, zi)
         assert v[i] == vi and d1[i] == d1i and d2[i] == d2i
+
+
+@pytest.mark.parametrize("kind", list(Activation))
+def test_slopes_without_the_value_keep_their_bits(kind):
+    mags = np.array([0.0, 5e-324, 1e-300, 20.0, 745.0, 1e300])
+    points = np.concatenate([mags, -mags])
+    assert np.signbit(points[mags.size])  # -0.0 is covered
+    stacks = np.random.default_rng(21).normal(0.0, 30.0, size=(4, 3, 7, 5))
+    for z in (points, *stacks):
+        for order in (1, 2):
+            value, *full = net_module._act_terms(kind, z, order, value=True)
+            none, *slopes = net_module._act_terms(kind, z, order, value=False)
+            assert none is None and value is not None
+            for got, want in zip(slopes, full):
+                assert (got is None) == (want is None)
+                assert got is None or got.tobytes() == want.tobytes()
 
 
 def test_network_validation():
@@ -231,7 +247,7 @@ def test_stacked_core_matches_each_network(L, d):
     nets = [_random_net(rng, d, 10, L) for _ in range(T)]
     X = rng.normal(size=(T, 1, d))
     layers = [np.stack(thetas) for thetas in zip(*(n.layers for n in nets))]
-    acts, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
+    acts, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 2, last_value=True)
     value = net_module._output(layers, acts)
     grad = net_module._grad_input(layers, fds)
     weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)))
@@ -252,7 +268,7 @@ def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
     rng = np.random.default_rng(12)
     net = _random_net(rng, 6, 5, 3)
     x = rng.normal(size=6)
-    _, fds, sds = net_module._hidden_batch(net.layers, net.activation, x[None])
+    _, fds, sds = net_module._hidden_batch(net.layers, net.activation, x[None], 2, last_value=True)
     grad = net_module._grad_input(net.layers, fds)[0]
     lap = float(net_module._laplacian(net.layers, fds, sds)[0])
     for name in ("grad_input_batch", "laplacian_batch"):
@@ -291,7 +307,7 @@ def test_gram_laplacian_matches_jacobian_reference(widths, T, m):
     layers = [rng.normal(0.0, 0.5, size=stack + (widths[l + 1], widths[l]))
               for l in range(len(widths) - 1)]
     X = rng.normal(size=stack + (m, widths[0]))
-    _, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
+    _, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 2, last_value=True)
     got = net_module._laplacian(layers, fds, sds)
     want = _reference_laplacian(layers, fds, sds)
     assert got.shape == want.shape == stack + (m,)
@@ -391,7 +407,7 @@ def test_softplus_trace_derivative_ranges():
     net = _random_net(rng, 5, 6, 3)
     for _ in range(50):
         X = (rng.normal(size=5) * 3)[None]
-        _, fds, sds = net_module._hidden_batch(net.layers, net.activation, X)
+        _, fds, sds = net_module._hidden_batch(net.layers, net.activation, X, 2, last_value=True)
         for d1, d2 in zip(fds, sds):
             assert np.all(d1 > 0.0) and np.all(d1 < 1.0)
             assert np.all(d2 > 0.0) and np.all(d2 <= 0.25)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import l1net
 
-_LIMIT = 42
+_LIMIT = 40
 _NAMES_LIMIT = 68
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 

@@ -321,7 +321,7 @@ def _reference_train(dataset, arch, cfg, radius, seed):
                 cursor += batch
                 Xb, yb = X[idx], y[idx]
             layers = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
-            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1)
+            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1, last_value=True)
             resid = _output(layers, acts) - yb
             m = Xb.shape[0]
             grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
@@ -392,9 +392,9 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatc
     datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
     stacked = []  # rows in each step's first-layer activation pass
 
-    def act_terms(kind, z, order=2):
+    def act_terms(kind, z, order, *, value):
         stacked.append(z.shape[0])
-        return _act_terms(kind, z, order)
+        return _act_terms(kind, z, order, value=value)
 
     monkeypatch.setattr(sparsity, "_act_terms", act_terms)
     models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
