@@ -327,12 +327,13 @@ def _chain_flat(arch: Architecture, r: float, x: np.ndarray) -> np.ndarray:
     The first weight is sign-aligned with the largest input coordinate to
     keep every preactivation non-negative.
     """
-    sizes = arch.layer_sizes
     per_layer = r / arch.depth
     k = int(np.argmax(np.abs(x)))
     flat = np.zeros(arch.n_params)
-    flat[np.cumsum([sizes[l] * sizes[l + 1] for l in range(arch.depth - 1)])] = per_layer
-    flat[k] = per_layer if x[k] >= 0.0 else -per_layer
+    first, *rest = _layer_views(flat, arch.layer_sizes)
+    first[0, k] = per_layer if x[k] >= 0.0 else -per_layer
+    for layer in rest:
+        layer[0, 0] = per_layer
     return flat
 
 
@@ -363,14 +364,13 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         return x, net_a, _gaussian_flat(arch, rng)
 
     L = arch.depth
-    shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(L)]
     ratios = {}
     for block in _draw_blocks(seed, trials, draw):
         xs, nets_a, nets_b = zip(*block)
         # Chain nets lie in the ball already, and projection keeps them as is.
         flats = project_l1(np.stack(nets_a + nets_b), r)
-        net_a = _layer_views(flats[:len(xs)], shapes)
-        net_b = _layer_views(flats[len(xs):], shapes)
+        net_a = _layer_views(flats[:len(xs)], arch.layer_sizes)
+        net_b = _layer_views(flats[len(xs):], arch.layer_sizes)
         X = np.stack(xs)[:, np.newaxis, :]
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
         acts, fds, sds = _hidden_batch(net_a, arch.activation, X, 2, last_value=True)

@@ -265,6 +265,8 @@ def _parse_value(default, value, key: str):
     if dataclasses.is_dataclass(default):
         return _parse_section(type(default), value, key)
     if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(_parse_value(default[0], v, key) for v in value)
     if isinstance(default, Activation):
         return _parse_activation(value)
@@ -276,8 +278,9 @@ def _parse_value(default, value, key: str):
 def _parse_section(cls, obj, section: str):
     _check_keys(obj, section, [f.name for f in dataclasses.fields(cls)])
     defaults = cls()
+    prefix = "" if cls is ExperimentConfig else f"{section}."
     return cls(**{
-        key: _parse_value(getattr(defaults, key), value, key)
+        key: _parse_value(getattr(defaults, key), value, prefix + key)
         for key, value in obj.items()
     })
 
@@ -295,8 +298,8 @@ def load_config(path=None) -> ExperimentConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"teacher"}
     raw = dict(_check_keys(raw, "config", keys - set(_TEACHER_KEYS)))
     raw.update(_check_keys(raw.pop("teacher", {}), "teacher", _TEACHER_KEYS))
@@ -783,6 +786,11 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> ExperimentConfig:
+    out = os.path.abspath(args.out)
+    while not os.path.exists(out):  # the nearest existing ancestor of --out
+        out = os.path.dirname(out)
+    if not os.path.isdir(out):
+        raise ConfigError(f"--out {args.out}: {out} exists and is not a directory")
     cfg = load_config(args.config)
     updates = {}
     if args.seed is not None:
@@ -799,13 +807,21 @@ def _load(args) -> ExperimentConfig:
 
 
 def _write(out_dir, name: str, content) -> str:
-    """Write text, or a dict as indented sorted strict JSON, to ``out_dir/name``."""
+    """Write text, a dict as indented sorted strict JSON, or through a
+    function of the path, to ``out_dir/name``; a failed write is a config
+    error."""
     if isinstance(content, dict):
         content = json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(content)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -870,9 +886,8 @@ def _cmd_datagen(args) -> int:
         act = _parse_activation(args.activation)
     teacher = _cell_data(cfg, L, act)[0]
     dataset, _, _ = _trial_dataset(cfg, L, act, n, 0)
-    os.makedirs(args.out, exist_ok=True)
-    write_dataset_csv(dataset, os.path.join(args.out, "dataset.csv"))
-    save_network(teacher, os.path.join(args.out, "teacher.json"))
+    _write(args.out, "dataset.csv", functools.partial(write_dataset_csv, dataset))
+    _write(args.out, "teacher.json", functools.partial(save_network, teacher))
     print(f"wrote {n} samples to {args.out}/dataset.csv "
           f"and the teacher to {args.out}/teacher.json")
     return 0

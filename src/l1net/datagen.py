@@ -21,9 +21,6 @@ __all__ = [
     "DataSpec",
     "Dataset",
     "TeacherSpec",
-    "dataset_to_csv",
-    "grad_log_density",
-    "log_density",
     "make_teacher",
     "read_dataset_csv",
     "sample_truncated_normal",
@@ -269,50 +266,16 @@ def synthesize(teacher: Network, n: int, data_spec: DataSpec, rng) -> Dataset:
     return Dataset(X, y, data_spec)
 
 
-def log_density(x, data_spec: DataSpec) -> float:
-    """Unnormalized log density of the input law at ``x`` (constant omitted).
-
-    Inside the truncation box the truncated normal density is proportional
-    to the untruncated one, so up to an additive constant the log density
-    is ``-||x - mean||^2 / (2 x_std^2)``.  Outside the box it is ``-inf``.
-    """
-    x = np.asarray(x, dtype=float)
-    z = (x - data_spec.mean) / data_spec.x_std
-    if np.any(np.abs(x - data_spec.mean) > data_spec.input_bound):
-        return float("-inf")
-    return float(-0.5 * (z @ z))
-
-
-def grad_log_density(x, data_spec: DataSpec) -> np.ndarray:
-    """Score of the input law: ``-(x - mean) / x_std^2``.
-
-    Valid on the closed truncation box; raises outside it.  Each component
-    is bounded by ``cutoff_factor / x_std``, with equality on the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite entries")
-    if np.any(np.abs(x - data_spec.mean) > data_spec.input_bound):
-        raise ValueError("x lies outside the truncation box")
-    return -(x - data_spec.mean) / (data_spec.x_std ** 2)
-
-
 # -- CSV ---------------------------------------------------------------------
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
-    """Header ``x1,...,xd,y``; 17 significant digits per value."""
-    d = dataset.d
-    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y"])]
-    for row, target in zip(dataset.X, dataset.y):
-        vals = ["%.17g" % v for v in row] + ["%.17g" % target]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
-
-
 def write_dataset_csv(dataset: Dataset, path):
+    """Header ``x1,...,xd,y``, then one line per sample with 17 significant
+    digits per value, written line by line."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dataset_to_csv(dataset))
+        fh.write(",".join([f"x{i + 1}" for i in range(dataset.d)] + ["y"]) + "\n")
+        for row, target in zip(dataset.X, dataset.y):
+            fh.write(",".join(["%.17g" % v for v in row] + ["%.17g" % target]) + "\n")
 
 
 def read_dataset_csv(path, data_spec: DataSpec) -> Dataset:

@@ -56,8 +56,6 @@ __all__ = [
     "laplacian_batch",
     "laplacian_input",
     "load_network",
-    "network_from_json",
-    "network_to_json",
     "save_network",
 ]
 
@@ -473,32 +471,28 @@ def laplacian_batch(net: Network, X) -> np.ndarray:
 # -- serialization -----------------------------------------------------------
 
 
-def network_to_json(net: Network) -> str:
-    """Serialize to JSON with 17 significant digits per weight.
+def save_network(net: Network, path):
+    """Write ``net`` as one line of JSON with 17 significant digits per weight.
 
     17 significant decimal digits uniquely identify a float64, so
-    ``network_from_json(network_to_json(net))`` reproduces the weights
-    bit for bit.
+    :func:`load_network` reproduces the weights bit for bit.
     """
-    def fmt(v):
-        return format(v, ".17g")
-
-    layer_parts = []
-    for theta in net.layers:
-        rows = ",".join("[" + ",".join(fmt(v) for v in row) + "]" for row in theta)
-        layer_parts.append("[" + rows + "]")
-    return (
-        '{"activation": "%s", "layers": [%s]}'
-        % (net.activation.value, ",".join(layer_parts))
+    layers = ",".join(
+        "[" + ",".join("[" + ",".join(format(v, ".17g") for v in row) + "]" for row in theta) + "]"
+        for theta in net.layers
     )
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write('{"activation": "%s", "layers": [%s]}\n' % (net.activation.value, layers))
 
 
-def network_from_json(text: str) -> Network:
-    """Parse a network serialized by :func:`network_to_json`."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid network JSON: {exc}") from exc
+def load_network(path) -> Network:
+    """Read a network written by :func:`save_network`; ValueError when the
+    file does not hold one."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"invalid network JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"activation", "layers"}:
         raise ValueError('network JSON must have exactly "activation" and "layers"')
     try:
@@ -515,15 +509,6 @@ def network_from_json(text: str) -> Network:
             mats.append(np.array(rows, dtype=float))
         except (TypeError, ValueError):
             raise ValueError(f"layer {i} is not a rectangular list of rows") from None
+        except OverflowError:
+            raise ValueError(f"layer {i} has a weight too large for float64") from None
     return Network(tuple(mats), kind)
-
-
-def save_network(net: Network, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(network_to_json(net))
-        fh.write("\n")
-
-
-def load_network(path) -> Network:
-    with open(path, "r", encoding="ascii") as fh:
-        return network_from_json(fh.read())

@@ -24,7 +24,6 @@ from .net import (
 )
 
 __all__ = [
-    "FlatParams",
     "TrainConfig",
     "TrainingDivergenceError",
     "flatten",
@@ -35,43 +34,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FlatParams:
-    """A parameter vector plus the layer shapes needed to fold it back."""
-
-    values: np.ndarray
-    shape_spec: tuple
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("values must be a vector")
-        shapes = tuple((int(a), int(b)) for a, b in self.shape_spec)
-        total = sum(a * b for a, b in shapes)
-        if total != values.size:
-            raise ValueError(
-                f"shape spec covers {total} entries but vector has {values.size}"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "shape_spec", shapes)
-
-
-def flatten(net: Network) -> FlatParams:
+def flatten(net: Network) -> np.ndarray:
     """Concatenate all layers row-major into one vector."""
-    vec = np.concatenate([theta.ravel() for theta in net.layers])
-    return FlatParams(vec, tuple(theta.shape for theta in net.layers))
+    return np.concatenate([theta.ravel() for theta in net.layers])
 
 
-def unflatten(flat: FlatParams, activation) -> Network:
-    """Inverse of :func:`flatten`; exact round trip."""
-    return Network(tuple(_layer_views(flat.values, flat.shape_spec)), activation)
+def unflatten(values, arch: Architecture) -> Network:
+    """Inverse of :func:`flatten` for a network of ``arch``; exact round trip.
+
+    Raises ValueError unless ``values`` is a vector of ``arch.n_params`` entries.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (arch.n_params,):
+        raise ValueError(
+            f"architecture has {arch.n_params} parameters but values has shape {values.shape}"
+        )
+    return Network(tuple(_layer_views(values, arch.layer_sizes)), arch.activation)
 
 
-def _layer_views(vec, shapes):
-    """Layers of a flat vector, or layer stacks of the rows of a matrix."""
+def _layer_views(vec, sizes):
+    """Layers of the widths ``sizes`` as views of a flat vector, or as layer
+    stacks of the rows of a matrix."""
     layers = []
     offset = 0
-    for rows, cols in shapes:
+    for cols, rows in zip(sizes, sizes[1:]):
         size = rows * cols
         shape = vec.shape[:-1] + (rows, cols)
         layers.append(vec[..., offset:offset + size].reshape(shape))
@@ -211,7 +197,7 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: in
     if init is not None:
         if init.layer_sizes != tuple(arch.layer_sizes) or init.activation is not arch.activation:
             raise ValueError("init network does not match the architecture")
-        flat = flatten(init).values
+        flat = flatten(init)
     step = None if on_step is None else (lambda it, rows: on_step(it, rows[0].copy()))
     (model,) = _train_rows([dataset], arch, cfg, radius, [seed], [flat], step)
     if isinstance(model, TrainingDivergenceError):
@@ -254,9 +240,6 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
             )
         Xs.append(X)
         ys.append(np.asarray(dataset.y, dtype=float))
-    shapes = tuple(
-        (arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)
-    )
     R, r = len(Xs), radius
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     flat = np.empty((R, arch.n_params))
@@ -278,8 +261,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     z, out = np.zeros((R, m, arch.layer_sizes[1])), np.zeros((R, m, 1))
     scale = np.array([[2.0 / b] for b in batches])
     grad, stepped = np.empty_like(flat), np.empty_like(flat)
-    layers = _layer_views(flat, shapes)
-    grads = _layer_views(grad, shapes)
+    layers = _layer_views(flat, arch.layer_sizes)
+    grads = _layer_views(grad, arch.layer_sizes)
     diverged = np.zeros(R, dtype=int)
     rows = list(range(R))  # the trial in each stack position, while it trains
 
@@ -317,7 +300,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
                     buf[ok] for buf in (flat, stepped, Xb, yb, z, out, scale)
                 )
                 grad = np.empty_like(flat)
-                layers, grads = _layer_views(flat, shapes), _layer_views(grad, shapes)
+                layers = _layer_views(flat, arch.layer_sizes)
+                grads = _layer_views(grad, arch.layer_sizes)
             flat[...] = project_l1(stepped, r)
             if on_step is not None:
                 on_step(it, flat)
@@ -325,6 +309,6 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     trained = dict(zip(rows, flat))
     return [
         TrainingDivergenceError(int(at)) if at
-        else unflatten(FlatParams(trained[i], shapes), arch.activation)
+        else unflatten(trained[i], arch)
         for i, at in enumerate(diverged)
     ]

@@ -100,7 +100,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
-def test_config_rejects_bad_values(tmp_path):
+def _one_config_error(capsys):
+    """The stderr of a failed command: exactly one config-error line."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("l1net: config error: ")
+    return line
+
+
+def test_config_rejects_bad_values(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"teacher": {"d": 5, "s": 9}}))
     with pytest.raises(ConfigError):
@@ -141,6 +150,23 @@ def test_config_rejects_bad_values(tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(path))
         assert main(["run", "--config", str(path), "--out", out]) == 1
+    # an integral float is still an integer
+    # files that used to escape as UnicodeDecodeError and RecursionError
+    # tracebacks (a UTF-16 byte-order mark, a 50 000-deep list), and tuple
+    # fields given as a string or a number, once read letter by letter
+    # ("unknown activation 's'") or as "'int' object is not iterable"
+    capsys.readouterr()
+    deep = "[" * 50_000 + "]" * 50_000
+    for content, words in ((b"\xff\xfe{}", "config is not valid JSON"),
+                           ('{"n_grid": %s}' % deep, "config is not valid JSON"),
+                           ('{"activations": "softplus"}', "activations must be a list"),
+                           ('{"verify": {"depths": 3}}', "verify.depths must be a list")):
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(ConfigError, match=words):
+            load_config(str(path))
+        assert main(["bounds", "--config", str(path), "--out", out]) == 1
+        assert words in _one_config_error(capsys)
+        assert not os.path.exists(out)
     # an integral float is still an integer
     path.write_text(json.dumps({"n_test": 1e4, "train": {"batch_size": 32.0}}))
     cfg = load_config(str(path))
@@ -733,24 +759,60 @@ def test_bounds_rejects_bad_b0(tmp_path, capsys, b0):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("model", ["wrong_d", "bad_json", "missing", "huge"])
+@pytest.mark.parametrize("model", ["wrong_d", "bad_json", "missing", "huge", "deep",
+                                   "int_overflow"])
 def test_bounds_rejects_unusable_model(tmp_path, capsys, model):
     # A model file that cannot be read, or a network that does not fit the
     # config or overflows on its test set, is a config error, not a traceback.
+    # A 50 000-deep list and a weight of 10^400 written as an integer used to
+    # escape as RecursionError and OverflowError tracebacks.
     cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2])
     path = tmp_path / "model.json"
     rng = np.random.default_rng(18)
     if model == "bad_json":
         path.write_text('{"activation": "softplus", "layers": [[1.0,')
+    elif model == "deep":
+        path.write_text('{"activation": "softplus", "layers": %s}'
+                        % ("[" * 50_000 + "]" * 50_000))
     elif model != "missing":
         d, scale = (5, 1.0) if model == "wrong_d" else (12, 1e160)
         save_network(Network((scale * rng.normal(size=(10, d)),
                               scale * rng.normal(size=(1, 10))), Activation.SOFTPLUS), path)
+    if model == "int_overflow":
+        path.write_text('{"activation": "softplus", "layers": [[[%d]], [[1.0]]]}' % 10 ** 400)
     out_dir = tmp_path / "bounds"
     assert main(["bounds", "--config", cfg_path, "--out", str(out_dir),
                  "--model", str(path)]) == 1
-    assert "l1net: config error:" in capsys.readouterr().err
+    _one_config_error(capsys)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "verify", "datagen"])
+def test_out_that_is_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # These used to die with FileExistsError or NotADirectoryError
+    # tracebacks; ``run`` only after the whole sweep had trained.
+    trained = []
+    monkeypatch.setattr(cli, "_train_rows", lambda *a: trained.append(a))
+    cfg_path = _write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert "is not a directory" in _one_config_error(capsys)
+    assert trained == [] and blocker.read_text() == ""
+
+
+def test_failed_write_is_a_config_error(tmp_path, capsys):
+    # The nearest existing ancestor is a directory, yet the write fails: a
+    # dangling symlink as --out, a directory where the output file goes.
+    cfg_path = _write_config(tmp_path)
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    assert main(["datagen", "--config", cfg_path, "--out", str(dangling)]) == 1
+    assert "cannot write" in _one_config_error(capsys)
+    (tmp_path / "out" / "bounds.json").mkdir(parents=True)
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert "cannot write" in _one_config_error(capsys)
 
 
 def test_report_bounds_per_n_entries():

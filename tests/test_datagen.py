@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -12,9 +13,6 @@ from l1net.datagen import (
     _expected_max_sq,
     Dataset,
     TeacherSpec,
-    dataset_to_csv,
-    grad_log_density,
-    log_density,
     make_teacher,
     read_dataset_csv,
     sample_truncated_normal,
@@ -219,41 +217,12 @@ def test_dataset_validation():
         Dataset(X, np.array([1.0, np.nan, 0.0]), spec)
 
 
-def test_log_density_inside_and_outside():
-    spec = DataSpec()
-    x = np.array([0.5, -1.0])
-    # unnormalized gaussian log-density restricted to the box
-    expected = -0.5 * float(x @ x)
-    np.testing.assert_allclose(log_density(x, spec), expected, rtol=1e-15)
-    assert log_density(np.array([10.5, 0.0]), spec) == -np.inf
-
-
-def test_grad_log_density_matches_finite_differences():
-    spec = DataSpec(x_std=1.7, mean=0.4)
-    x = np.array([0.9, -2.0, 0.1])
-    g = grad_log_density(x, spec)
-    np.testing.assert_allclose(g, -(x - 0.4) / 1.7**2, rtol=1e-15)
-    step = 1e-6
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        fd = (log_density(x + e, spec) - log_density(x - e, spec)) / (2 * step)
-        np.testing.assert_allclose(g[i], fd, rtol=1e-7)
-
-
-def test_grad_log_density_rejects_outside_points():
-    spec = DataSpec()
-    with pytest.raises(ValueError):
-        grad_log_density(np.array([10.0001]), spec)
-
-
 def test_score_bound_is_respected_on_samples():
     spec = DataSpec(x_std=0.5)
     rng = np.random.default_rng(6)
     X = sample_truncated_normal(0.0, 0.5, 10.0, rng, size=(500, 4))
-    for row in X:
-        g = grad_log_density(row, spec)
-        assert np.max(np.abs(g)) <= spec.score_bound + 1e-12
+    score = -(X - spec.mean) / spec.x_std ** 2  # the input law's score
+    assert np.max(np.abs(score)) <= spec.score_bound + 1e-12
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -261,14 +230,34 @@ def test_csv_round_trip_exact(tmp_path):
     teacher = make_teacher(spec)
     dspec = DataSpec()
     ds = synthesize(teacher, 17, dspec, np.random.default_rng(11))
-    text = dataset_to_csv(ds)
-    assert text.splitlines()[0] == "x1,x2,x3,y"
-
     path = tmp_path / "data.csv"
     write_dataset_csv(ds, path)
+    assert path.read_text().splitlines()[0] == "x1,x2,x3,y"
+
     back = read_dataset_csv(path, dspec)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.y, ds.y)
+
+
+def test_write_dataset_csv_bytes_are_pinned(tmp_path):
+    # The file format is frozen: 17 significant digits per value, exponents
+    # included, a newline after every line.
+    rng = np.random.default_rng(21)
+    ds = Dataset(rng.normal(size=(6, 3)), 1e200 * rng.normal(size=6), DataSpec())
+    path = tmp_path / "data.csv"
+    write_dataset_csv(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "89b34ee35020fe351207f541d28ca66028bf3f5392d72e0d03e0a641b5632757")
+
+
+def test_write_dataset_csv_streams_its_lines(tmp_path):
+    # Lines go to the file one at a time; building the whole text first
+    # peaked at more than twice the file's size.
+    rng = np.random.default_rng(22)
+    ds = Dataset(rng.normal(size=(2000, 50)), rng.normal(size=2000), DataSpec())
+    path = tmp_path / "data.csv"
+    _, peak = _traced_peak(lambda: write_dataset_csv(ds, path))
+    assert peak <= 0.05 * path.stat().st_size
 
 
 # -- E max_i x_i^2 by quadrature -----------------------------------------------

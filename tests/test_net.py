@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,8 +18,6 @@ from l1net.net import (
     laplacian_batch,
     laplacian_input,
     load_network,
-    network_from_json,
-    network_to_json,
     save_network,
 )
 
@@ -413,35 +412,54 @@ def test_softplus_trace_derivative_ranges():
             assert np.all(d2 > 0.0) and np.all(d2 <= 0.25)
 
 
-def test_json_round_trip_is_bit_identical():
+def test_json_round_trip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(5)
     net = _random_net(rng, 9, 4, 3)
-    text = network_to_json(net)
-    back = network_from_json(text)
+    path, again = tmp_path / "net.json", tmp_path / "again.json"
+    save_network(net, path)
+    back = load_network(path)
     assert back.activation is net.activation
     for a, b in zip(net.layers, back.layers):
         np.testing.assert_array_equal(a, b)
     # serialization is deterministic
-    assert network_to_json(back) == text
+    save_network(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_network_bytes_are_pinned(tmp_path):
+    # The file format is frozen: 17 significant digits per weight, exponents
+    # included, one line of JSON ending in a newline.
+    rng = np.random.default_rng(20)
+    net = Network((rng.normal(size=(4, 3)), 1e-300 * rng.normal(size=(2, 4)),
+                   rng.normal(size=(1, 2))), Activation.RELU)
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "941e39e142bd9f84d1336031c785761c543a28b5b7c540e39a6043f074c61db0")
 
 
 def test_json_rejects_malformed(tmp_path):
     rng = np.random.default_rng(6)
     net = _random_net(rng, 3, 4, 2)
-    doc = json.loads(network_to_json(net))
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    doc = json.loads(path.read_text())
 
     broken = dict(doc)
     del broken["activation"]
+    path.write_text(json.dumps(broken))
     with pytest.raises(ValueError):
-        network_from_json(json.dumps(broken))
+        load_network(path)
 
-    broken = json.loads(network_to_json(net))
+    broken = json.loads(json.dumps(doc))
     broken["layers"][0] = broken["layers"][0][:-1]
+    path.write_text(json.dumps(broken))
     with pytest.raises(ValueError):
-        network_from_json(json.dumps(broken))
+        load_network(path)
 
+    path.write_text(json.dumps({"layers": []}))
     with pytest.raises(ValueError):
-        network_from_json(json.dumps({"layers": []}))
+        load_network(path)
 
 
 def test_save_and_load_file(tmp_path):

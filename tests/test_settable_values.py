@@ -18,7 +18,7 @@ from pathlib import Path
 import l1net
 
 _LIMIT = 40
-_NAMES_LIMIT = 68
+_NAMES_LIMIT = 62
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 
 

@@ -15,7 +15,6 @@ from l1net.net import (
     forward_batch,
 )
 from l1net.sparsity import (
-    FlatParams,
     TrainConfig,
     TrainingDivergenceError,
     _train_rows,
@@ -55,16 +54,18 @@ def test_flatten_round_trip():
     layers = (rng.normal(size=(4, 3)), rng.normal(size=(1, 4)))
     net = Network(layers, Activation.SOFTPLUS)
     flat = flatten(net)
-    assert isinstance(flat, FlatParams)
-    assert flat.values.size == 16
-    back = unflatten(flat, Activation.SOFTPLUS)
+    assert flat.shape == (16,)
+    back = unflatten(flat, Architecture((3, 4, 1), Activation.SOFTPLUS))
+    assert back.activation is Activation.SOFTPLUS
     for a, b in zip(net.layers, back.layers):
         np.testing.assert_array_equal(a, b)
 
 
 def test_flat_params_size_validation():
-    with pytest.raises(ValueError):
-        FlatParams(np.zeros(5), ((4, 3), (1, 4)))
+    arch = Architecture((3, 4, 1), Activation.SOFTPLUS)
+    for values in (np.zeros(5), np.zeros(17), np.zeros((1, 16))):
+        with pytest.raises(ValueError):
+            unflatten(values, arch)
 
 
 def test_param_l1_norm():
@@ -217,11 +218,10 @@ def test_train_decreases_loss():
     teacher, ds = _toy_problem(seed=5, noise=0.05)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
     cfg = TrainConfig(iterations=300)
-    shapes = flatten(teacher).shape_spec
     losses = []
 
     def full_data_loss(iteration, flat):
-        model = unflatten(FlatParams(flat, shapes), arch.activation)
+        model = unflatten(flat, arch)
         resid = forward_batch(model, ds.X) - ds.y
         losses.append(float(resid @ resid) / ds.n)
 
@@ -344,12 +344,12 @@ def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
     cfg = TrainConfig(step_size=0.1, iterations=80, batch_size=batch_size)
     r = 0.6 * param_l1_norm(teacher)
     want = _reference_train(ds, arch, cfg, r, 3)
-    got = flatten(train(ds, arch, cfg, r, 3)).values
+    got = flatten(train(ds, arch, cfg, r, 3))
     assert got.tobytes() == want.tobytes()
 
     def scribble(iteration, flat):
         flat[:] = 1e300  # on_step gets a copy; the run must not see this
-    got = flatten(train(ds, arch, cfg, r, 3, on_step=scribble)).values
+    got = flatten(train(ds, arch, cfg, r, 3, on_step=scribble))
     assert got.tobytes() == want.tobytes()
 
     # Steps that overflow a few iterations in diverge at the same iteration
@@ -382,7 +382,7 @@ def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_s
     models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
     for dataset, seed, model in zip(datasets, seeds, models):
         want = _reference_train(dataset, arch, cfg, r, seed)
-        assert flatten(model).values.tobytes() == want.tobytes()
+        assert flatten(model).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", ["full", 16])
@@ -408,4 +408,4 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatc
             assert stacked == [4] * model.iteration + [3] * (40 - model.iteration)
         else:
             want = _reference_train(dataset, arch, cfg, r, seed)
-            assert flatten(model).values.tobytes() == want.tobytes()
+            assert flatten(model).tobytes() == want.tobytes()
