@@ -483,7 +483,7 @@ def _run_block(task) -> list:
     datasets, seeds, train_seqs = zip(*(_trial_dataset(cfg, L, act, n, repeat)
                                         for n, repeat in cells))
     models = _train_rows(datasets, Architecture.mlp(cfg.d, cfg.h, L, act), cfg.train, radius,
-                         [_seed_u64(ss) for ss in train_seqs], [None] * len(cells), None)
+                         [_seed_u64(ss) for ss in train_seqs])
     return [_score(cfg, L, act, *trial) for trial in zip(cells, seeds, datasets, models)]
 
 
@@ -908,6 +908,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"l1net: config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"l1net: config error: not enough memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,7 @@ remaining ``d - s`` coordinates are exactly irrelevant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -139,8 +140,7 @@ def _in_box(x, mean, bound) -> np.ndarray:
     return keep.reshape(x.shape)
 
 
-def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
-                            size=None):
+def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng, size):
     """Normal draws conditioned on ``|x - mean| <= cutoff_factor * std``.
 
     Rejection sampling, deterministic given the generator state.  From
@@ -148,9 +148,9 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
     box (at least 68% are).  Below 1 that rate falls like ``0.8 *
     cutoff_factor``, so proposals are uniform on the box instead, kept with
     probability ``exp(-u^2 / 2)`` for the standardized draw ``u`` (at least
-    85% are).  ``size=None`` returns a scalar.  Masks are made in cache-sized
-    pieces; drawing a uniform proposal's acceptance piece by piece after it
-    reads the generator's stream as one whole draw would.
+    85% are).  Returns an array of shape ``size``.  Masks are made in
+    cache-sized pieces; drawing a uniform proposal's acceptance piece by
+    piece after it reads the generator's stream as one whole draw would.
     """
     if not np.isfinite(std) or std <= 0.0:
         raise ValueError("std must be positive and finite")
@@ -173,12 +173,12 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng,
             keep[piece] = _in_box(u, mean, bound) & accept
         return x, keep
 
-    flat, bad = propose(1 if size is None else int(np.prod(size)))
+    flat, bad = propose(int(np.prod(size)))
     np.logical_not(bad, out=bad)
     while bad.any():
         flat[bad], keep = propose(int(bad.sum()))
         bad[bad] = ~keep
-    return float(flat[0]) if size is None else flat.reshape(size)
+    return flat.reshape(size)
 
 
 # Gauss-Legendre nodes per smooth piece of ``_expected_max_sq``'s integrand.
@@ -279,22 +279,18 @@ def write_dataset_csv(dataset: Dataset, path):
 
 
 def read_dataset_csv(path, data_spec: DataSpec) -> Dataset:
-    """Parse a file written by :func:`write_dataset_csv`; exact round trip."""
+    """Parse a file written by :func:`write_dataset_csv` into one float
+    array; exact round trip.  Blank lines are skipped."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or header[:-1] != [f"x{i + 1}" for i in range(len(header) - 1)]:
             raise ValueError("unexpected dataset CSV header")
         d = len(header) - 1
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise ValueError("dataset CSV row has wrong arity")
-            rows.append([float(p) for p in parts])
-    if not rows:
-        raise ValueError("dataset CSV has no data rows")
-    arr = np.asarray(rows, dtype=float)
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("dataset CSV has no data rows")
+        arr = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2, comments=None)
+    if arr.shape[1] != d + 1:
+        raise ValueError("dataset CSV row has wrong arity")
     return Dataset(arr[:, :d], arr[:, d], data_spec)

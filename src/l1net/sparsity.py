@@ -172,8 +172,7 @@ def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
     return project_l1(flat, radius)
 
 
-def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: int, *,
-          init: Network = None, on_step=None) -> Network:
+def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: int) -> Network:
     """Fit a network to ``dataset`` by projected gradient descent inside the
     L1 ball of radius ``radius`` (positive and finite).
 
@@ -183,38 +182,26 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: in
     the sample order at the start of each sweep.  Initial weights are drawn
     from ``seed`` (a non-negative integer) for every layer from N(0, 2 / d_1),
     with ``d_1`` the first hidden width, rescaled onto the ball when they
-    land outside it; ``init`` overrides them (it must match ``arch``).  The
-    run is a pure function of the arguments: identical inputs give a
-    bit-identical network.  ``on_step`` is called as
-    ``on_step(iteration, params_vector)`` after every projection.
+    land outside it.  The run is a pure function of the arguments: identical
+    inputs give a bit-identical network.
 
     Raises :class:`TrainingDivergenceError` if the batch loss, its gradient
     or the gradient step becomes non-finite, or if a step lands so far out
     that the radius is below one ulp of its largest entry (the projection
     would then round to a point far inside the ball, often the origin).
     """
-    flat = None
-    if init is not None:
-        if init.layer_sizes != tuple(arch.layer_sizes) or init.activation is not arch.activation:
-            raise ValueError("init network does not match the architecture")
-        flat = flatten(init)
-    step = None if on_step is None else (lambda it, rows: on_step(it, rows[0].copy()))
-    (model,) = _train_rows([dataset], arch, cfg, radius, [seed], [flat], step)
+    (model,) = _train_rows([dataset], arch, cfg, radius, [seed])
     if isinstance(model, TrainingDivergenceError):
         raise model
     return model
 
 
-def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, seeds,
-                inits, on_step) -> list:
+def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, seeds) -> list:
     """:func:`train` for a block of trials as one loop over stacked networks.
 
-    Row ``i`` trains on ``datasets[i]`` under ``cfg`` and ``radius`` with
-    seed ``seeds[i]`` from ``inits[i]``, a parameter vector, or from the
-    seeded random start when that is None; it keeps its own permutation
-    stream.
-    ``on_step(iteration, rows)`` sees the iterates of the rows still
-    training, one per row.  Returns per row its trained network, or the
+    Row ``i`` trains on ``datasets[i]`` under ``cfg`` and ``radius`` from
+    the random start of seed ``seeds[i]``, and keeps its own permutation
+    stream.  Returns per row its trained network, or the
     :class:`TrainingDivergenceError` that :func:`train` would raise; a
     diverged row is frozen and dropped from the stacks while the others go
     on, so every row gets the bits it would get alone.
@@ -243,11 +230,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     R, r = len(Xs), radius
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     flat = np.empty((R, arch.n_params))
-    for i, init in enumerate(inits):
-        if init is None:
-            flat[i] = _init_flat(arch, r, rngs[i])
-        else:
-            flat[i] = project_l1(init, r) if np.abs(init).sum() > r else init
+    for i, rng in enumerate(rngs):
+        flat[i] = _init_flat(arch, r, rng)
     ns = [X.shape[0] for X in Xs]
     batches = [n if cfg.batch_size == "full" else min(cfg.batch_size, n) for n in ns]
     sampled = {i for i in range(R) if batches[i] < ns[i]}
@@ -303,8 +287,6 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
                 layers = _layer_views(flat, arch.layer_sizes)
                 grads = _layer_views(grad, arch.layer_sizes)
             flat[...] = project_l1(stepped, r)
-            if on_step is not None:
-                on_step(it, flat)
 
     trained = dict(zip(rows, flat))
     return [

@@ -529,7 +529,7 @@ def test_run_with_overflowing_steps_records_divergence(tmp_path):
 
 
 def test_block_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
-    def huge_students(datasets, arch, cfg, radius, seeds, inits, on_step):
+    def huge_students(datasets, arch, cfg, radius, seeds):
         sizes = arch.layer_sizes
         return [Network(tuple(np.full((sizes[l + 1], sizes[l]), 1e200)
                               for l in range(arch.depth)), arch.activation)
@@ -546,7 +546,7 @@ def test_block_with_nonfinite_predictions_is_diverged(tmp_path, monkeypatch):
 def test_block_with_huge_first_layer_is_diverged(tmp_path, monkeypatch):
     # Only theta1 is about 1e300: the student's passes stay finite, but its
     # errors do not, so the row is diverged, without a warning.
-    def huge_first_layer(datasets, arch, cfg, radius, seeds, inits, on_step):
+    def huge_first_layer(datasets, arch, cfg, radius, seeds):
         sizes = arch.layer_sizes
         layers = [np.full((sizes[l + 1], sizes[l]), 0.1) for l in range(arch.depth)]
         layers[0] = np.full((sizes[1], sizes[0]), 1e300)
@@ -813,6 +813,21 @@ def test_failed_write_is_a_config_error(tmp_path, capsys):
     (tmp_path / "out" / "bounds.json").mkdir(parents=True)
     assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     assert "cannot write" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "datagen"])
+def test_refused_allocation_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # A teacher of width 1e9 used to end in numpy's _ArrayMemoryError traceback
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    cli._cell_data.cache_clear()
+    monkeypatch.setattr(cli, "make_teacher", refuse)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path), "--out", str(out_dir)]) == 1
+    line = _one_config_error(capsys)
+    assert line == "l1net: config error: not enough memory: Unable to allocate 745. GiB for an array"
+    assert not out_dir.exists()
 
 
 def test_report_bounds_per_n_entries():

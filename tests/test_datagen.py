@@ -86,7 +86,7 @@ def test_truncated_normal_narrow_cutoff_is_cheap():
     x = sample_truncated_normal(1.0, 2.0, 1e-3, rng, size=10_000)
     assert rng.proposals < 4 * x.size
     assert np.max(np.abs(x - 1.0)) <= 2e-3
-    assert abs(sample_truncated_normal(0.0, 1.0, 1e-9, rng)) <= 1e-9
+    assert abs(sample_truncated_normal(0.0, 1.0, 1e-9, rng, size=1)[0]) <= 1e-9
 
 
 def test_truncated_normal_matches_scipy_truncnorm():
@@ -258,6 +258,30 @@ def test_write_dataset_csv_streams_its_lines(tmp_path):
     path = tmp_path / "data.csv"
     _, peak = _traced_peak(lambda: write_dataset_csv(ds, path))
     assert peak <= 0.05 * path.stat().st_size
+
+
+@pytest.mark.parametrize("text", [
+    "x1,x2,z\n1,2,3\n",
+    "x1,x2,y\n1,2,3\n1,2\n",
+    "x1,x2,y\n1,2\n1,2\n",
+    "x1,x2,y\n1,abc,3\n",
+    "x1,x2,y\n\n",
+], ids=["header", "short_row", "short_rows", "not_a_number", "no_rows"])
+def test_read_dataset_csv_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError, not a warning first
+        with pytest.raises(ValueError):
+            read_dataset_csv(path, DataSpec())
+
+
+def test_read_dataset_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,y\n1,2,3\n\n  \n4,5,6\n")
+    ds = read_dataset_csv(path, DataSpec())
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [4.0, 5.0]])
+    np.testing.assert_array_equal(ds.y, [3.0, 6.0])
 
 
 # -- E max_i x_i^2 by quadrature -----------------------------------------------

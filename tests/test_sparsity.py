@@ -203,44 +203,55 @@ def _toy_problem(seed=0, d=2, n=200, noise=0.0):
     return teacher, ds
 
 
-def test_train_stationary_at_teacher():
+def test_train_stationary_at_teacher(monkeypatch):
     """Noiseless data generated by the init network: gradient is zero, so
     training returns the init bit for bit."""
     teacher, ds = _toy_problem(seed=3)
     r = param_l1_norm(teacher) * 1.5
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    out = train(ds, arch, TrainConfig(iterations=50), r, 0, init=teacher)
+    monkeypatch.setattr(sparsity, "_init_flat", lambda arch, radius, rng: flatten(teacher))
+    out = train(ds, arch, TrainConfig(iterations=50), r, 0)
     for a, b in zip(out.layers, teacher.layers):
         np.testing.assert_array_equal(a, b)
 
 
-def test_train_decreases_loss():
+def _record_iterates(monkeypatch):
+    """Spy on ``sparsity.project_l1``: the list it returns gets a copy of
+    each training step's projected iterate (the one-row stack of a
+    :func:`train` call).  The start's projection is 1-D and not recorded."""
+    iterates = []
+
+    def spy(v, r):
+        out = project_l1(v, r)
+        if out.ndim == 2:
+            iterates.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(sparsity, "project_l1", spy)
+    return iterates
+
+
+def test_train_decreases_loss(monkeypatch):
     teacher, ds = _toy_problem(seed=5, noise=0.05)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
     cfg = TrainConfig(iterations=300)
+    iterates = _record_iterates(monkeypatch)
+    train(ds, arch, cfg, 1.1 * param_l1_norm(teacher), 9)
     losses = []
-
-    def full_data_loss(iteration, flat):
-        model = unflatten(flat, arch)
-        resid = forward_batch(model, ds.X) - ds.y
+    for flat in iterates:
+        resid = forward_batch(unflatten(flat, arch), ds.X) - ds.y
         losses.append(float(resid @ resid) / ds.n)
-
-    train(ds, arch, cfg, 1.1 * param_l1_norm(teacher), 9, on_step=full_data_loss)
     assert len(losses) == 300
     assert losses[-1] < losses[0]
 
 
-def test_train_feasible_after_every_iteration():
+def test_train_feasible_after_every_iteration(monkeypatch):
     teacher, ds = _toy_problem(seed=11, noise=0.1)
     r = 0.8 * param_l1_norm(teacher)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-
-    norms = []
-
-    def snoop(iteration, flat):
-        norms.append(float(np.abs(flat).sum()))
-
-    out = train(ds, arch, TrainConfig(iterations=100), r, 1, on_step=snoop)
+    iterates = _record_iterates(monkeypatch)
+    out = train(ds, arch, TrainConfig(iterations=100), r, 1)
+    norms = [float(np.abs(flat).sum()) for flat in iterates]
     assert len(norms) == 100
     assert all(l1 <= r * (1.0 + 1e-9) for l1 in norms)
     assert param_l1_norm(out) <= r * (1.0 + 1e-9)
@@ -347,11 +358,6 @@ def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
     got = flatten(train(ds, arch, cfg, r, 3))
     assert got.tobytes() == want.tobytes()
 
-    def scribble(iteration, flat):
-        flat[:] = 1e300  # on_step gets a copy; the run must not see this
-    got = flatten(train(ds, arch, cfg, r, 3, on_step=scribble))
-    assert got.tobytes() == want.tobytes()
-
     # Steps that overflow a few iterations in diverge at the same iteration
     wild = TrainConfig(step_size=1e100, iterations=50, batch_size=batch_size)
     with pytest.raises(TrainingDivergenceError) as want_info:
@@ -379,7 +385,7 @@ def _ragged_block(activation, depth, batch_size, radius):
 @pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
 def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_size):
     datasets, arch, cfg, r, seeds = _ragged_block(activation, depth, batch_size, None)
-    models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
+    models = _train_rows(datasets, arch, cfg, r, seeds)
     for dataset, seed, model in zip(datasets, seeds, models):
         want = _reference_train(dataset, arch, cfg, r, seed)
         assert flatten(model).tobytes() == want.tobytes()
@@ -397,7 +403,7 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatc
         return _act_terms(kind, z, order, value=value)
 
     monkeypatch.setattr(sparsity, "_act_terms", act_terms)
-    models = _train_rows(datasets, arch, cfg, r, seeds, [None] * 4, None)
+    models = _train_rows(datasets, arch, cfg, r, seeds)
     for i, (dataset, seed, model) in enumerate(zip(datasets, seeds, models)):
         if i == 1:
             with pytest.raises(TrainingDivergenceError) as info:
