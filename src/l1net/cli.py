@@ -134,6 +134,27 @@ def _store_integers(cfg, prefix: str, scalars, tuples):
             _integral(v, prefix + name, ConfigError) for v in getattr(cfg, name)))
 
 
+def _check_sizes(prefix: str, entries):
+    """ConfigError naming the first key of ``entries`` (a field, or a product
+    of fields) whose count, the length of the largest array or list it
+    shapes, is more than numpy can index as float64 (whose bytes fit an intp)."""
+    for name, count in entries.items():
+        if count > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"{prefix}{name} is too large for a numpy array of float64")
+
+
+# The pinned gates of ``verify``: the audited networks' L1 radius and hidden
+# width, the finite-difference steps and tolerances, and the bound audit's
+# relative slack.
+_VERIFY_RADIUS = 5.0
+_VERIFY_HIDDEN = 10
+_FD_GRAD_STEP = 1e-4
+_FD_LAP_STEP = 1e-3
+_FD_GRAD_TOL = 1e-5
+_FD_LAP_TOL = 1e-4
+_BOUND_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Sampling budget of the ``verify`` subcommand.  Its gates are pinned
@@ -159,6 +180,9 @@ class VerifyConfig:
             raise ConfigError("verify.dims must be non-empty and positive")
         if not 0.0 < self.green_tol < math.inf:
             raise ConfigError("verify.green_tol must be positive and finite")
+        # a draw's largest finite-difference stack holds 2 h^2 d doubles
+        _check_sizes("verify.", {"trials": self.trials, "depths": max(self.depths),
+                                 "dims": 2 * _VERIFY_HIDDEN ** 2 * max(self.dims)})
 
 
 @dataclass(frozen=True)
@@ -208,6 +232,12 @@ class ExperimentConfig:
             raise ConfigError("b0 must be non-negative and finite")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
+        d, h, n = self.d, self.h, max(self.n_grid)
+        _check_sizes("", {  # each field alone first, then the products that shape arrays
+            "d": d, "h": h, "n_test": self.n_test, "n_grid": n, "repeats": self.repeats,
+            "depths": max(self.depths), "d * h": d * h, "h * h": h * h * (max(self.depths) > 2),
+            "n_test * d": self.n_test * d, "n_test * h": self.n_test * h, "n_grid * d": n * d,
+            "n_grid * h": n * h, "n_grid * repeats": len(self.n_grid) * self.repeats})
 
 
 # -- config file handling -----------------------------------------------------
@@ -270,9 +300,7 @@ def _parse_value(default, value, key: str):
         return tuple(_parse_value(default[0], v, key) for v in value)
     if isinstance(default, Activation):
         return _parse_activation(value)
-    if isinstance(default, (int, float)):
-        return _parse_number(value, default, key)
-    return value if value == default else _parse_number(value, 0, key)  # batch_size
+    return _parse_number(value, default, key)
 
 
 def _parse_section(cls, obj, section: str):
@@ -620,18 +648,6 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
 
 
 # -- verification suites ------------------------------------------------------
-
-
-# The pinned gates of ``verify``: the audited networks' L1 radius and hidden
-# width, the finite-difference steps and tolerances, and the bound audit's
-# relative slack.
-_VERIFY_RADIUS = 5.0
-_VERIFY_HIDDEN = 10
-_FD_GRAD_STEP = 1e-4
-_FD_LAP_STEP = 1e-3
-_FD_GRAD_TOL = 1e-5
-_FD_LAP_TOL = 1e-4
-_BOUND_SLACK = 1e-9
 
 
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):

@@ -144,12 +144,10 @@ class TrainingDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Projected gradient descent settings shared by every trial (the radius
-    and the seed are per trial).  ``batch_size`` is either a positive integer
-    or the string ``"full"``."""
+    and the seed are per trial).  Every step uses the full training set."""
 
     step_size: float = 0.05
     iterations: int = 1000
-    batch_size: object = "full"
 
     def __post_init__(self):
         if not np.isfinite(self.step_size) or self.step_size <= 0.0:
@@ -157,11 +155,6 @@ class TrainConfig:
         object.__setattr__(self, "iterations", _integral(self.iterations, "iterations", ValueError))
         if self.iterations < 1:
             raise ValueError("iterations must be a positive integer")
-        if self.batch_size != "full":
-            object.__setattr__(
-                self, "batch_size", _integral(self.batch_size, "batch_size", ValueError))
-            if self.batch_size < 1:
-                raise ValueError('batch_size must be a positive integer or "full"')
 
 
 def _init_flat(arch: Architecture, radius: float, rng) -> np.ndarray:
@@ -176,16 +169,15 @@ def train(dataset, arch: Architecture, cfg: TrainConfig, radius: float, seed: in
     """Fit a network to ``dataset`` by projected gradient descent inside the
     L1 ball of radius ``radius`` (positive and finite).
 
-    One iteration = one gradient step on the current batch followed by
-    projection onto the ball, so every iterate (and the returned network)
-    satisfies the radius constraint.  Mini-batches are drawn by reshuffling
-    the sample order at the start of each sweep.  Initial weights are drawn
-    from ``seed`` (a non-negative integer) for every layer from N(0, 2 / d_1),
-    with ``d_1`` the first hidden width, rescaled onto the ball when they
-    land outside it.  The run is a pure function of the arguments: identical
+    One iteration = one gradient step on the mean squared error over the
+    full training set followed by projection onto the ball, so every iterate
+    (and the returned network) satisfies the radius constraint.  Initial
+    weights are drawn from ``seed`` (a non-negative integer) for every layer
+    from N(0, 2 / d_1), with ``d_1`` the first hidden width, rescaled onto the
+    ball when they land outside it.  The run is a pure function of the arguments: identical
     inputs give a bit-identical network.
 
-    Raises :class:`TrainingDivergenceError` if the batch loss, its gradient
+    Raises :class:`TrainingDivergenceError` if the training loss, its gradient
     or the gradient step becomes non-finite, or if a step lands so far out
     that the radius is below one ulp of its largest entry (the projection
     would then round to a point far inside the ball, often the origin).
@@ -200,15 +192,15 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     """:func:`train` for a block of trials as one loop over stacked networks.
 
     Row ``i`` trains on ``datasets[i]`` under ``cfg`` and ``radius`` from
-    the random start of seed ``seeds[i]``, and keeps its own permutation
-    stream.  Returns per row its trained network, or the
+    the random start of seed ``seeds[i]``, stepping on its full training
+    set.  Returns per row its trained network, or the
     :class:`TrainingDivergenceError` that :func:`train` would raise; a
     diverged row is frozen and dropped from the stacks while the others go
     on, so every row gets the bits it would get alone.
 
-    Each row's batch sits zero-padded in an ``(R, m, d)`` buffer: padding
-    is exact, since s(0) = 0 and a zero residual add exact zeros to the
-    gradient.  The first-layer and output products run per row on the real
+    Each row's training set sits zero-padded in an ``(R, m, d)`` buffer:
+    padding is exact, since s(0) = 0 and a zero residual add exact zeros to
+    the gradient.  The first-layer and output products run per row on the real
     rows only, because their BLAS bits depend on the row count.
     """
     if not math.isfinite(radius) or radius <= 0.0:
@@ -228,22 +220,18 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
         Xs.append(X)
         ys.append(np.asarray(dataset.y, dtype=float))
     R, r = len(Xs), radius
-    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     flat = np.empty((R, arch.n_params))
-    for i, rng in enumerate(rngs):
-        flat[i] = _init_flat(arch, r, rng)
-    ns = [X.shape[0] for X in Xs]
-    batches = [n if cfg.batch_size == "full" else min(cfg.batch_size, n) for n in ns]
-    sampled = {i for i in range(R) if batches[i] < ns[i]}
-    orders, cursors = [None] * R, [0] * R
+    for i, seed in enumerate(seeds):
+        flat[i] = _init_flat(arch, r, np.random.default_rng(int(seed)))
+    ns = [X.shape[0] for X in Xs]  # the sample count at each stack position
     # Buffers and layer views, written in place each step and cut down to the
     # live rows when a row diverges; the padding of Xb, yb, z and out stays zero
-    m = max(batches)
+    m = max(ns)
     Xb, yb = np.zeros((R, m, arch.layer_sizes[0])), np.zeros((R, m))
-    for i in set(range(R)) - sampled:  # full batches, fixed for the run
+    for i in range(R):
         Xb[i, :ns[i]], yb[i, :ns[i]] = Xs[i], ys[i]
     z, out = np.zeros((R, m, arch.layer_sizes[1])), np.zeros((R, m, 1))
-    scale = np.array([[2.0 / b] for b in batches])
+    scale = np.array([[2.0 / n] for n in ns])
     grad, stepped = np.empty_like(flat), np.empty_like(flat)
     layers = _layer_views(flat, arch.layer_sizes)
     grads = _layer_views(grad, arch.layer_sizes)
@@ -252,22 +240,12 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
-            for j, i in enumerate(rows):
-                if i in sampled:
-                    n, b = ns[i], batches[i]
-                    if orders[i] is None or cursors[i] + b > n:
-                        orders[i] = rngs[i].permutation(n)
-                        cursors[i] = 0
-                    idx = orders[i][cursors[i]:cursors[i] + b]
-                    cursors[i] += b
-                    np.take(Xs[i], idx, axis=0, out=Xb[j, :b])
-                    np.take(ys[i], idx, out=yb[j, :b])
-            for j, b in enumerate([batches[i] for i in rows]):
-                np.matmul(Xb[j, :b], layers[0][j].T, out=z[j, :b])
+            for j, n in enumerate(ns):
+                np.matmul(Xb[j, :n], layers[0][j].T, out=z[j, :n])
             h, fd, _ = _act_terms(arch.activation, z, 1, value=True)
             acts, fds, _ = _hidden_batch(layers[1:], arch.activation, h, 1, last_value=True)
-            for j, b in enumerate([batches[i] for i in rows]):
-                np.matmul(acts[-1][j, :b], layers[-1][j].T, out=out[j, :b])
+            for j, n in enumerate(ns):
+                np.matmul(acts[-1][j, :n], layers[-1][j].T, out=out[j, :n])
             resid = out[..., 0] - yb
             _grad_params_batch(layers, [Xb] + acts, [fd] + fds, scale * resid, out=grads)
             # flat - step_size * grad, not finite if grad is not
@@ -278,6 +256,7 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
             if not ok.all():
                 diverged[np.array(rows)[~ok]] = it
                 rows = [i for i, good in zip(rows, ok) if good]
+                ns = [n for n, good in zip(ns, ok) if good]
                 if not rows:
                     break
                 flat, stepped, Xb, yb, z, out, scale = (

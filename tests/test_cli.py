@@ -55,7 +55,7 @@ AGG_HEADER = "n,activation,L,pred_l2_mean,pred_l2_std,grad_l2_mean,grad_l2_std"
 def _write_config(tmp_path, **overrides):
     doc = {
         "teacher": {"d": 12, "s": 3, "h": 4},
-        "train": {"step_size": 0.05, "iterations": 150, "batch_size": "full"},
+        "train": {"step_size": 0.05, "iterations": 150},
         "n_grid": [20, 30],
         "n_test": 500,
         "repeats": 2,
@@ -130,19 +130,27 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert main(["verify", "--config", str(path), "--out", out]) == 1
     # train settings that used to pass the loader and then die with a
     # ValueError traceback at the first trial of a run
-    for train in ({"step_size": 0.0}, {"step_size": -0.1}, {"iterations": 0},
-                  {"batch_size": 0}):
+    for train in ({"step_size": 0.0}, {"step_size": -0.1}, {"iterations": 0}):
         path.write_text(json.dumps({"train": train}))
         with pytest.raises(ConfigError):
             load_config(str(path))
     assert main(["run", "--config", str(path), "--out", out]) == 1
+    # every step uses the full training set, so a batch size is an unknown key
+    for train in ({"batch_size": "full"}, {"batch_size": 32}):
+        path.write_text(json.dumps({"train": train}))
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) in train: batch_size$"):
+            load_config(str(path))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", out]) == 1
+        assert _one_config_error(capsys).endswith(": unknown key(s) in train: batch_size")
+        assert not os.path.exists(out)
     # numbers that used to be truncated (fractions), read as 1 (true),
     # accepted as text, or escape as an OverflowError traceback (Infinity
     # in an integer field, an integer too large for a float field)
     inf = float("inf")
     for doc in ({"repeats": 2.5}, {"train": {"iterations": 10.5}},
-                {"train": {"batch_size": 2.7}}, {"verify": {"trials": 16.9}},
-                {"master_seed": 1.5}, {"repeats": inf}, {"train": {"batch_size": inf}},
+                {"verify": {"trials": 16.9}},
+                {"master_seed": 1.5}, {"repeats": inf}, {"train": {"iterations": inf}},
                 {"verify": {"trials": inf}}, {"teacher": {"s": True}},
                 {"data": {"x_std": "2"}}, {"radius_rule": {"absolute": "2"}},
                 {"b0": 10**400}):
@@ -168,10 +176,37 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         assert words in _one_config_error(capsys)
         assert not os.path.exists(out)
     # an integral float is still an integer
-    path.write_text(json.dumps({"n_test": 1e4, "train": {"batch_size": 32.0}}))
+    path.write_text(json.dumps({"n_test": 1e4, "train": {"iterations": 32.0}}))
     cfg = load_config(str(path))
     assert cfg.n_test == 10_000 and type(cfg.n_test) is int
-    assert cfg.train.batch_size == 32 and type(cfg.train.batch_size) is int
+    assert cfg.train.iterations == 32 and type(cfg.train.iterations) is int
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    (command, doc, field)
+    for commands, doc, field in (
+        (["run"], {"repeats": 1e300}, "repeats"),
+        (["run", "bounds", "datagen"], {"teacher": {"d": 1e300, "s": 1}}, "d"),
+        (["run", "bounds", "datagen"], {"teacher": {"h": 1e30}}, "h"),
+        (["run", "bounds", "datagen"], {"depths": [1e300]}, "depths"),
+        (["run"], {"n_test": 1e30}, "n_test"),
+        (["verify"], {"verify": {"trials": 1e30}}, "verify.trials"),
+        (["verify"], {"verify": {"dims": [1e30]}}, "verify.dims"),
+        (["verify"], {"verify": {"depths": [1e300]}}, "verify.depths"),
+        # each field fits alone, but not a product of them
+        (["bounds"], {"teacher": {"d": 1e18, "s": 1}}, "d * h"),
+        (["run"], {"n_test": 1e17}, "n_test * d"),
+    )
+    for command in commands
+])
+def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, doc, field):
+    # Each used to end in an OverflowError or a numpy ValueError traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert _one_config_error(capsys).startswith(f"l1net: config error: {field} is too large")
+    assert not out.exists()
 
 
 _TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3}
@@ -184,7 +219,6 @@ _TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3}
     (lambda v: ExperimentConfig(depths=(v,)), "depths", ConfigError),
     (lambda v: cli.VerifyConfig(trials=v), "verify.trials", ConfigError),
     (lambda v: TrainConfig(iterations=v), "iterations", ValueError),
-    (lambda v: TrainConfig(batch_size=v), "batch_size", ValueError),
     (lambda v: datagen.TeacherSpec(**{**_TEACHER, "L": v}), "L", ValueError),
 ])
 def test_library_integer_fields_take_only_whole_numbers(make, field, error):
@@ -469,7 +503,7 @@ def test_run_command_repeat_and_seed_overrides(tmp_path):
 def test_run_exit_3_when_cell_diverges(tmp_path, capsys):
     cfg_path = _write_config(
         tmp_path,
-        train={"step_size": 1e180, "iterations": 5, "batch_size": "full"},
+        train={"step_size": 1e180, "iterations": 5},
         radius_rule={"absolute": 1e200},
         n_grid=[20],
         repeats=2,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import l1net
 
-_LIMIT = 37
+_LIMIT = 36
 _NAMES_LIMIT = 62
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 

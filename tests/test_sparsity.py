@@ -178,10 +178,6 @@ def test_train_config_validation():
         TrainConfig(step_size=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    cfg = TrainConfig(batch_size="full")
-    assert cfg.batch_size == "full"
 
 
 @pytest.mark.parametrize("radius, seed", [
@@ -260,18 +256,11 @@ def test_train_feasible_after_every_iteration(monkeypatch):
 def test_train_deterministic():
     teacher, ds = _toy_problem(seed=13, noise=0.1)
     arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    cfg = TrainConfig(iterations=120, batch_size=32)
+    cfg = TrainConfig(iterations=120)
     a = train(ds, arch, cfg, 2.0, 77)
     b = train(ds, arch, cfg, 2.0, 77)
     for la, lb in zip(a.layers, b.layers):
         np.testing.assert_array_equal(la, lb)
-
-
-def test_train_minibatch_runs_and_stays_feasible():
-    teacher, ds = _toy_problem(seed=17, n=64, noise=0.1)
-    arch = Architecture.mlp(2, 3, 2, Activation.SOFTPLUS)
-    out = train(ds, arch, TrainConfig(iterations=200, batch_size=16), 1.0, 2)
-    assert param_l1_norm(out) <= 1.0 + 1e-9
 
 
 def test_train_divergence_raises_with_iteration():
@@ -317,28 +306,16 @@ def _reference_train(dataset, arch, cfg, radius, seed):
     n = X.shape[0]
     shapes = [(arch.layer_sizes[l + 1], arch.layer_sizes[l]) for l in range(arch.depth)]
     cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
-    rng = np.random.default_rng(seed)
-    flat = _reference_init(arch, radius, rng)
-    batch = n if cfg.batch_size == "full" else min(cfg.batch_size, n)
-    order, cursor = None, 0
+    flat = _reference_init(arch, radius, np.random.default_rng(seed))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
-            if batch == n:
-                Xb, yb = X, y
-            else:
-                if order is None or cursor + batch > n:
-                    order, cursor = rng.permutation(n), 0
-                idx = order[cursor:cursor + batch]
-                cursor += batch
-                Xb, yb = X[idx], y[idx]
             layers = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
-            acts, fds, _ = _hidden_batch(layers, arch.activation, Xb, 1, last_value=True)
-            resid = _output(layers, acts) - yb
-            m = Xb.shape[0]
-            grads = _grad_params_batch(layers, acts, fds, (2.0 / m) * resid)
+            acts, fds, _ = _hidden_batch(layers, arch.activation, X, 1, last_value=True)
+            resid = _output(layers, acts) - y
+            grads = _grad_params_batch(layers, acts, fds, (2.0 / n) * resid)
             grad = np.concatenate([g.ravel() for g in grads])
             stepped = flat - cfg.step_size * grad
-            if not np.isfinite(float(resid @ resid) / m) or not np.isfinite(stepped).all():
+            if not np.isfinite(float(resid @ resid) / n) or not np.isfinite(stepped).all():
                 raise TrainingDivergenceError(it)
             if np.spacing(np.abs(stepped).max()) > radius:
                 raise TrainingDivergenceError(it)  # r is below an ulp of the step
@@ -346,20 +323,19 @@ def _reference_train(dataset, arch, cfg, radius, seed):
     return flat
 
 
-@pytest.mark.parametrize("batch_size", ["full", 16])
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
-def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
+def test_train_matches_reference_loop_bitwise(activation, depth):
     teacher, ds = _toy_problem(seed=31, d=6, n=50, noise=0.1)
     arch = Architecture.mlp(6, 4, depth, activation)
-    cfg = TrainConfig(step_size=0.1, iterations=80, batch_size=batch_size)
+    cfg = TrainConfig(step_size=0.1, iterations=80)
     r = 0.6 * param_l1_norm(teacher)
     want = _reference_train(ds, arch, cfg, r, 3)
     got = flatten(train(ds, arch, cfg, r, 3))
     assert got.tobytes() == want.tobytes()
 
     # Steps that overflow a few iterations in diverge at the same iteration
-    wild = TrainConfig(step_size=1e100, iterations=50, batch_size=batch_size)
+    wild = TrainConfig(step_size=1e100, iterations=50)
     with pytest.raises(TrainingDivergenceError) as want_info:
         _reference_train(ds, arch, wild, 1e200, 3)
     with pytest.raises(TrainingDivergenceError) as got_info:
@@ -367,7 +343,7 @@ def test_train_matches_reference_loop_bitwise(activation, depth, batch_size):
     assert got_info.value.iteration == want_info.value.iteration
 
 
-def _ragged_block(activation, depth, batch_size, radius):
+def _ragged_block(activation, depth, radius):
     """Four trials at the sweep's d = 100 and h = 10 with n = 50, 53, 70, 99
     (every n mod 4), each with its own data and seed, as (datasets, arch,
     cfg, radius, seeds).  Here the first-layer product of a padded stack
@@ -376,24 +352,22 @@ def _ragged_block(activation, depth, batch_size, radius):
     datasets = [synthesize(teacher, n, DataSpec(noise_std=0.1), np.random.default_rng(40 + i))
                 for i, n in enumerate((50, 53, 70, 99))]
     arch = Architecture.mlp(100, 10, depth, activation)
-    cfg = TrainConfig(iterations=40, batch_size=batch_size)
+    cfg = TrainConfig(iterations=40)
     return datasets, arch, cfg, radius or param_l1_norm(teacher), [11, 12, 13, 14]
 
 
-@pytest.mark.parametrize("batch_size", ["full", 16])
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
-def test_train_rows_match_reference_on_a_ragged_block(activation, depth, batch_size):
-    datasets, arch, cfg, r, seeds = _ragged_block(activation, depth, batch_size, None)
+def test_train_rows_match_reference_on_a_ragged_block(activation, depth):
+    datasets, arch, cfg, r, seeds = _ragged_block(activation, depth, None)
     models = _train_rows(datasets, arch, cfg, r, seeds)
     for dataset, seed, model in zip(datasets, seeds, models):
         want = _reference_train(dataset, arch, cfg, r, seed)
         assert flatten(model).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("batch_size", ["full", 16])
-def test_diverged_row_leaves_the_rest_of_its_block_serial(batch_size, monkeypatch):
-    datasets, arch, cfg, r, seeds = _ragged_block(Activation.SOFTPLUS, 2, batch_size, 1e200)
+def test_diverged_row_leaves_the_rest_of_its_block_serial(monkeypatch):
+    datasets, arch, cfg, r, seeds = _ragged_block(Activation.SOFTPLUS, 2, 1e200)
     # Labels of order 1e100 make row 1's steps grow until they overflow
     datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
     stacked = []  # rows in each step's first-layer activation pass
