@@ -305,11 +305,14 @@ _DRAW_BLOCK = 32
 
 def _draw_blocks(seed, trials: int, draw):
     """Lists of ``draw(index, rng)`` over the trials, at most ``_DRAW_BLOCK``
-    long; every trial draws from its own stream spawned from ``seed``."""
-    streams = np.random.SeedSequence(seed).spawn(int(trials))
-    for start in range(0, len(streams), _DRAW_BLOCK):
-        yield [draw(index, np.random.default_rng(streams[index]))
-               for index in range(start, min(start + _DRAW_BLOCK, len(streams)))]
+    long; every trial draws from its own stream spawned from ``seed``.  The
+    streams are spawned a block at a time: ``spawn`` goes on counting its
+    children, so they are those of one ``spawn(trials)``, and memory does not
+    grow with ``trials``."""
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, int(trials), _DRAW_BLOCK):
+        streams = parent.spawn(min(_DRAW_BLOCK, int(trials) - start))
+        yield [draw(start + k, np.random.default_rng(stream)) for k, stream in enumerate(streams)]
 
 
 def _gaussian_flat(arch: Architecture, rng) -> np.ndarray:

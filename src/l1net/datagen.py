@@ -140,6 +140,56 @@ def _in_box(x, mean, bound) -> np.ndarray:
     return keep.reshape(x.shape)
 
 
+def _propose(out, mean, std, cutoff_factor, rng):
+    """Fill the flat float64 array ``out`` with proposals for
+    :func:`sample_truncated_normal` and return it, allocating nothing: the
+    bits of ``rng.normal(mean, std)`` from ``cutoff_factor`` 1 up, else of
+    ``rng.uniform(-cutoff_factor, cutoff_factor)``, which overflow to inf
+    without a warning.  The generator fills with the GIL released."""
+    if cutoff_factor >= 1.0:
+        rng.standard_normal(out=out)
+        with np.errstate(over="ignore"):
+            out *= std
+            out += mean
+    else:
+        rng.random(out=out)
+        out *= cutoff_factor - -cutoff_factor  # the width uniform() scales by
+        out -= cutoff_factor
+    return out
+
+
+def _keep(x, mean, std, cutoff_factor, rng):
+    """Which proposals ``x`` (from :func:`_propose`) are kept.  Uniform
+    proposals become draws in place, ``x = mean + std * u``, after their
+    acceptance uniforms are drawn in cache-sized pieces; drawing them piece
+    by piece reads the generator's stream as one whole draw would."""
+    bound = cutoff_factor * std
+    if cutoff_factor >= 1.0:
+        return _in_box(x, mean, bound)
+    keep = np.empty(len(x), bool)
+    for piece in _pieces(len(x), 1):
+        u = x[piece]
+        weight = -0.5 * u * u
+        accept = rng.random(len(u)) < np.exp(weight, out=weight)
+        u *= std
+        u += mean
+        keep[piece] = _in_box(u, mean, bound) & accept
+    return keep
+
+
+def _accept(x, mean, std, cutoff_factor, rng):
+    """Turn the proposals ``x`` (flat, from :func:`_propose`) into draws in
+    place, redrawing rejects until none is left; returns ``x``."""
+    bad = _keep(x, mean, std, cutoff_factor, rng)
+    np.logical_not(bad, out=bad)
+    while bad.any():
+        redo = _propose(np.empty(int(bad.sum())), mean, std, cutoff_factor, rng)
+        keep = _keep(redo, mean, std, cutoff_factor, rng)
+        x[bad] = redo
+        bad[bad] = ~keep
+    return x
+
+
 def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng, size):
     """Normal draws conditioned on ``|x - mean| <= cutoff_factor * std``.
 
@@ -148,37 +198,17 @@ def sample_truncated_normal(mean: float, std: float, cutoff_factor: float, rng, 
     box (at least 68% are).  Below 1 that rate falls like ``0.8 *
     cutoff_factor``, so proposals are uniform on the box instead, kept with
     probability ``exp(-u^2 / 2)`` for the standardized draw ``u`` (at least
-    85% are).  Returns an array of shape ``size``.  Masks are made in
-    cache-sized pieces; drawing a uniform proposal's acceptance piece by
-    piece after it reads the generator's stream as one whole draw would.
+    85% are).  Returns an array of shape ``size``.  The proposals are filled
+    into the output (:func:`_propose`), then kept or redrawn
+    (:func:`_accept`); masks are made in cache-sized pieces.
     """
     if not np.isfinite(std) or std <= 0.0:
         raise ValueError("std must be positive and finite")
     if not np.isfinite(cutoff_factor) or cutoff_factor <= 0.0:
         raise ValueError("cutoff_factor must be positive and finite")
-    bound = cutoff_factor * std
-
-    def propose(k):
-        if cutoff_factor >= 1.0:
-            x = rng.normal(mean, std, size=k)
-            return x, _in_box(x, mean, bound)
-        x = rng.uniform(-cutoff_factor, cutoff_factor, size=k)
-        keep = np.empty(k, bool)
-        for piece in _pieces(k, 1):
-            u = x[piece]
-            weight = -0.5 * u * u
-            accept = rng.random(len(u)) < np.exp(weight, out=weight)
-            u *= std  # x = mean + std * u, in place
-            u += mean
-            keep[piece] = _in_box(u, mean, bound) & accept
-        return x, keep
-
-    flat, bad = propose(int(np.prod(size)))
-    np.logical_not(bad, out=bad)
-    while bad.any():
-        flat[bad], keep = propose(int(bad.sum()))
-        bad[bad] = ~keep
-    return flat.reshape(size)
+    x = np.empty(size)
+    _accept(_propose(x.reshape(-1), mean, std, cutoff_factor, rng), mean, std, cutoff_factor, rng)
+    return x
 
 
 # Gauss-Legendre nodes per smooth piece of ``_expected_max_sq``'s integrand.

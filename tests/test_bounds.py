@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,3 +301,28 @@ def test_verify_bounds_zero_radius():
     for row in verify_bounds(arch, 0.0, 10, seed=1, input_sup=10.0, slack=1e-9):
         assert row.violations == 0
         assert row.worst_ratio == 0.0
+
+
+@pytest.mark.parametrize("trials", [1, 31, 32, 33, 100])
+def test_draw_blocks_spawn_the_streams_of_one_spawn(trials):
+    # spawn goes on counting its children, so streams spawned a block at a
+    # time are those of one spawn(trials) up front
+    streams = np.random.SeedSequence(7).spawn(trials)
+    want = [(index, np.random.default_rng(s).random(2).tolist()) for index, s in enumerate(streams)]
+    blocks = list(bounds._draw_blocks(7, trials, lambda index, rng: (index, rng.random(2).tolist())))
+    assert [len(block) for block in blocks] == [
+        min(bounds._DRAW_BLOCK, trials - start) for start in range(0, trials, bounds._DRAW_BLOCK)]
+    assert [item for block in blocks for item in block] == want
+
+
+def test_draw_blocks_memory_does_not_grow_with_trials():
+    # spawn(10^5) up front took 37.6 MB and 2.4 s before the first block
+    blocks = bounds._draw_blocks(7, 10 ** 5, lambda index, rng: index)
+    tracemalloc.start()
+    try:
+        first = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == list(range(bounds._DRAW_BLOCK))
+    assert peak <= 2 ** 20

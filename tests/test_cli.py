@@ -1097,9 +1097,11 @@ def test_run_verification_deterministic():
 
 def test_cli_import_leaves_the_process_pool_out():
     # concurrent.futures.process and multiprocessing cost every start about
-    # 25 ms; only run_experiment(jobs > 1) imports them
+    # 25 ms; only run_experiment(jobs > 1) imports them.  concurrent.futures
+    # alone costs 2.5 ms, so the Green check's prefetch thread uses threading,
+    # which numpy loads anyway
     code = ("import sys, l1net.cli; print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing')))")
+            "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           env=dict(os.environ, PYTHONPATH=src),

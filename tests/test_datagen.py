@@ -62,22 +62,22 @@ def test_truncated_normal_tight_cutoff():
 
 
 class _CountingGenerator:
-    """Forwards to a numpy Generator and counts the proposals drawn."""
+    """Forwards to a numpy Generator and counts the proposals drawn: the
+    sampler fills its proposals into ``out`` and draws acceptance uniforms
+    by ``size``."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.proposals = 0
 
-    def normal(self, loc, scale, size):
-        self.proposals += int(np.prod(size))
-        return self._rng.normal(loc, scale, size=size)
+    def standard_normal(self, *, out):
+        self.proposals += out.size
+        return self._rng.standard_normal(out=out)
 
-    def uniform(self, low, high, size):
-        self.proposals += int(np.prod(size))
-        return self._rng.uniform(low, high, size=size)
-
-    def random(self, size):
-        return self._rng.random(size)
+    def random(self, size=None, *, out=None):
+        if out is not None:
+            self.proposals += out.size
+        return self._rng.random(size, out=out)
 
 
 def test_truncated_normal_narrow_cutoff_is_cheap():
@@ -134,6 +134,48 @@ def test_truncated_normal_pieces_move_no_bit(monkeypatch, cutoff):
     assert after.tobytes() == after_pieces.tobytes()
     # both proposal kinds are rejected somewhere, except at 10 sigma
     assert (proposals > whole.size) == (cutoff < 10.0)
+
+
+def _reference_sampler(mean, std, cutoff, rng, size):
+    """The sampler as one construction: ``rng.normal`` proposals from cutoff 1
+    up, else ``rng.uniform`` proposals, each followed by its piece's
+    ``rng.random`` acceptance uniforms; rejects redrawn until none is left."""
+    def propose(k):
+        if cutoff >= 1.0:
+            x = rng.normal(mean, std, size=k)
+            return x, np.abs(x - mean) <= cutoff * std
+        x = rng.uniform(-cutoff, cutoff, size=k)
+        keep = np.empty(k, bool)
+        for piece in net_module._pieces(k, 1):
+            u = x[piece]
+            accept = rng.random(len(u)) < np.exp(-0.5 * u * u)
+            x[piece] = mean + std * u
+            keep[piece] = (np.abs(x[piece] - mean) <= cutoff * std) & accept
+        return x, keep
+
+    flat, keep = propose(int(np.prod(size)))
+    bad = ~keep
+    while bad.any():
+        flat[bad], keep = propose(int(bad.sum()))
+        bad[bad] = ~keep
+    return flat.reshape(size)
+
+
+@pytest.mark.parametrize("mean, std, cutoff, size", [
+    (0.3, 2.0, 10.0, (37, 11)),
+    (-1.0, 0.5, 1.0, 5_000),  # about 32% of normal proposals rejected
+    (4.0, 3.0, 1.5, (300, 7)),
+    (1.0, 2.0, 0.5, 300_000),  # uniform proposals over three acceptance pieces
+    (2.0, 1.5, 1e-3, (100, 3)),
+])
+def test_truncated_normal_matches_its_reference_construction(mean, std, cutoff, size):
+    # filling proposals in place and then accepting them gives the bits of
+    # rng.normal / rng.uniform proposals, and leaves the generator where they do
+    ref_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
+    want = _reference_sampler(mean, std, cutoff, ref_rng, size)
+    got = sample_truncated_normal(mean, std, cutoff, rng, size=size)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
 
 
 def test_dataset_box_check_is_the_samplers(monkeypatch):

@@ -1,3 +1,6 @@
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -468,6 +471,107 @@ def test_green_identity_memory_does_not_grow_with_m(d):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+def _serial_green(f, g, dspec, m, rng):
+    """``(lhs, rhs)`` of the Green check from a serial loop: each piece drawn
+    whole by ``sample_truncated_normal``, then evaluated."""
+    lhs_sum = rhs_sum = 0.0
+    d = f.input_dim
+    for piece in net_module._pieces(m, d):
+        X = sample_truncated_normal(dspec.mean, dspec.x_std, dspec.cutoff_factor, rng,
+                                    size=(piece.stop - piece.start, d))
+        for rows in net_module._row_blocks(f.layers, len(X)):
+            x = X[rows]
+            gf, rhs_f = evaluate._green_f_terms(f, x, -(x - dspec.mean) * (1.0 / dspec.x_std ** 2))
+            g_out, delta = evaluate._scores(g, x)
+            lhs_sum -= float(np.einsum("md,md->", gf, delta @ g.layers[0]))
+            rhs_sum += float(rhs_f @ g_out)
+    return lhs_sum / m, rhs_sum / m
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 1.0, 0.5])
+def test_green_identity_prefetch_keeps_the_serial_bits(monkeypatch, cutoff):
+    # at cutoff 1 about 32% of the proposals are redrawn, and 0.5 takes the
+    # uniform proposals; 10^5 rows at d = 3 make three pieces
+    rng = np.random.default_rng(15)
+    f, g = _small_green_net(3, rng), _small_green_net(3, rng)
+    dspec = DataSpec(x_std=1.3, mean=0.2, cutoff_factor=cutoff)
+    assert len(net_module._pieces(100_000, 3)) == 3
+    fills = []  # whether each piece's fill ran on the main thread
+    propose = evaluate._propose
+
+    def spy(out, *law):
+        fills.append(threading.current_thread() is threading.main_thread())
+        return propose(out, *law)
+
+    monkeypatch.setattr(evaluate, "_propose", spy)
+    ref_rng, check_rng = np.random.default_rng(16), np.random.default_rng(16)
+    want = _serial_green(f, g, dspec, 100_000, ref_rng)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the GIL as often as they can
+    try:
+        got = green_identity_check(f, g, dspec, 100_000, check_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.lhs, got.rhs) == want
+    assert fills == [True, False, False]  # the first piece, then one per later piece
+    # nothing is drawn ahead: the caller's generator goes on where the serial loop's does
+    assert check_rng.random(3).tobytes() == ref_rng.random(3).tobytes()
+
+
+def test_green_identity_prefetch_surfaces_a_failed_fill(monkeypatch):
+    rng = np.random.default_rng(17)
+    f, g = _small_green_net(2, rng), _small_green_net(2, rng)
+    boom = RuntimeError("fill failed")
+    propose = evaluate._propose
+    calls = []
+
+    def failing(out, *law):
+        calls.append(threading.current_thread() is threading.main_thread())
+        if len(calls) == 2:  # the first fill on the worker
+            raise boom
+        return propose(out, *law)
+
+    monkeypatch.setattr(evaluate, "_propose", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        green_identity_check(f, g, DataSpec(), 200_000, np.random.default_rng(0))
+    assert caught.value is boom
+    assert calls == [True, False]
+    assert threading.active_count() == threads
+
+
+def test_green_identity_prefetch_calls_public_functions_on_the_main_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack for the process, so a
+    # public function called from the fill thread would corrupt it
+    threads = threading.active_count()
+    off_main = []
+    seen = set()
+
+    def spied(fn, name):
+        def call(*args, **kwargs):
+            seen.add(name)
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    modules = [module for modname, module in sys.modules.items()
+               if modname.startswith("l1net.") and hasattr(module, "__all__")]
+    public = {getattr(module, name): f"{module.__name__}.{name}" for module in modules
+              for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in public:
+                monkeypatch.setattr(module, attr, spied(value, public[value]))
+    cfg = ExperimentConfig(verify=VerifyConfig(
+        trials=1, depths=(2,), dims=(1,), green_m=300_000, green_pairs=1, green_tol=1.0,
+    ))
+    run_verification(cfg)
+    assert "l1net.evaluate.green_identity_check" in seen
+    assert off_main == []
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("factor", [0.5, -1.0])
