@@ -277,10 +277,11 @@ class SuiteRow:
 
 def _tally(ratios: dict, slack: float = 0.0) -> list:
     """One :class:`SuiteRow` per ``{suite: [observed/allowed ratio per
-    trial]}`` entry: ratios above ``1 + slack`` are violations, and
-    ``worst_ratio`` is the largest ratio, floored at 0."""
+    trial]}`` entry: ratios above ``1 + slack``, or NaN, are violations, and
+    ``worst_ratio`` is the largest ratio, floored at 0, or NaN if one is."""
     return [
-        SuiteRow(suite, len(r), int(sum(x > 1.0 + slack for x in r)), max([0.0, *r]))
+        SuiteRow(suite, len(r), int(sum(not x <= 1.0 + slack for x in r)),
+                 math.nan if any(map(math.isnan, r)) else max([0.0, *r]))
         for suite, r in ratios.items()
     ]
 

@@ -39,6 +39,12 @@ def _integral(value, name: str, error):
     return int(value)
 
 
+# The widest tail, in standard deviations, that ``_expected_max_sq`` reads:
+# past ``sqrt(2 ln(d 2^53))`` the mass ``d P(|x_1| > t)`` is below double
+# precision, and d is at most the float64 count numpy can index (about 2^60).
+_WIDEST_TAIL = math.sqrt(2.0 * math.log(np.iinfo(np.intp).max // 8 * 2.0 ** 53))
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Input and noise distribution settings.
@@ -61,6 +67,20 @@ class DataSpec:
             raise ValueError("cutoff_factor must be positive and finite")
         if not np.isfinite(self.mean):
             raise ValueError("mean must be finite")
+        # Every scale a command derives from the law must be a finite float:
+        # the Green check's 1 / x_std^2, the box (the bound audit draws across
+        # it), the score bound, the square of the draws' reach (E max_i x_i^2,
+        # and room for a network's gain) and the noise box.  Python floats
+        # overflow to inf without a warning, numpy scalars would warn.
+        s, c = float(self.x_std), float(self.cutoff_factor)
+        var, R, reach = s * s, c * s, abs(float(self.mean)) + s * max(1.0, min(c, _WIDEST_TAIL))
+        if not (var > 0.0 and 1.0 / var < math.inf and R > 0.0 and 2.0 * R < math.inf
+                and max(c / s, reach * reach, c * float(self.noise_std)) < math.inf):
+            raise ValueError(
+                f"{self} leaves float64: x_std^2 and R = cutoff_factor * x_std must be "
+                "positive, and 1 / x_std^2, 2R, cutoff_factor / x_std, cutoff_factor * "
+                f"noise_std and (|mean| + x_std * max(1, min(cutoff_factor, {_WIDEST_TAIL:.3g})))^2"
+                " finite")
 
     @property
     def input_bound(self) -> float:
@@ -229,15 +249,14 @@ def _expected_max_sq(data_spec: DataSpec, d: int) -> float:
     t meets a box edge, so each piece between them takes ``_MAX_SQ_NODES``
     nodes.  T is the far box edge, or sooner the point past which
     ``d P(|x_1| > t)`` is below double precision (``erfc(u / sqrt 2) <=
-    exp(-u^2 / 2)`` places it), so a huge ``cutoff_factor`` does not spread
-    the nodes.  The law of ``|x_1|`` does not depend on the mean's sign.
-    Nodes are placed on ``t / T`` in [0, 1] and every step is a Python
-    float, so nothing warns; the result is ``inf`` only when ``T^2`` is.
+    exp(-u^2 / 2)`` places it, never past ``_WIDEST_TAIL``), so a huge
+    ``cutoff_factor`` does not spread the nodes.  The law of ``|x_1|`` does
+    not depend on the mean's sign.  Nodes are placed on ``t / T`` in [0, 1]
+    and every step is a Python float, so nothing warns; ``DataSpec`` keeps
+    ``T^2`` finite and T positive.
     """
     m, s, c = abs(float(data_spec.mean)), float(data_spec.x_std), float(data_spec.cutoff_factor)
-    T = m + s * min(c, math.sqrt(2.0 * math.log(d * 2.0 ** 53)))
-    if not 0.0 < T * T < math.inf:  # a box at 0 after rounding, or T^2 overflows
-        return T * T
+    T = m + s * min(c, math.sqrt(2.0 * math.log(d * 2.0 ** 53)), _WIDEST_TAIL)
 
     def mass(a, b):  # P(a <= z <= b) for a standard normal z, a <= b
         if b <= 0.0:  # by symmetry, a tail is always taken on the right

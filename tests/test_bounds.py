@@ -7,6 +7,8 @@ import pytest
 from l1net import bounds
 from l1net.bounds import (
     BoundInputs,
+    SuiteRow,
+    _tally,
     bound_report,
     c1,
     derivative_convergence_bound,
@@ -326,3 +328,13 @@ def test_draw_blocks_memory_does_not_grow_with_trials():
         tracemalloc.stop()
     assert first == list(range(bounds._DRAW_BLOCK))
     assert peak <= 2 ** 20
+
+
+def test_tally_counts_a_nan_ratio_as_a_violation():
+    # NaN > 1 is false and max() skips it, so a NaN row would read clean
+    (row,) = _tally({"s": [math.nan, math.nan]})
+    assert row.violations == 2 and math.isnan(row.worst_ratio)
+    (row,) = _tally({"s": [0.5, math.nan, 3.0]})
+    assert row.violations == 2 and math.isnan(row.worst_ratio)
+    assert _tally({"s": [0.5, 1.0 + 1e-10]}, 1e-9) == [SuiteRow("s", 2, 0, 1.0 + 1e-10)]
+    assert _tally({"s": []}) == [SuiteRow("s", 0, 0, 0.0)]

@@ -500,6 +500,15 @@ def test_run_command_repeat_and_seed_overrides(tmp_path):
     assert len((out_a / "trials.csv").read_text().strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "master_seed"),
+                                                ("--repeats", "0", "repeats")])
+def test_bad_seed_or_repeats_flag_is_a_config_error(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path), "--out", str(out), flag, value]) == 1
+    assert field in _one_config_error(capsys)
+    assert not out.exists()
+
+
 def test_run_exit_3_when_cell_diverges(tmp_path, capsys):
     cfg_path = _write_config(
         tmp_path,
@@ -657,71 +666,58 @@ def test_bounds_json_is_strict_when_bounds_overflow(tmp_path):
     assert report_bounds(load_config(str(path)))[0]["report"]["grad_l1"] == math.inf
 
 
-def test_bounds_on_extreme_data_values_reports_or_rejects(tmp_path, capsys):
-    # each data value either gives a report or one config-error line; none
-    # raises, prints a traceback or warns
-    values = [5e-324, 1e-300, 1e300, sys.float_info.max]
-    codes = {}
-    for key, value in ((k, v) for k in ("x_std", "mean", "cutoff_factor") for v in values):
-        out = tmp_path / f"{key}-{value!r}"
-        cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2], data={key: value})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["bounds", "--config", cfg_path, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert caught == [], (key, value)
-        if code == 0:
-            doc = json.loads((out / "bounds.json").read_text())
-            assert all(math.isfinite(e["inputs"]["x_inf_sq"]) for e in doc["reports"])
-        else:
-            assert code == 1 and err.startswith("l1net: config error:"), (key, value, err)
-            assert err.count("\n") == 1 and not out.exists()
-        codes[key, value] = code
-    # a tiny box or a far mean near 0 still has a report; an infinite box does not
-    assert codes["mean", 5e-324] == codes["cutoff_factor", 5e-324] == 0
-    assert codes["x_std", sys.float_info.max] == codes["mean", 1e300] == 1
+# Exit codes of run, datagen, bounds, bounds --model and verify on the data law
+# that sets one data key to each of _LAW_VALUES, at tiny budgets.  A law is
+# rejected by every command (1, a config error from DataSpec) or accepted by
+# every one.  An accepted law may still fail a check: run's students diverge
+# (3) where the labels reach 1e150, and verify fails (2) where its finite
+# differences lose the inputs' scale (x_std or mean 1e150) or where the box is
+# too narrow for the Green identity (x_std 1e-150, cutoff_factor 1e-150 and
+# below).
+_LAW_VALUES = (0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300,
+               sys.float_info.max, -1.0)
+_LAW_COMMANDS = ("run", "datagen", "bounds", "bounds --model", "verify")
+_LAW_CODES = {
+    "x_std": "11111 11111 11111 11111 00002 30002 11111 11111 11111 11111",
+    "noise_std": "00000 00000 00000 00000 00000 30000 30000 30000 11111 11111",
+    "mean": "00000 00000 00000 00000 00000 30002 11111 11111 11111 00000",
+    "cutoff_factor": "11111 00002 00002 00002 00002 00000 00000 00000 11111 11111",
+}
 
 
-def test_run_and_datagen_on_extreme_data_values_run_or_reject(tmp_path, capsys):
-    # each data value writes its files, ends with every cell diverged or gives
-    # one config-error line; none raises, prints a traceback or warns
-    maximum = sys.float_info.max
-    codes = {}
-    for key, value, command in itertools.product(
-            ("x_std", "noise_std", "mean", "cutoff_factor"),
-            (5e-324, 1e-300, 1e300, maximum), ("run", "datagen")):
-        out = tmp_path / f"{command}-{key}-{value!r}"
-        cfg_path = _write_config(tmp_path, teacher={"d": 3, "s": 2, "h": 3}, n_grid=[10],
-                                 n_test=50, repeats=1, train={"iterations": 5},
-                                 data={key: value})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([command, "--config", cfg_path, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert caught == [] and code in (0, 1, 3), (command, key, value, code)
-        if code == 1:
-            assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
-            assert not out.exists()
-        codes[command, key, value] = code
-    # inputs, labels or teacher outputs that leave float64 cannot be drawn
-    rejected = {case for case, code in codes.items() if code == 1}
-    assert rejected == {(command, key, maximum) for command in ("run", "datagen")
-                        for key in ("x_std", "noise_std", "mean")}
-    # at 1e300 the students of `run` diverge; every other case writes its files
-    assert {case for case, code in codes.items() if code == 3} == {
-        ("run", key, 1e300) for key in ("x_std", "noise_std", "mean")}
-
-
-def test_bounds_model_on_unlabelable_data_is_a_config_error(tmp_path, capsys):
-    # b0 from a model draws a fresh dataset, through the same helper as run
-    gen_dir = tmp_path / "gen"
-    assert main(["datagen", "--config", _write_config(tmp_path), "--out", str(gen_dir)]) == 0
-    cfg_path = _write_config(tmp_path, data={"noise_std": sys.float_info.max})
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg_path, "--model", str(gen_dir / "teacher.json"),
-                 "--out", str(tmp_path / "bounds")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("l1net: config error: cannot draw a dataset") and err.count("\n") == 1
+def test_each_data_law_gets_one_verdict_in_every_command(tmp_path, capsys):
+    # none raises, prints a traceback or warns; a rejection is one line and
+    # leaves no output directory, and every accepted law has a finite bound input
+    overrides = _verify_overrides()
+    overrides["verify"]["trials"] = 2
+    tiny = dict(teacher={"d": 3, "s": 2, "h": 3}, n_grid=[10], n_test=50, repeats=1,
+                train={"iterations": 5}, **overrides)
+    model = tmp_path / "model"
+    assert main(["datagen", "--config", _write_config(tmp_path, **tiny), "--out", str(model)]) == 0
+    got = {}
+    for key, value in itertools.product(_LAW_CODES, _LAW_VALUES):
+        cfg_path = _write_config(tmp_path, data={key: value}, **tiny)
+        codes = ""
+        for command in _LAW_COMMANDS:
+            out = tmp_path / f"{command}-{key}-{value!r}"
+            argv = [command.split()[0], "--config", cfg_path, "--out", str(out)]
+            if command == "bounds --model":
+                argv += ["--model", str(model / "teacher.json")]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert caught == [] and "Traceback" not in err, (command, key, value)
+            if code == 1:
+                assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
+                assert not out.exists()
+            elif command.startswith("bounds"):
+                doc = json.loads((out / "bounds.json").read_text())
+                assert all(math.isfinite(e["inputs"]["x_inf_sq"]) for e in doc["reports"])
+            codes += str(code)
+        assert codes == "11111" or "1" not in codes, (key, value, codes)
+        got.setdefault(key, []).append(codes)
+    assert {key: " ".join(codes) for key, codes in got.items()} == _LAW_CODES
 
 
 @pytest.mark.parametrize("radius", [5e-324, 1e-300])
@@ -734,34 +730,6 @@ def test_bounds_at_a_tiny_radius_read_zero(tmp_path, radius):
         report = entry["report"]
         assert report["rademacher"] == report["model_convergence"] == 0.0
         assert report["derivative_convergence"] == 0.0
-
-
-def test_verify_on_extreme_data_values_passes_fails_or_rejects(tmp_path, capsys):
-    # each data value passes, fails verification or gives one config-error
-    # line; none raises, prints a traceback or warns
-    maximum = sys.float_info.max
-    codes = {}
-    for key, value in ((k, v) for k in ("x_std", "mean", "cutoff_factor", "noise_std")
-                       for v in (5e-324, 1e-300, 1e300, maximum)):
-        out = tmp_path / f"{key}-{value!r}"
-        overrides = _verify_overrides()
-        overrides["verify"]["trials"] = 2
-        cfg_path = _write_config(tmp_path, data={key: value}, **overrides)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["verify", "--config", cfg_path, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert caught == [] and code in (0, 1, 2), (key, value, code)
-        if code == 1:
-            assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
-            assert not out.exists()
-        codes[key, value] = code
-    # a score scale 1 / x_std^2, a box or a squared scale |mean| + x_std that
-    # leaves float64 cannot be verified; the check runs before any suite
-    assert {codes[case] for case in [("x_std", 5e-324), ("x_std", 1e-300), ("x_std", 1e300),
-                                     ("x_std", maximum), ("cutoff_factor", maximum),
-                                     ("mean", 1e300), ("mean", maximum)]} == {1}
-    assert codes["noise_std", maximum] == codes["mean", 1e-300] == 0
 
 
 def test_bounds_command_b0_sources(tmp_path):
@@ -794,13 +762,15 @@ def test_bounds_rejects_bad_b0(tmp_path, capsys, b0):
 
 
 @pytest.mark.parametrize("model", ["wrong_d", "bad_json", "missing", "huge", "deep",
-                                   "int_overflow"])
+                                   "int_overflow", "far_residual"])
 def test_bounds_rejects_unusable_model(tmp_path, capsys, model):
     # A model file that cannot be read, or a network that does not fit the
     # config or overflows on its test set, is a config error, not a traceback.
     # A 50 000-deep list and a weight of 10^400 written as an integer used to
-    # escape as RecursionError and OverflowError tracebacks.
-    cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2])
+    # escape as RecursionError and OverflowError tracebacks.  A finite model
+    # output that is too far from finite labels leaves an infinite b0.
+    data = {"noise_std": 1e307, "mean": 1e6} if model == "far_residual" else {}
+    cfg_path = _write_config(tmp_path, n_grid=[20], depths=[2], data=data)
     path = tmp_path / "model.json"
     rng = np.random.default_rng(18)
     if model == "bad_json":
@@ -814,9 +784,15 @@ def test_bounds_rejects_unusable_model(tmp_path, capsys, model):
                               scale * rng.normal(size=(1, 10))), Activation.SOFTPLUS), path)
     if model == "int_overflow":
         path.write_text('{"activation": "softplus", "layers": [[[%d]], [[1.0]]]}' % 10 ** 400)
+    if model == "far_residual":  # -1.75e302 x_1 is about -1.75e308; labels reach 3e307
+        first = np.zeros((1, 12))
+        first[0, 0] = 1.0
+        save_network(Network((first, np.full((1, 1), -1.75e302)), Activation.SOFTPLUS), path)
     out_dir = tmp_path / "bounds"
-    assert main(["bounds", "--config", cfg_path, "--out", str(out_dir),
-                 "--model", str(path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--config", cfg_path, "--out", str(out_dir),
+                     "--model", str(path)]) == 1
     _one_config_error(capsys)
     assert not out_dir.exists()
 
@@ -919,6 +895,19 @@ def test_verify_command_passes_and_writes_csv(tmp_path):
     assert "green_identity_d1" in suites
     for line in lines[1:]:
         assert int(line.split(",")[2]) == 0
+
+
+def test_verify_fails_green_rows_with_a_nan_gap(tmp_path, monkeypatch):
+    # a NaN gap (as 1 / x_std^2 = inf once gave) fails its row, not passes it
+    nan = float("nan")
+    monkeypatch.setattr(cli, "green_identity_check",
+                        lambda *args: evaluate.GreenCheck(nan, nan, nan))
+    rows, ok = run_verification(load_config(_write_config(tmp_path, **_verify_overrides())))
+    green = [row for row in rows if row.suite.startswith("green_identity_")]
+    assert not ok and len(green) == 3
+    assert all(row.violations == row.trials == 2 and math.isnan(row.worst_ratio)
+               for row in green)
+    assert suites_to_csv(green).splitlines()[1] == "green_identity_d1,2,2,nan"
 
 
 def _scaled(fn, factor):

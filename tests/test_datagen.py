@@ -42,6 +42,13 @@ def test_data_spec_validation():
     with pytest.raises(ValueError):
         DataSpec(cutoff_factor=0.0)
     DataSpec(noise_std=0.0)  # noiseless runs are allowed
+    # a derived scale outside float64, from a Python float or a numpy scalar, warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in ({"x_std": 1e-160}, {"x_std": np.float64(1e160)}, {"mean": 1e160},
+                    {"cutoff_factor": np.float64(1e308)}, {"noise_std": 1e308}):
+            with pytest.raises(ValueError, match="leaves float64"):
+                DataSpec(**law)
 
 
 def test_truncated_normal_stays_inside_cutoff():

@@ -7,8 +7,11 @@ renamed or deleted binding on its own.
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
+
+from l1net.cli import ExperimentConfig, config_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,10 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_config_defaults_match_the_dataclasses():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    assert json.loads(block) == config_to_dict(ExperimentConfig())
