@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -685,39 +687,109 @@ _LAW_CODES = {
 }
 
 
-def test_each_data_law_gets_one_verdict_in_every_command(tmp_path, capsys):
-    # none raises, prints a traceback or warns; a rejection is one line and
-    # leaves no output directory, and every accepted law has a finite bound input
+@pytest.fixture(scope="module")
+def law_verdicts(tmp_path_factory):
+    """Runs the whole grid once: (key, value, command) -> (exit code, faults).
+
+    A fault is a warning, a traceback, a rejection that is not one config-error
+    line or that leaves its output directory, or an accepted law whose bounds
+    report has a non-finite input.
+    """
+    tmp_path = tmp_path_factory.mktemp("laws")
     overrides = _verify_overrides()
     overrides["verify"]["trials"] = 2
     tiny = dict(teacher={"d": 3, "s": 2, "h": 3}, n_grid=[10], n_test=50, repeats=1,
                 train={"iterations": 5}, **overrides)
     model = tmp_path / "model"
-    assert main(["datagen", "--config", _write_config(tmp_path, **tiny), "--out", str(model)]) == 0
-    got = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["datagen", "--config", _write_config(tmp_path, **tiny),
+                     "--out", str(model)]) == 0
+    verdicts = {}
     for key, value in itertools.product(_LAW_CODES, _LAW_VALUES):
         cfg_path = _write_config(tmp_path, data={key: value}, **tiny)
-        codes = ""
         for command in _LAW_COMMANDS:
             out = tmp_path / f"{command}-{key}-{value!r}"
             argv = [command.split()[0], "--config", cfg_path, "--out", str(out)]
             if command == "bounds --model":
                 argv += ["--model", str(model / "teacher.json")]
-            with warnings.catch_warnings(record=True) as caught:
+            err_buf = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err_buf), \
+                    contextlib.redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
                 code = main(argv)
-            err = capsys.readouterr().err
-            assert caught == [] and "Traceback" not in err, (command, key, value)
+            err = err_buf.getvalue()
+            faults = [f"warned: {w.message}" for w in caught]
+            if "Traceback" in err:
+                faults.append(err)
             if code == 1:
-                assert err.startswith("l1net: config error:") and err.count("\n") == 1, err
-                assert not out.exists()
+                if not (err.startswith("l1net: config error:") and err.count("\n") == 1):
+                    faults.append(err)
+                if out.exists():
+                    faults.append("left its output directory")
             elif command.startswith("bounds"):
                 doc = json.loads((out / "bounds.json").read_text())
-                assert all(math.isfinite(e["inputs"]["x_inf_sq"]) for e in doc["reports"])
-            codes += str(code)
+                if not all(math.isfinite(e["inputs"]["x_inf_sq"]) for e in doc["reports"]):
+                    faults.append("non-finite x_inf_sq")
+            verdicts[key, value, command] = (code, faults)
+    return verdicts
+
+
+def _law_column(verdicts, command):
+    """The command's exit codes over the grid, as in _LAW_CODES, with no fault."""
+    faults = {(key, value): faults for (key, value, c), (_, faults) in verdicts.items()
+              if c == command and faults}
+    assert faults == {}, command
+    return {key: "".join(str(verdicts[key, value, command][0]) for value in _LAW_VALUES)
+            for key in _LAW_CODES}
+
+
+def _law_column_expected(command):
+    column = _LAW_COMMANDS.index(command)
+    return {key: "".join(codes[column] for codes in row.split())
+            for key, row in _LAW_CODES.items()}
+
+
+def test_each_data_law_gets_one_verdict_in_every_command(law_verdicts):
+    # none raises, prints a traceback or warns; a rejection is one line and
+    # leaves no output directory, and every accepted law has a finite bound input
+    for command in _LAW_COMMANDS:
+        _law_column(law_verdicts, command)
+    got = {}
+    for key, value in itertools.product(_LAW_CODES, _LAW_VALUES):
+        codes = "".join(str(law_verdicts[key, value, command][0])
+                        for command in _LAW_COMMANDS)
         assert codes == "11111" or "1" not in codes, (key, value, codes)
         got.setdefault(key, []).append(codes)
     assert {key: " ".join(codes) for key, codes in got.items()} == _LAW_CODES
+
+
+def test_run_and_datagen_on_extreme_data_values_run_or_reject(law_verdicts):
+    # each law writes its files, ends with every cell diverged (run) or gives
+    # one config-error line
+    for command in ("run", "datagen"):
+        assert _law_column(law_verdicts, command) == _law_column_expected(command)
+
+
+def test_bounds_on_extreme_data_values_reports_or_rejects(law_verdicts):
+    # each law gives a report with finite inputs or one config-error line
+    assert _law_column(law_verdicts, "bounds") == _law_column_expected("bounds")
+    # a tiny box or a mean near 0 still has a report; an infinite box does not
+    assert law_verdicts["mean", 5e-324, "bounds"][0] == 0
+    assert law_verdicts["cutoff_factor", 5e-324, "bounds"][0] == 0
+    assert law_verdicts["x_std", sys.float_info.max, "bounds"][0] == 1
+
+
+def test_bounds_model_on_unlabelable_data_is_a_config_error(law_verdicts):
+    # b0 from a model draws a fresh dataset under the config's law, so a law
+    # whose labels leave float64 is rejected as in run and datagen
+    assert _law_column(law_verdicts, "bounds --model") == _law_column_expected("bounds --model")
+    assert law_verdicts["noise_std", sys.float_info.max, "bounds --model"][0] == 1
+
+
+def test_verify_on_extreme_data_values_passes_fails_or_rejects(law_verdicts):
+    # each law passes, fails verification or gives one config-error line
+    assert _law_column(law_verdicts, "verify") == _law_column_expected("verify")
 
 
 @pytest.mark.parametrize("radius", [5e-324, 1e-300])
