@@ -22,10 +22,7 @@ import numpy as np
 from .net import (
     Architecture,
     _gaussian_layers,
-    _grad_input,
-    _hidden_batch,
-    _laplacian,
-    _output,
+    _input_derivatives,
     _values,
 )
 from .sparsity import _layer_views, project_l1
@@ -377,17 +374,16 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         net_b = _layer_views(flats[len(xs):], arch.layer_sizes)
         X = np.stack(xs)[:, np.newaxis, :]
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
-        acts, fds, sds = _hidden_batch(net_a, arch.activation, X, 2, last_value=True)
-        out_a = _output(net_a, acts)[:, 0]
+        grad, lap = _input_derivatives(net_a, arch.activation, X, 2, gradient=True)
+        out_a = _values(net_a, arch.activation, X, None)[:, 0]
         out_b = _values(net_b, arch.activation, X, None)[:, 0]
         dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))
         checks = {
             "lipschitz_param": (np.abs(out_a - out_b), dist * [
                 lipschitz_param_bound(r, L, x) for x in x_inf]),
             "sup_model": (np.abs(out_a), [sup_model_bound(x, r, L) for x in x_inf]),
-            "grad_l1": (np.abs(_grad_input(net_a, fds)).sum(axis=(1, 2)),
-                        grad_l1_bound(r, L)),
-            "divergence": (np.abs(_laplacian(net_a, fds, sds)[:, 0]), divergence_bound(r, L)),
+            "grad_l1": (np.abs(grad).sum(axis=(1, 2)), grad_l1_bound(r, L)),
+            "divergence": (np.abs(lap[:, 0]), divergence_bound(r, L)),
         }
         for name, (lhs, rhs) in checks.items():
             ratios.setdefault(name, []).extend(

@@ -68,10 +68,9 @@ from .net import (
     Architecture,
     Network,
     _gaussian_layers,
-    _grad_input,
     _grad_params_batch,
     _hidden_batch,
-    _laplacian,
+    _input_derivatives,
     _pieces,
     _values,
     forward_batch,
@@ -668,14 +667,14 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest
-        acts, fds, sds = _hidden_batch(layers, arch.activation, X, 2, last_value=True)
+        acts, fds = _hidden_batch(layers, arch.activation, X, 1, last_value=True)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
         approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
         den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
-        exact_g = _grad_input(layers, fds)[:, 0]
+        exact_g, exact_l = _input_derivatives(layers, arch.activation, X, 2, gradient=True)
+        exact_g, exact_l = exact_g[:, 0], exact_l[:, 0]
         approx_g = _fd_gradient(layers, arch.activation, X, _FD_GRAD_STEP, work)
-        exact_l = _laplacian(layers, fds, sds)[:, 0]
         approx_l = _fd_laplacian(layers, arch.activation, X, _FD_LAP_STEP, work)
         errs = (
             num / np.maximum(den, 1e-12) / _FD_GRAD_TOL,

@@ -22,10 +22,9 @@ from .net import (
     Network,
     _act_value_in_place,
     _check_batch,
-    _grad_input,
     _hidden_batch,
+    _input_derivatives,
     _input_signal,
-    _laplacian,
     _output,
     _overflow_is_an_error,
     _pieces,
@@ -109,15 +108,14 @@ class GreenCheck(NamedTuple):
 
 def _green_f_terms(f: Network, X, score):
     """``grad f`` and ``lap f + grad f . score`` per row, from one pass."""
-    _, fds, sds = _hidden_batch(f.layers, f.activation, X, 2, last_value=False)
-    gf = _grad_input(f.layers, fds)
-    return gf, _laplacian(f.layers, fds, sds) + np.einsum("md,md->m", gf, score)
+    gf, lap = _input_derivatives(f.layers, f.activation, X, 2, gradient=True)
+    return gf, lap + np.einsum("md,md->m", gf, score)
 
 
 def _scores(net: Network, X) -> tuple:
     """Outputs and first-hidden-layer backward signals of ``net`` on the rows
     of ``X``, from one hidden pass."""
-    acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
+    acts, fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
     return _output(net.layers, acts), _input_signal(net.layers, fds)
 
 

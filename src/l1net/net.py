@@ -6,18 +6,19 @@ A network is an immutable stack of weight matrices ``theta_l`` of shape
     f(x) = theta_L s(theta_{L-1} s( ... s(theta_1 x) ... ))
 
 where ``s`` acts elementwise.  There are no bias terms.  Every evaluation
-and derivative routine is a view of one batched core: a forward value pass
-that caches ``s'(z_l)`` and ``s''(z_l)`` per layer (only the orders the
-caller uses; passes that never read ``f(x)``, such as the input-gradient and
-Laplacian ones, skip the last hidden layer's value), one backward
-vector-Jacobian product for input and weight gradients, and a Laplacian
-propagated forward layer by layer together with
-the Gram matrix ``J J^T`` of the input Jacobian (second-order Taylor-mode
-differentiation, the "Forward Laplacian"), so every contraction is a matrix
-multiply and there is no autodiff tape.  The single-sample routines
-(``forward``, which returns a :class:`ForwardTrace`, then ``grad_input`` and
-``laplacian_input``) evaluate that trace's one input row through the same
-core.
+and derivative routine is a view of one of two batched cores.  Values and
+backward signals for weight gradients take row-major batches, ``(m, h)``
+per layer: a forward value pass that caches ``s'(z_l)`` when asked, then one
+backward vector-Jacobian product.  Input derivatives take one feature-major
+pass, ``(h, m)`` per layer with rows last, that skips the last hidden
+layer's value (nothing reads ``f(x)``): a backward product for the input
+gradient, and a Laplacian propagated forward layer by layer together with a
+factor ``J`` of ``w = min(d, h_1)`` columns whose ``J J^T`` is the Gram
+matrix of the input Jacobian (second-order Taylor-mode differentiation, the
+"Forward Laplacian").  Every contraction is a matrix multiply and there is
+no autodiff tape.  The single-sample routines (``forward``, which returns a
+:class:`ForwardTrace`, then ``grad_input`` and ``laplacian_input``) evaluate
+that trace's one input row through the same cores.
 
 Supported activations:
 
@@ -280,19 +281,18 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 
 
 def _hidden_batch(layers, activation, X, order, *, last_value):
-    """Hidden activations and activation slopes ``s'``, ``s''`` per layer;
-    ``acts[0]`` is ``X``.  Slopes above ``order`` are not computed and
-    appear as None, and so does the last hidden layer's value (which only
-    the output reads) unless ``last_value``."""
-    acts, fds, sds = [X], [], []
+    """Hidden activations and, at ``order`` 1, activation slopes ``s'`` per
+    layer; ``acts[0]`` is ``X``.  Slopes not computed appear as None, and so
+    does the last hidden layer's value (which only the output reads) unless
+    ``last_value``."""
+    acts, fds = [X], []
     for l, theta in enumerate(layers[:-1], 1):
         z = acts[-1] @ theta.swapaxes(-1, -2)
-        value, first, second = _act_terms(
+        value, first, _ = _act_terms(
             activation, z, order, value=last_value or l < len(layers) - 1)
         fds.append(first)
-        sds.append(second)
         acts.append(value)
-    return acts, fds, sds
+    return acts, fds
 
 
 def _backward(layers, fds, seed):
@@ -314,10 +314,6 @@ def _backward(layers, fds, seed):
 def _input_signal(layers, fds):
     """The first hidden layer's backward signal; times ``theta_1``, the input gradient."""
     return _backward(layers, fds, np.broadcast_to(layers[-1], fds[-1].shape))[0]
-
-
-def _grad_input(layers, fds):
-    return _input_signal(layers, fds) @ layers[0]
 
 
 def _grad_params_batch(layers, acts, fds, weights, *, out=None):
@@ -347,29 +343,46 @@ def _values(layers, activation, X, work):
     return _output(layers, [X])
 
 
-def _laplacian(layers, fds, sds):
-    """Forward-propagated input Laplacian (see :func:`laplacian_batch`)."""
-    theta1 = layers[0][..., np.newaxis, :, :]
-    lap = sds[0] * np.einsum("...jd,...jd->...j", theta1, theta1)
-    gram = layers[0] @ layers[0].swapaxes(-1, -2) if len(layers) > 2 else None
-    for k in range(1, len(layers) - 1):
-        theta = layers[k]
-        a = theta[..., np.newaxis, :, :] * fds[k - 1][..., np.newaxis, :]
-        # G_1 is shared by every row: one product over all of a network's rows
-        ag = (a @ gram if gram.ndim == a.ndim else
-              (a.reshape(a.shape[:-3] + (-1, a.shape[-1])) @ gram).reshape(a.shape))
-        sq = np.einsum("...ij,...ij->...i", ag, a)
-        lap = fds[k] * (lap @ theta.swapaxes(-1, -2)) + sds[k] * sq
-        if k < len(layers) - 2:
-            gram = ag @ a.swapaxes(-1, -2)
-    lap = _output(layers, [lap])
-    if not np.all(np.isfinite(lap)):
-        raise ValueError("input Laplacian overflows float64")
-    return lap
+def _input_derivatives(layers, activation, X, order, *, gradient):
+    """``(grad, lap)``: input gradients ``(..., m, d)`` when ``gradient`` and,
+    at ``order`` 2, input Laplacians ``(..., m)`` (see :func:`laplacian_batch`),
+    None where not asked, from one feature-major pass: every cache is
+    ``(..., h, m)`` with rows last and ``J`` is ``(..., w, h, m)``, so each
+    step is one matrix product over every row; results are contracted from
+    C-contiguous ``(m, h)`` rows, as the row-major core's are.  A Laplacian
+    that overflows raises ValueError."""
+    fds, sds, a = [], [], X.swapaxes(-1, -2)
+    for l, theta in enumerate(layers[:-1], 1):
+        a, first, second = _act_terms(activation, theta @ a, order, value=l < len(layers) - 1)
+        fds.append(first)
+        sds.append(second)
+    grad = lap = None
+    if gradient:
+        delta = fds[-1] * layers[-1].swapaxes(-1, -2)
+        for theta, first in zip(layers[-2:0:-1], fds[-2::-1]):
+            delta = first * (theta.swapaxes(-1, -2) @ delta)
+        grad = np.ascontiguousarray(delta.swapaxes(-1, -2)) @ layers[0]
+    if order > 1:
+        lap = sds[0] * np.einsum("...jd,...jd->...j", layers[0], layers[0])[..., np.newaxis]
+        for k in range(1, len(layers) - 1):
+            theta = layers[k][..., np.newaxis, :, :]
+            if k == 1:  # J_2 = theta_2 diag(s'_1) C: (w h_2 x h_1)(h_1 x m)
+                c = np.linalg.qr(layers[0].swapaxes(-1, -2), mode="r")[..., np.newaxis, :]
+                b = theta * c
+                jac = (b.reshape(b.shape[:-3] + (-1, b.shape[-1])) @ fds[0]).reshape(
+                    b.shape[:-1] + fds[0].shape[-1:])
+            else:
+                jac *= fds[k - 1][..., np.newaxis, :, :]
+                jac = theta @ jac
+            lap = fds[k] * (layers[k] @ lap) + sds[k] * np.square(jac).sum(axis=-3)
+        lap = _output(layers, [np.ascontiguousarray(lap.swapaxes(-1, -2))])
+        if not np.all(np.isfinite(lap)):
+            raise ValueError("input Laplacian overflows float64")
+    return grad, lap
 
 
 # Doubles in one cache-sized piece (1 MB), such as a row block: a row holds its input,
-# four h-wide buffers and, past one hidden layer, three h x h Gram-recursion matrices.
+# four h-wide buffers and, past one hidden layer, two w x h Jacobian-factor arrays.
 _BLOCK_ELEMS = 2 ** 17
 
 
@@ -382,7 +395,8 @@ def _pieces(n, per_item):
 def _row_blocks(layers, m):
     """Slices covering ``range(m)`` in cache-sized blocks of rows."""
     h = max(theta.shape[-2] for theta in layers[:-1])
-    return _pieces(m, layers[0].shape[-1] + h * (4 + 3 * h * (len(layers) > 2)))
+    w = min(layers[0].shape[-2:]) if len(layers) > 2 else 0
+    return _pieces(m, layers[0].shape[-1] + h * (4 + 2 * w))
 
 
 @contextlib.contextmanager
@@ -408,9 +422,12 @@ def _check_batch(net, X):
 
 
 def _input_gradients(net, X):
+    grad = np.empty(X.shape)
     with _overflow_is_an_error("gradient pass"):
-        fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=False)[1]
-        return _grad_input(net.layers, fds)
+        for rows in _row_blocks(net.layers, X.shape[0]):
+            grad[rows] = _input_derivatives(
+                net.layers, net.activation, X[rows], 1, gradient=True)[0]
+    return grad
 
 
 def _laplacians(net, X):
@@ -418,9 +435,8 @@ def _laplacians(net, X):
     if net.activation is not Activation.RELU:
         with np.errstate(all="ignore"):
             for rows in _row_blocks(net.layers, X.shape[0]):
-                _, fds, sds = _hidden_batch(
-                    net.layers, net.activation, X[rows], 2, last_value=False)
-                lap[rows] = _laplacian(net.layers, fds, sds)
+                lap[rows] = _input_derivatives(
+                    net.layers, net.activation, X[rows], 2, gradient=False)[1]
     return lap
 
 
@@ -443,7 +459,7 @@ def grad_params_batch(net: Network, X) -> list:
     layer inputs, one row per sample; ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("gradient pass"):
-        acts, fds, _ = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
+        acts, fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
         return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]))
 
 
@@ -451,19 +467,23 @@ def laplacian_batch(net: Network, X) -> np.ndarray:
     """Exact input Laplacians ``sum_i d^2 f / dx_i^2`` for every row of X,
     shape (m,), propagated forward.
 
-    With ``J_k = dz_k/dx``, its Gram matrix ``G_k = J_k J_k^T`` and ``lap_k``
-    the vector of Laplacians of ``h_k``, one pass from the input carries
+    The input Jacobian of layer k is ``dz_k/dx = A_{k-1} ... A_1 theta_1``
+    with ``A_k = theta_{k+1} diag(s'(z_k))``, and the Laplacians ``lap_k`` of
+    ``h_k`` need only the diagonal of its Gram matrix.  With ``R`` the QR
+    factor of ``theta_1^T`` and ``C = R^T`` (``w = min(d, h_1)`` columns,
+    ``C C^T = theta_1 theta_1^T`` at any rank), one pass from the input carries
+    ``J_k = A_{k-1} ... A_1 C``, whose Gram matrix is the same:
 
-        G_1 = theta_1 theta_1^T,  G_{k+1} = A_k G_k A_k^T,  A_k = theta_{k+1} diag(s'(z_k))
+        J_2 = A_1 C,  J_{k+1} = A_k J_k
         lap_1 = s''(z_1) |rows(theta_1)|^2
-        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) diag(G_{k+1})
+        lap_{k+1} = s'(z_{k+1}) theta_{k+1} lap_k + s''(z_{k+1}) |rows(J_{k+1})|^2
 
-    and ``lap f = theta_L lap_{L-1}``, as ``diag(G_k) = |rows(J_k)|^2``
-    (second-order Taylor-mode differentiation; no backward pass, no finite
-    differences, and ``J_k`` is never formed).  Cost is O(h^2 d) per network
-    plus O(h^3) per row and layer, over cache-sized row blocks.  For relu
-    ``s''`` is identically zero and every result is exactly 0.0.  A Laplacian
-    that overflows raises ValueError.
+    and ``lap f = theta_L lap_{L-1}`` (second-order Taylor-mode
+    differentiation; no backward pass, no finite differences, and neither
+    the Jacobian nor its Gram matrix is formed).  Cost is O(d h w) per
+    network plus O(w h^2) per row and layer, over cache-sized row blocks.
+    For relu ``s''`` is identically zero and every result is exactly 0.0.  A
+    Laplacian that overflows raises ValueError.
     """
     return _laplacians(net, _check_batch(net, X))
 

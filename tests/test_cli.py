@@ -983,8 +983,10 @@ def test_verify_fails_green_rows_with_a_nan_gap(tmp_path, monkeypatch):
 
 
 def _scaled(fn, factor):
-    def faulty(*args):
-        out = fn(*args)
+    def faulty(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if isinstance(out, tuple):  # (gradient, Laplacian), one factor each
+            return tuple(f * part for f, part in zip(factor, out))
         return [factor * part for part in out] if isinstance(out, list) else factor * out
     return faulty
 
@@ -992,18 +994,19 @@ def _scaled(fn, factor):
 # One planted fault per suite, and for the finite-difference suites one on
 # each side of the comparison, the exact derivative and its oracle: (module,
 # function, factor, the suite that must catch it and no other suite may
-# flag).  The Lipschitz and divergence audits have no row: at this budget a
-# halved bound passes both.
+# flag).  The input-derivative pass returns a gradient and a Laplacian, and
+# takes one factor for each.  The Lipschitz and divergence audits have no
+# row: at this budget a halved bound passes both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
     (bounds, "sup_model_bound", 0.5, "bound_sup_model"),
     (cli, "_grad_params_batch", 1.001, "fd_grad_params"),
-    (cli, "_grad_input", 1.001, "fd_grad_input"),
-    (cli, "_laplacian", 1.02, "fd_laplacian_input"),
+    (cli, "_input_derivatives", (1.001, 1.0), "fd_grad_input"),
+    (cli, "_input_derivatives", (1.0, 1.02), "fd_laplacian_input"),
     (cli, "_fd_grad_params", 1.001, "fd_grad_params"),
     (cli, "_fd_gradient", 1.001, "fd_grad_input"),
     (cli, "_fd_laplacian", 1.02, "fd_laplacian_input"),
-    (evaluate, "_laplacian", -1.0, "green_identity_d3"),
+    (evaluate, "_input_derivatives", (1.0, -1.0), "green_identity_d3"),
 ]
 
 

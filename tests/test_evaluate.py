@@ -353,27 +353,30 @@ def test_passes_without_the_last_value_keep_their_bits(monkeypatch, activation, 
             out.append(green_identity_check(f, g, DataSpec(), 10 ** 4, np.random.default_rng(5)))
         return [np.asarray(o).tobytes() for o in out]
 
-    skipped = []  # per hidden pass: whether it skips the last value
-    lean = net_module._hidden_batch
+    values = []  # per hidden layer of every pass, row- or feature-major: whether it takes s(z)
+    lean = net_module._act_terms
 
-    def spy(layers, act, Y, order, *, last_value):
-        skipped.append(not last_value)
-        return lean(layers, act, Y, order, last_value=last_value)
+    def spy(kind, z, order, *, value):
+        values.append(value)
+        return lean(kind, z, order, value=value)
 
-    def every_value(layers, act, Y, order, *, last_value):
-        return lean(layers, act, Y, order, last_value=True)
+    def every_value(kind, z, order, *, value):
+        return lean(kind, z, order, value=True)
 
-    def outputs_with(hidden):
-        monkeypatch.setattr(net_module, "_hidden_batch", hidden)
-        monkeypatch.setattr(evaluate, "_hidden_batch", hidden)
+    def outputs_with(terms):
+        monkeypatch.setattr(net_module, "_act_terms", terms)
         return outputs()
 
     assert outputs_with(spy) == outputs_with(every_value)
+    passes = [values[i:i + L - 1] for i in range(0, len(values), L - 1)]
+    assert all(all(layer_values[:-1]) for layer_values in passes)
+    skipped = [not layer_values[-1] for layer_values in passes]
     if activation is Activation.RELU:  # a zero Laplacian takes no pass; no Green check
         assert skipped == [True] * 3
     else:  # grad, lap, the error's two networks, then f and g per Green row block
         assert skipped[:4] == [True] * 4 and skipped[4:] == [True, False] * (len(skipped[4:]) // 2)
-    acts = lean(f.layers, activation, X, 1, last_value=False)[0]
+    monkeypatch.undo()
+    acts = net_module._hidden_batch(f.layers, activation, X, 1, last_value=False)[0]
     assert acts[-1] is None and all(a is not None for a in acts[:-1])
 
 
@@ -589,10 +592,13 @@ def test_green_identity_catches_scaled_laplacian(monkeypatch, factor):
 
     clean = green_d3()
     assert clean.violations == 0
-    exact = evaluate._laplacian
-    monkeypatch.setattr(
-        evaluate, "_laplacian", lambda layers, fds, sds: factor * exact(layers, fds, sds)
-    )
+    exact = evaluate._input_derivatives
+
+    def scaled(*args, gradient):
+        grad, lap = exact(*args, gradient=gradient)
+        return grad, factor * lap
+
+    monkeypatch.setattr(evaluate, "_input_derivatives", scaled)
     faulty = green_d3()
     assert faulty.violations == faulty.trials == 2
 

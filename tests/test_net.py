@@ -246,11 +246,10 @@ def test_stacked_core_matches_each_network(L, d):
     nets = [_random_net(rng, d, 10, L) for _ in range(T)]
     X = rng.normal(size=(T, 1, d))
     layers = [np.stack(thetas) for thetas in zip(*(n.layers for n in nets))]
-    acts, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 2, last_value=True)
+    acts, fds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 1, last_value=True)
     value = net_module._output(layers, acts)
-    grad = net_module._grad_input(layers, fds)
+    grad, lap = net_module._input_derivatives(layers, Activation.SOFTPLUS, X, 2, gradient=True)
     weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)))
-    lap = net_module._laplacian(layers, fds, sds)
     assert value.shape == lap.shape == (T, 1) and grad.shape == (T, 1, d)
     for t, net in enumerate(nets):
         trace = forward(net, X[t, 0])
@@ -267,15 +266,26 @@ def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
     rng = np.random.default_rng(12)
     net = _random_net(rng, 6, 5, 3)
     x = rng.normal(size=6)
-    _, fds, sds = net_module._hidden_batch(net.layers, net.activation, x[None], 2, last_value=True)
-    grad = net_module._grad_input(net.layers, fds)[0]
-    lap = float(net_module._laplacian(net.layers, fds, sds)[0])
+    grad, lap = net_module._input_derivatives(
+        net.layers, net.activation, x[None], 2, gradient=True)
+    grad, lap = grad[0], float(lap[0])
     for name in ("grad_input_batch", "laplacian_batch"):
         exact = getattr(net_module, name)
         monkeypatch.setattr(net_module, name, lambda f, X, exact=exact: 1.02 * exact(f, X))
     trace = forward(net, x)
     assert grad_input(net, trace).tobytes() == grad.tobytes()
     assert laplacian_input(net, trace) == lap
+
+
+def _reference_slopes(layers, activation, X):
+    """``s'(z_l)`` and ``s''(z_l)`` per hidden layer, one row per sample."""
+    fds, sds = [], []
+    for theta in layers[:-1]:
+        X, first, second = net_module._act_terms(
+            activation, X @ theta.swapaxes(-1, -2), 2, value=True)
+        fds.append(first)
+        sds.append(second)
+    return fds, sds
 
 
 def _reference_laplacian(layers, fds, sds):
@@ -301,21 +311,50 @@ def _reference_laplacian(layers, fds, sds):
     (3, 3, 8, 2, 1, 1), (100, 10, 10, 10, 10, 1),
 ])
 def test_gram_laplacian_matches_jacobian_reference(widths, T, m):
+    # The pass carries a factor of the Gram matrix J J^T, not J itself.
     rng = np.random.default_rng(sum(widths) * 31 + m)
     stack = () if T is None else (T,)
     layers = [rng.normal(0.0, 0.5, size=stack + (widths[l + 1], widths[l]))
               for l in range(len(widths) - 1)]
     X = rng.normal(size=stack + (m, widths[0]))
-    _, fds, sds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 2, last_value=True)
-    got = net_module._laplacian(layers, fds, sds)
-    want = _reference_laplacian(layers, fds, sds)
-    assert got.shape == want.shape == stack + (m,)
-    if len(widths) == 3:  # no Gram matrix at L = 2: the same arithmetic
+    _check_against_reference(layers, Activation.SOFTPLUS, X)
+
+
+def _check_against_reference(layers, activation, X):
+    got = net_module._input_derivatives(layers, activation, X, 2, gradient=False)[1]
+    want = _reference_laplacian(layers, *_reference_slopes(layers, activation, X))
+    assert got.shape == want.shape == X.shape[:-1]
+    if len(layers) == 2:  # no Jacobian factor at L = 2: the same arithmetic
         assert got.tobytes() == want.tobytes()
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    return got
 
 
-@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("m", [1, 13])
+@pytest.mark.parametrize("case", ["rank_below_h1", "zero_net_in_stack", "d1_L4", "relu"])
+def test_factor_laplacian_edge_shapes(case, m):
+    # w = min(d, h_1) columns carry every rank: first layers of rank below
+    # h_1, all-zero networks (verify's r = 0) and d = 1; relu gives zeros
+    rng = np.random.default_rng(len(case) * 7 + m)
+    widths = {"rank_below_h1": (12, 8, 6, 5, 1), "zero_net_in_stack": (5, 10, 10, 10, 1),
+              "d1_L4": (1, 10, 10, 10, 1), "relu": (5, 10, 10, 10, 1)}[case]
+    stack = (4,) if case in ("zero_net_in_stack", "relu") else ()
+    layers = [rng.normal(0.0, 0.5, size=stack + (widths[l + 1], widths[l]))
+              for l in range(len(widths) - 1)]
+    if case == "rank_below_h1":  # make_teacher zeroes the columns past s = 3
+        layers[0][:, 3:] = 0.0
+    if case == "zero_net_in_stack":
+        for theta in layers:
+            theta[2] = 0.0
+    activation = Activation.RELU if case == "relu" else Activation.SOFTPLUS
+    got = _check_against_reference(layers, activation, rng.normal(size=stack + (m, widths[0])))
+    if case == "zero_net_in_stack":
+        assert np.all(got[2] == 0.0) and np.all(got[[0, 1, 3]] != 0.0)
+    if case == "relu":
+        assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
 def test_laplacian_overflow_is_an_error(L, scale):
     rng = np.random.default_rng(10)
@@ -329,12 +368,29 @@ def test_laplacian_overflow_is_an_error(L, scale):
         return
     with pytest.raises(ValueError, match="overflow"):
         laplacian_batch(net, X)
-    if scale == 1e100:  # the output is finite, only the Laplacian overflows
+    if scale == 1e100 and L < 4:  # the output is finite, only the Laplacian overflows
         with pytest.raises(ValueError, match="overflow"):
             laplacian_input(net, forward(net, X[0]))
     else:
         with pytest.raises(ValueError, match="overflow"):
             forward(net, X[0])
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_laplacian_overflow_in_the_qr_factor_is_an_error(L):
+    # rows of theta_1 of norm 1e308 sqrt(2) overflow the QR factor of
+    # theta_1^T, while inputs with x_1 = x_2 keep every z_1, and f, at 0
+    rng = np.random.default_rng(13)
+    small = _random_net(rng, 3, 4, L)
+    theta1 = 1e308 * np.array([[1.0, -1.0, 0.0]] * 4)
+    assert not np.all(np.isfinite(np.linalg.qr(theta1.T, mode="r")))
+    net = Network((theta1,) + small.layers[1:], Activation.SOFTPLUS)
+    X = np.array([[0.5, 0.5, 0.3]] * 6)
+    assert forward(net, X[0]).output == 0.0
+    with pytest.raises(ValueError, match="overflow"):
+        laplacian_batch(net, X)
+    with pytest.raises(ValueError, match="overflow"):
+        laplacian_input(net, forward(net, X[0]))
 
 
 @pytest.mark.parametrize("activation", [Activation.SOFTPLUS, Activation.RELU])
@@ -380,10 +436,12 @@ def test_laplacian_batch_row_blocks_cover_every_row(monkeypatch):
     net = _random_net(rng, 7, 6, 3)
     X = rng.normal(size=(10, 7))
     whole = laplacian_batch(net, X)
+    whole_grad = grad_input_batch(net, X)
     # blocks of 3 rows: three full blocks and a ragged last one
-    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 3 * (7 + 6 * (4 + 3 * 6)))
+    monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 3 * (7 + 6 * (4 + 2 * 6)))
     assert len(net_module._row_blocks(net.layers, 10)) == 4
     np.testing.assert_allclose(laplacian_batch(net, X), whole, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grad_input_batch(net, X), whole_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_routines_reject_nonfinite_rows():
@@ -401,15 +459,25 @@ def test_batch_routines_reject_nonfinite_rows():
             forward(net, X[1])
 
 
-def test_softplus_trace_derivative_ranges():
+def test_softplus_trace_derivative_ranges(monkeypatch):
     rng = np.random.default_rng(4)
     net = _random_net(rng, 5, 6, 3)
+    slopes = []  # (s', s'') of every hidden layer the Laplacian pass reads
+    terms = net_module._act_terms
+
+    def spy(*args, **kwargs):
+        out = terms(*args, **kwargs)
+        slopes.append(out[1:])
+        return out
+
+    monkeypatch.setattr(net_module, "_act_terms", spy)
     for _ in range(50):
         X = (rng.normal(size=5) * 3)[None]
-        _, fds, sds = net_module._hidden_batch(net.layers, net.activation, X, 2, last_value=True)
-        for d1, d2 in zip(fds, sds):
-            assert np.all(d1 > 0.0) and np.all(d1 < 1.0)
-            assert np.all(d2 > 0.0) and np.all(d2 <= 0.25)
+        net_module._input_derivatives(net.layers, net.activation, X, 2, gradient=False)
+    assert len(slopes) == 50 * 2
+    for d1, d2 in slopes:
+        assert np.all(d1 > 0.0) and np.all(d1 < 1.0)
+        assert np.all(d2 > 0.0) and np.all(d2 <= 0.25)
 
 
 def test_json_round_trip_is_bit_identical(tmp_path):
