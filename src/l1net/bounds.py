@@ -23,7 +23,6 @@ from .net import (
     Architecture,
     _gaussian_layers,
     _input_derivatives,
-    _values,
 )
 from .sparsity import _layer_views, project_l1
 
@@ -374,9 +373,11 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
         net_b = _layer_views(flats[len(xs):], arch.layer_sizes)
         X = np.stack(xs)[:, np.newaxis, :]
         x_inf = np.abs(X).max(axis=(1, 2)).tolist()
-        grad, lap = _input_derivatives(net_a, arch.activation, X, 2, gradient=True)
-        out_a = _values(net_a, arch.activation, X, None)[:, 0]
-        out_b = _values(net_b, arch.activation, X, None)[:, 0]
+        out_a, delta, lap = _input_derivatives(net_a, arch.activation, X, value=True,
+                                               signal=True, laplacian=True)
+        out_a, grad = out_a[:, 0], delta @ net_a[0]
+        out_b = _input_derivatives(net_b, arch.activation, X, value=True, signal=False,
+                                   laplacian=False)[0][:, 0]
         dist = np.sqrt(sum(((a - b) ** 2).sum(axis=(1, 2)) for a, b in zip(net_a, net_b)))
         checks = {
             "lipschitz_param": (np.abs(out_a - out_b), dist * [

@@ -72,7 +72,6 @@ from .net import (
     _hidden_batch,
     _input_derivatives,
     _pieces,
-    _values,
     forward_batch,
     load_network,
     save_network,
@@ -481,7 +480,8 @@ def _score(cfg: ExperimentConfig, L: int, act: Activation, cell, seed: int, data
         # A huge student may overflow when scored; a non-finite error is divergence.
         with np.errstate(over="ignore", invalid="ignore"):
             values, delta = _scores(model, _test_set(cfg, L))
-            resid = _values(model.layers, model.activation, dataset.X, None) - dataset.y
+            resid = _input_derivatives(model.layers, model.activation, dataset.X, value=True,
+                                       signal=False, laplacian=False)[0] - dataset.y
             pred = _prediction_error(values, teacher_values)
             grad = _gradient_error(model.layers[0], delta, teacher_theta, teacher_delta)
             if math.isfinite(pred) and math.isfinite(grad):
@@ -667,13 +667,14 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest
-        acts, fds = _hidden_batch(layers, arch.activation, X, 1, last_value=True)
+        acts, fds = _hidden_batch(layers, arch.activation, X)
         exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
         approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
         den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
-        exact_g, exact_l = _input_derivatives(layers, arch.activation, X, 2, gradient=True)
-        exact_g, exact_l = exact_g[:, 0], exact_l[:, 0]
+        _, delta, exact_l = _input_derivatives(layers, arch.activation, X, value=False,
+                                               signal=True, laplacian=True)
+        exact_g, exact_l = (delta @ layers[0])[:, 0], exact_l[:, 0]
         approx_g = _fd_gradient(layers, arch.activation, X, _FD_GRAD_STEP, work)
         approx_l = _fd_laplacian(layers, arch.activation, X, _FD_LAP_STEP, work)
         errs = (
@@ -871,6 +872,7 @@ def _cmd_datagen(args) -> int:
     L = args.depth if args.depth is not None else cfg.depths[0]
     if L < 2:
         raise ConfigError("--depth must be at least 2")
+    _check_sizes("", {"--n": n, "--depth": L, "--n * d": n * cfg.d, "--n * h": n * cfg.h})
     act = Activation.SOFTPLUS
     if args.activation is not None:
         act = _parse_activation(args.activation)

@@ -24,12 +24,10 @@ from .net import (
     _check_batch,
     _hidden_batch,
     _input_derivatives,
-    _input_signal,
     _output,
     _overflow_is_an_error,
     _pieces,
     _row_blocks,
-    _values,
     forward_batch,
 )
 
@@ -93,8 +91,8 @@ def l2_gradient_error(model: Network, teacher: Network, X_test) -> float:
     terms = []
     for net in (model, teacher):  # zero units widen the narrower network exactly
         with _overflow_is_an_error("gradient pass"):
-            fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=False)[1]
-            delta = _input_signal(net.layers, fds)
+            delta = _input_derivatives(net.layers, net.activation, X, value=False, signal=True,
+                                       laplacian=False)[1]
         pad = h - delta.shape[1]
         terms += [np.pad(net.layers[0], ((0, pad), (0, 0))), np.pad(delta, ((0, 0), (0, pad)))]
     return _finite(_gradient_error, *terms)
@@ -108,15 +106,17 @@ class GreenCheck(NamedTuple):
 
 def _green_f_terms(f: Network, X, score):
     """``grad f`` and ``lap f + grad f . score`` per row, from one pass."""
-    gf, lap = _input_derivatives(f.layers, f.activation, X, 2, gradient=True)
+    _, delta, lap = _input_derivatives(f.layers, f.activation, X, value=False, signal=True,
+                                       laplacian=True)
+    gf = delta @ f.layers[0]
     return gf, lap + np.einsum("md,md->m", gf, score)
 
 
 def _scores(net: Network, X) -> tuple:
     """Outputs and first-hidden-layer backward signals of ``net`` on the rows
-    of ``X``, from one hidden pass."""
-    acts, fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
-    return _output(net.layers, acts), _input_signal(net.layers, fds)
+    of ``X``, from one pass."""
+    return _input_derivatives(net.layers, net.activation, X, value=True, signal=True,
+                              laplacian=False)[:2]
 
 
 def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
@@ -137,9 +137,9 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     The draws are taken one ``net._pieces`` piece (2^17 doubles) at a time,
     so memory does not grow with ``m``, and each piece's rows are evaluated
     in cache-sized row blocks whose terms join the running sums at once.
-    Each block makes one hidden-layer pass per network: f's pass yields its
-    gradient and Laplacian (it skips f's last hidden value, which nothing
-    reads), reduced to per-row terms before g's pass yields its gradient and
+    Each block makes one input-derivative pass per network: f's pass yields
+    its gradient and Laplacian (it skips f's last hidden value, which nothing
+    reads), reduced to per-row terms before g's pass yields its signal and
     output, so the two networks' caches never coexist.
     Block size moves only the grouping of the sums, so the last digits.
 
@@ -220,10 +220,21 @@ def _fill_beside(out, law):
 
 
 def _fd_workspace(sizes, draws):
-    """Three flat buffers (see :func:`net._values`) for any oracle's stacks of ``draws`` networks."""
+    """Three flat buffers (see :func:`_values`) for any oracle's stacks of ``draws`` networks."""
     stacks = [(2 * sizes[0] + 1) * max(sizes[:-1])] + [
         2 * sizes[l] * sizes[l - 1] * max(sizes[l:-1]) for l in range(1, len(sizes) - 1)]
     return tuple(np.empty(draws * max(stacks)) for _ in range(3))
+
+
+def _values(layers, activation, X, work):
+    """Outputs ``f(x_i)`` for every row, from a row-major value-only pass in
+    ``work``'s three flat buffers: the first two take turns holding a layer
+    (``X`` may lie in the first), and the third holds ``exp(-|z|)``."""
+    for i, theta in enumerate(layers[:-1]):
+        shape = X.shape[:-1] + theta.shape[-2:-1]
+        z = np.matmul(X, theta.swapaxes(-1, -2), out=np.ndarray(shape, buffer=work[1 - i % 2]))
+        X = _act_value_in_place(activation, z, np.ndarray(shape, buffer=work[2]))
+    return _output(layers, [X])
 
 
 def _fd_args(net: Network, x, step: float) -> tuple:
@@ -257,7 +268,7 @@ def _fd_laplacian(layers, activation, X, step, work):
 
 
 def _fd_grad_params(layers, activation, X, step, work):
-    acts = _hidden_batch(layers, activation, X, 0, last_value=True)[0]
+    acts = _hidden_batch(layers, activation, X)[0]
     grads = []
     for l in range(1, len(layers)):
         theta = layers[l - 1]

@@ -5,20 +5,22 @@ A network is an immutable stack of weight matrices ``theta_l`` of shape
 
     f(x) = theta_L s(theta_{L-1} s( ... s(theta_1 x) ... ))
 
-where ``s`` acts elementwise.  There are no bias terms.  Every evaluation
-and derivative routine is a view of one of two batched cores.  Values and
-backward signals for weight gradients take row-major batches, ``(m, h)``
-per layer: a forward value pass that caches ``s'(z_l)`` when asked, then one
-backward vector-Jacobian product.  Input derivatives take one feature-major
-pass, ``(h, m)`` per layer with rows last, that skips the last hidden
-layer's value (nothing reads ``f(x)``): a backward product for the input
-gradient, and a Laplacian propagated forward layer by layer together with a
-factor ``J`` of ``w = min(d, h_1)`` columns whose ``J J^T`` is the Gram
+where ``s`` acts elementwise.  There are no bias terms.  Each job has one
+batched core and one layout.  Weight gradients, and the finite-difference
+oracles' perturbed stacks in :mod:`evaluate`, take row-major batches,
+``(m, h)`` per layer: a forward pass that caches ``s'(z_l)``, then one
+backward vector-Jacobian product.  Everything taken at the inputs (values,
+the first hidden layer's backward signal, input gradients and Laplacians)
+comes from one feature-major pass, ``(h, m)`` per layer with rows last, that
+computes only what it is asked for: the last hidden layer's value only for
+``f(x)``, a backward product for the signal (times ``theta_1``, the input
+gradient), and a Laplacian propagated forward layer by layer together with
+a factor ``J`` of ``w = min(d, h_1)`` columns whose ``J J^T`` is the Gram
 matrix of the input Jacobian (second-order Taylor-mode differentiation, the
 "Forward Laplacian").  Every contraction is a matrix multiply and there is
 no autodiff tape.  The single-sample routines (``forward``, which returns a
 :class:`ForwardTrace`, then ``grad_input`` and ``laplacian_input``) evaluate
-that trace's one input row through the same cores.
+that trace's one input row through the same pass.
 
 Supported activations:
 
@@ -100,8 +102,8 @@ def _relu_terms(z, order, value):
 
 
 def _act_value_in_place(kind, z, e):
-    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``; fresh when
-    None) as scratch: the value operations of :func:`_act_terms`, so the same bits."""
+    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``) as scratch:
+    the value operations of :func:`_act_terms`, so the same bits."""
     if kind is Activation.RELU:
         return np.maximum(z, 0.0, out=z)
     e = np.abs(z, out=e)
@@ -249,8 +251,9 @@ def forward(net: Network, x) -> ForwardTrace:
         )
     X = _freeze(_check_batch(net, x[np.newaxis, :]))
     with _overflow_is_an_error("forward pass"):
-        acts = _hidden_batch(net.layers, net.activation, X, 0, last_value=True)[0]
-        return ForwardTrace(row=X, output=float(net.layers[-1][0] @ acts[-1][0]), network=net)
+        f = _input_derivatives(net.layers, net.activation, X, value=True, signal=False,
+                               laplacian=False)[0]
+        return ForwardTrace(row=X, output=float(f[0]), network=net)
 
 
 def _trace_row(net: Network, trace: ForwardTrace) -> np.ndarray:
@@ -273,55 +276,35 @@ def laplacian_input(net: Network, trace: ForwardTrace) -> float:
 
 # -- batched core ------------------------------------------------------------
 #
-# Row-major batches: X has shape (m, d) and every per-layer cache below has
-# shape (m, d_l).  The single-sample routines above call these helpers on
-# one row.  Each also takes a stack of T networks of one shape, as
-# weights (T, d_out, d_in) and inputs (T, m, d): every network's matmuls keep
-# their 2-D shapes in the stack, so its results keep their unstacked bits.
+# X has shape (m, d), one row per sample.  Each core also takes a stack of T
+# networks of one shape, as weights (T, d_out, d_in) and inputs (T, m, d):
+# every network's matmuls keep their 2-D shapes in the stack, so its results
+# keep their unstacked bits.
 
 
-def _hidden_batch(layers, activation, X, order, *, last_value):
-    """Hidden activations and, at ``order`` 1, activation slopes ``s'`` per
-    layer; ``acts[0]`` is ``X``.  Slopes not computed appear as None, and so
-    does the last hidden layer's value (which only the output reads) unless
-    ``last_value``."""
+def _hidden_batch(layers, activation, X):
+    """Row-major hidden activations and activation slopes ``s'`` per layer,
+    ``(m, d_l)`` each; ``acts[0]`` is ``X``."""
     acts, fds = [X], []
-    for l, theta in enumerate(layers[:-1], 1):
-        z = acts[-1] @ theta.swapaxes(-1, -2)
-        value, first, _ = _act_terms(
-            activation, z, order, value=last_value or l < len(layers) - 1)
+    for theta in layers[:-1]:
+        value, first, _ = _act_terms(activation, acts[-1] @ theta.swapaxes(-1, -2), 1, value=True)
         fds.append(first)
         acts.append(value)
     return acts, fds
 
 
-def _backward(layers, fds, seed):
-    """Backward signals ``df/dz_l`` for the hidden layers ``l = 1 .. L-1``.
-
-    ``seed`` is the cotangent of the last hidden layer ``h_{L-1}``, one row
-    per sample; each step is ``D_l = s'(z_l) * G_l`` then
-    ``G_{l-1} = D_l theta_l``.
-    """
-    deltas = [None] * len(fds)
-    g = seed
-    for l in range(len(fds), 0, -1):
-        deltas[l - 1] = fds[l - 1] * g
-        if l > 1:
-            g = deltas[l - 1] @ layers[l - 1]
-    return deltas
-
-
-def _input_signal(layers, fds):
-    """The first hidden layer's backward signal; times ``theta_1``, the input gradient."""
-    return _backward(layers, fds, np.broadcast_to(layers[-1], fds[-1].shape))[0]
-
-
 def _grad_params_batch(layers, acts, fds, weights, *, out=None):
     """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix,
-    written into the arrays of ``out`` (one per layer) when given."""
-    weights = weights[..., np.newaxis]
-    # the output layer's signal is the weights themselves
-    deltas = _backward(layers, fds, weights * layers[-1]) + [weights]
+    written into the arrays of ``out`` (one per layer) when given, from the
+    row-major backward signals ``D_l = df/dz_l``: the output layer's is the
+    weights themselves, then ``D_l = s'(z_l) * G_l`` with ``G_{L-1} = D_L
+    theta_L`` and ``G_{l-1} = D_l theta_l``."""
+    deltas = [weights[..., np.newaxis]]
+    g = deltas[0] * layers[-1]
+    for l in range(len(fds), 0, -1):
+        deltas.insert(0, fds[l - 1] * g)
+        if l > 1:
+            g = deltas[0] @ layers[l - 1]
     out = [None] * len(layers) if out is None else out
     return [np.matmul(d.swapaxes(-1, -2), a, out=o)
             for d, a, o in zip(deltas, acts, out)]
@@ -331,38 +314,31 @@ def _output(layers, acts):
     return (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
 
 
-def _values(layers, activation, X, work):
-    """Outputs ``f(x_i)`` for every row, from a value-only pass into fresh arrays
-    or ``work``'s three flat buffers: the first two take turns holding a layer
-    (``X`` may lie in the first), and the third holds ``exp(-|z|)``."""
-    for i, theta in enumerate(layers[:-1]):
-        shape = X.shape[:-1] + theta.shape[-2:-1]
-        z, e = (None, None) if work is None else (
-            np.ndarray(shape, buffer=work[1 - i % 2]), np.ndarray(shape, buffer=work[2]))
-        X = _act_value_in_place(activation, np.matmul(X, theta.swapaxes(-1, -2), out=z), e)
-    return _output(layers, [X])
-
-
-def _input_derivatives(layers, activation, X, order, *, gradient):
-    """``(grad, lap)``: input gradients ``(..., m, d)`` when ``gradient`` and,
-    at ``order`` 2, input Laplacians ``(..., m)`` (see :func:`laplacian_batch`),
-    None where not asked, from one feature-major pass: every cache is
-    ``(..., h, m)`` with rows last and ``J`` is ``(..., w, h, m)``, so each
-    step is one matrix product over every row; results are contracted from
-    C-contiguous ``(m, h)`` rows, as the row-major core's are.  A Laplacian
-    that overflows raises ValueError."""
+def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
+    """``(f, delta, lap)``: outputs ``(..., m)`` when ``value``, the first
+    hidden layer's backward signal as C-contiguous ``(..., m, h_1)`` rows when
+    ``signal`` (times ``theta_1``, the input gradients), and input Laplacians
+    ``(..., m)`` when ``laplacian`` (see :func:`laplacian_batch`), None where
+    not asked, from one feature-major pass: every cache is ``(..., h, m)``
+    with rows last and ``J`` is ``(..., w, h, m)``, so each step is one matrix
+    product over every row.  The last hidden layer's value is taken only for
+    ``f``, and every result is contracted from C-contiguous ``(m, h)`` rows.
+    A Laplacian that overflows raises ValueError."""
     fds, sds, a = [], [], X.swapaxes(-1, -2)
     for l, theta in enumerate(layers[:-1], 1):
-        a, first, second = _act_terms(activation, theta @ a, order, value=l < len(layers) - 1)
+        a, first, second = _act_terms(activation, theta @ a, 2 if laplacian else int(signal),
+                                      value=value or l < len(layers) - 1)
         fds.append(first)
         sds.append(second)
-    grad = lap = None
-    if gradient:
+    f = delta = lap = None
+    if value:
+        f = _output(layers, [np.ascontiguousarray(a.swapaxes(-1, -2))])
+    if signal:
         delta = fds[-1] * layers[-1].swapaxes(-1, -2)
         for theta, first in zip(layers[-2:0:-1], fds[-2::-1]):
             delta = first * (theta.swapaxes(-1, -2) @ delta)
-        grad = np.ascontiguousarray(delta.swapaxes(-1, -2)) @ layers[0]
-    if order > 1:
+        delta = np.ascontiguousarray(delta.swapaxes(-1, -2))
+    if laplacian:
         lap = sds[0] * np.einsum("...jd,...jd->...j", layers[0], layers[0])[..., np.newaxis]
         for k in range(1, len(layers) - 1):
             theta = layers[k][..., np.newaxis, :, :]
@@ -378,7 +354,7 @@ def _input_derivatives(layers, activation, X, order, *, gradient):
         lap = _output(layers, [np.ascontiguousarray(lap.swapaxes(-1, -2))])
         if not np.all(np.isfinite(lap)):
             raise ValueError("input Laplacian overflows float64")
-    return grad, lap
+    return f, delta, lap
 
 
 # Doubles in one cache-sized piece (1 MB), such as a row block: a row holds its input,
@@ -425,8 +401,8 @@ def _input_gradients(net, X):
     grad = np.empty(X.shape)
     with _overflow_is_an_error("gradient pass"):
         for rows in _row_blocks(net.layers, X.shape[0]):
-            grad[rows] = _input_derivatives(
-                net.layers, net.activation, X[rows], 1, gradient=True)[0]
+            grad[rows] = _input_derivatives(net.layers, net.activation, X[rows], value=False,
+                                            signal=True, laplacian=False)[1] @ net.layers[0]
     return grad
 
 
@@ -435,8 +411,8 @@ def _laplacians(net, X):
     if net.activation is not Activation.RELU:
         with np.errstate(all="ignore"):
             for rows in _row_blocks(net.layers, X.shape[0]):
-                lap[rows] = _input_derivatives(
-                    net.layers, net.activation, X[rows], 2, gradient=False)[1]
+                lap[rows] = _input_derivatives(net.layers, net.activation, X[rows], value=False,
+                                               signal=False, laplacian=True)[2]
     return lap
 
 
@@ -444,7 +420,8 @@ def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,); ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("forward pass"):
-        return _values(net.layers, net.activation, X, None)
+        return _input_derivatives(net.layers, net.activation, X, value=True, signal=False,
+                                  laplacian=False)[0]
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:
@@ -455,11 +432,11 @@ def grad_input_batch(net: Network, X) -> np.ndarray:
 def grad_params_batch(net: Network, X) -> list:
     """Gradient of ``sum_i f(x_i)`` over the rows of X w.r.t. every weight
     matrix, one array per layer and shaped like it: ``D_l^T H_{l-1}``, the
-    backward signals ``D_l = df/dz_l`` (see :func:`_backward`) against the
+    backward signals ``D_l = df/dz_l`` (see :func:`_grad_params_batch`) against the
     layer inputs, one row per sample; ValueError on overflow."""
     X = _check_batch(net, X)
     with _overflow_is_an_error("gradient pass"):
-        acts, fds = _hidden_batch(net.layers, net.activation, X, 1, last_value=True)
+        acts, fds = _hidden_batch(net.layers, net.activation, X)
         return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]))
 
 

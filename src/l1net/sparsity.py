@@ -243,7 +243,7 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
             for j, n in enumerate(ns):
                 np.matmul(Xb[j, :n], layers[0][j].T, out=z[j, :n])
             h, fd, _ = _act_terms(arch.activation, z, 1, value=True)
-            acts, fds = _hidden_batch(layers[1:], arch.activation, h, 1, last_value=True)
+            acts, fds = _hidden_batch(layers[1:], arch.activation, h)
             for j, n in enumerate(ns):
                 np.matmul(acts[-1][j, :n], layers[-1][j].T, out=out[j, :n])
             resid = out[..., 0] - yb

@@ -184,29 +184,35 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert cfg.train.iterations == 32 and type(cfg.train.iterations) is int
 
 
-@pytest.mark.parametrize("command, doc, field", [
-    (command, doc, field)
-    for commands, doc, field in (
-        (["run"], {"repeats": 1e300}, "repeats"),
-        (["run", "bounds", "datagen"], {"teacher": {"d": 1e300, "s": 1}}, "d"),
-        (["run", "bounds", "datagen"], {"teacher": {"h": 1e30}}, "h"),
-        (["run", "bounds", "datagen"], {"depths": [1e300]}, "depths"),
-        (["run"], {"n_test": 1e30}, "n_test"),
-        (["verify"], {"verify": {"trials": 1e30}}, "verify.trials"),
-        (["verify"], {"verify": {"dims": [1e30]}}, "verify.dims"),
-        (["verify"], {"verify": {"depths": [1e300]}}, "verify.depths"),
+@pytest.mark.parametrize("command, doc, flags, field", [
+    (command, doc, flags, field)
+    for commands, doc, flags, field in (
+        (["run"], {"repeats": 1e300}, [], "repeats"),
+        (["run", "bounds", "datagen"], {"teacher": {"d": 1e300, "s": 1}}, [], "d"),
+        (["run", "bounds", "datagen"], {"teacher": {"h": 1e30}}, [], "h"),
+        (["run", "bounds", "datagen"], {"depths": [1e300]}, [], "depths"),
+        (["run"], {"n_test": 1e30}, [], "n_test"),
+        (["verify"], {"verify": {"trials": 1e30}}, [], "verify.trials"),
+        (["verify"], {"verify": {"dims": [1e30]}}, [], "verify.dims"),
+        (["verify"], {"verify": {"depths": [1e300]}}, [], "verify.depths"),
+        (["datagen"], {}, ["--n", str(2 ** 63 - 1)], "--n"),
+        (["datagen"], {}, ["--depth", str(2 ** 63 - 1)], "--depth"),
         # each field fits alone, but not a product of them
-        (["bounds"], {"teacher": {"d": 1e18, "s": 1}}, "d * h"),
-        (["run"], {"n_test": 1e17}, "n_test * d"),
+        (["bounds"], {"teacher": {"d": 1e18, "s": 1}}, [], "d * h"),
+        (["run"], {"n_test": 1e17}, [], "n_test * d"),
+        (["datagen"], {}, ["--n", str(10 ** 17)], "--n * d"),
+        (["datagen"], {"teacher": {"d": 5, "h": 1000}}, ["--n", str(10 ** 16)], "--n * h"),
     )
     for command in commands
 ])
-def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, doc, field):
-    # Each used to end in an OverflowError or a numpy ValueError traceback
+def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, doc, flags,
+                                                    field):
+    # Each used to end in an OverflowError, a numpy ValueError traceback or
+    # an empty MemoryError message
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
     assert _one_config_error(capsys).startswith(f"l1net: config error: {field} is too large")
     assert not out.exists()
 
@@ -985,8 +991,8 @@ def test_verify_fails_green_rows_with_a_nan_gap(tmp_path, monkeypatch):
 def _scaled(fn, factor):
     def faulty(*args, **kwargs):
         out = fn(*args, **kwargs)
-        if isinstance(out, tuple):  # (gradient, Laplacian), one factor each
-            return tuple(f * part for f, part in zip(factor, out))
+        if isinstance(out, tuple):  # (value, signal, Laplacian), one factor each
+            return tuple(None if part is None else f * part for f, part in zip(factor, out))
         return [factor * part for part in out] if isinstance(out, list) else factor * out
     return faulty
 
@@ -994,19 +1000,19 @@ def _scaled(fn, factor):
 # One planted fault per suite, and for the finite-difference suites one on
 # each side of the comparison, the exact derivative and its oracle: (module,
 # function, factor, the suite that must catch it and no other suite may
-# flag).  The input-derivative pass returns a gradient and a Laplacian, and
-# takes one factor for each.  The Lipschitz and divergence audits have no
+# flag).  The input-derivative pass returns a value, a first-layer signal (the
+# gradient over theta_1) and a Laplacian, and takes one factor for each.  The Lipschitz and divergence audits have no
 # row: at this budget a halved bound passes both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
     (bounds, "sup_model_bound", 0.5, "bound_sup_model"),
     (cli, "_grad_params_batch", 1.001, "fd_grad_params"),
-    (cli, "_input_derivatives", (1.001, 1.0), "fd_grad_input"),
-    (cli, "_input_derivatives", (1.0, 1.02), "fd_laplacian_input"),
+    (cli, "_input_derivatives", (1.0, 1.001, 1.0), "fd_grad_input"),
+    (cli, "_input_derivatives", (1.0, 1.0, 1.02), "fd_laplacian_input"),
     (cli, "_fd_grad_params", 1.001, "fd_grad_params"),
     (cli, "_fd_gradient", 1.001, "fd_grad_input"),
     (cli, "_fd_laplacian", 1.02, "fd_laplacian_input"),
-    (evaluate, "_input_derivatives", (1.0, -1.0), "green_identity_d3"),
+    (evaluate, "_input_derivatives", (1.0, 1.0, -1.0), "green_identity_d3"),
 ]
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1net import evaluate
+from l1net import bounds, cli, evaluate, sparsity
 from l1net import net as net_module
 from l1net.cli import ExperimentConfig, VerifyConfig, _small_green_net, run_verification
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
@@ -236,7 +236,7 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
     """Reference: the oracle built as it was before only the moved entries
     were evaluated again, applying the activation to every entry of each
     layer's whole perturbed preactivation stack (2 d_out d_in d_out values)."""
-    acts = net_module._hidden_batch(layers, activation, X, 0, last_value=True)[0]
+    acts = net_module._hidden_batch(layers, activation, X)[0]
     grads = []
     for l in range(1, len(layers)):
         theta = layers[l - 1]
@@ -251,7 +251,8 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
         z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
         a = net_module._act_terms(
             activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0, value=True)[0]
-        outs = net_module._values(layers[l:], activation, a, None).reshape(lead + (2,) + theta.shape[-2:])
+        outs = net_module._output(layers[l:], net_module._hidden_batch(layers[l:], activation, a)[0])
+        outs = outs.reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
     base = net_module._output(layers, acts)[..., np.newaxis]
@@ -284,8 +285,7 @@ def _fd_concatenated(layers, activation, X, step, center):
     d = X.shape[-1]
     eye = np.eye(d) * step
     stack = np.concatenate([X + eye, X - eye] + [X] * center, axis=-2)
-    outs = net_module._output(
-        layers, net_module._hidden_batch(layers, activation, stack, 0, last_value=True)[0])
+    outs = net_module._output(layers, net_module._hidden_batch(layers, activation, stack)[0])
     if center:
         return (outs[..., :d] - 2.0 * outs[..., -1:] + outs[..., d:2 * d]).sum(axis=-1) / (step * step)
     return (outs[..., :d] - outs[..., d:]) / (2.0 * step)
@@ -312,9 +312,9 @@ def test_fd_oracles_in_a_reused_workspace_keep_the_concatenated_bits(activation,
         params = evaluate._fd_grad_params(layers, activation, X, 1e-4, work)
         assert grad.tobytes() == _fd_concatenated(layers, activation, X, 1e-4, False).tobytes()
         assert lap.tobytes() == _fd_concatenated(layers, activation, X, 1e-3, True).tobytes()
-        # the value pass on fresh arrays, as forward_batch runs it, keeps the bits too
-        acts = net_module._hidden_batch(layers, activation, X, 0, last_value=True)[0]
-        assert net_module._values(layers, activation, X, None).tobytes() == net_module._output(
+        # the value pass in the workspace keeps the bits of the row-major hidden pass
+        acts = net_module._hidden_batch(layers, activation, X)[0]
+        assert evaluate._values(layers, activation, X, work).tobytes() == net_module._output(
             layers, acts).tobytes()
         for out in [grad, lap, *params]:
             assert not any(np.shares_memory(out, buf) for buf in work)
@@ -376,8 +376,58 @@ def test_passes_without_the_last_value_keep_their_bits(monkeypatch, activation, 
     else:  # grad, lap, the error's two networks, then f and g per Green row block
         assert skipped[:4] == [True] * 4 and skipped[4:] == [True, False] * (len(skipped[4:]) // 2)
     monkeypatch.undo()
-    acts = net_module._hidden_batch(f.layers, activation, X, 1, last_value=False)[0]
-    assert acts[-1] is None and all(a is not None for a in acts[:-1])
+    value, delta, lap = net_module._input_derivatives(f.layers, activation, X, value=False,
+                                                      signal=True, laplacian=False)
+    assert value is None and lap is None and delta.shape == (50, 6) and delta.flags.c_contiguous
+
+
+def test_quantities_at_the_inputs_take_one_route(monkeypatch):
+    # Values, first-layer signals, gradients and Laplacians at the inputs all
+    # come from the feature-major pass: none of these callers reaches the
+    # row-major hidden pass or the finite-difference oracles' value pass.
+    # Weight gradients and the oracles still do, so the spy is seen to work.
+    reached = []
+    for module in (net_module, evaluate, bounds, cli, sparsity):
+        for name in ("_hidden_batch", "_values"):
+            if hasattr(module, name):
+                def spy(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                    reached.append(_name)
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, spy)
+
+    def routes(call):
+        reached.clear()
+        call()
+        return set(reached)
+
+    rng = np.random.default_rng(21)
+    f, g = (_random_net(rng, 3, 6, 3) for _ in range(2))
+    X = rng.normal(size=(20, 3))
+    trace = forward(f, X[0])
+    cfg = ExperimentConfig(d=5, s=2, h=4, n_grid=(20,), n_test=50, repeats=1, depths=(2,),
+                           train=sparsity.TrainConfig(iterations=5))
+    act = Activation.SOFTPLUS
+    dataset, seed, _ = cli._trial_dataset(cfg, 2, act, 20, 0)
+    arch = net_module.Architecture.mlp(5, 4, 2, act)
+
+    def student():
+        return sparsity.train(dataset, arch, cfg.train, cli._cell_data(cfg, 2, act)[1], seed)
+
+    assert routes(student) == {"_hidden_batch"}
+    assert routes(lambda: grad_params_batch(f, X)) == {"_hidden_batch"}
+    assert routes(lambda: finite_diff_gradient(f, X[0], 1e-4)) == {"_values"}
+    model = student()
+    cli._teacher_scores.cache_clear()  # so the teacher is scored under the spy
+    for call in (
+        lambda: forward(f, X[0]), lambda: forward_batch(f, X),
+        lambda: grad_input(f, trace), lambda: grad_input_batch(f, X),
+        lambda: laplacian_input(f, trace), lambda: laplacian_batch(f, X),
+        lambda: l2_prediction_error(f, g, X), lambda: l2_gradient_error(f, g, X),
+        lambda: green_identity_check(f, g, DataSpec(), 10 ** 4, np.random.default_rng(3)),
+        lambda: bounds.verify_bounds(arch, 5.0, 1, 7, input_sup=1.0, slack=1e-9),
+        lambda: cli._score(cfg, 2, act, (20, 0), seed, dataset, model),
+    ):
+        assert routes(call) == set()
 
 
 def test_green_identity_zero_network():
@@ -594,9 +644,9 @@ def test_green_identity_catches_scaled_laplacian(monkeypatch, factor):
     assert clean.violations == 0
     exact = evaluate._input_derivatives
 
-    def scaled(*args, gradient):
-        grad, lap = exact(*args, gradient=gradient)
-        return grad, factor * lap
+    def scaled(*args, **kwargs):
+        value, delta, lap = exact(*args, **kwargs)
+        return value, delta, None if lap is None else factor * lap
 
     monkeypatch.setattr(evaluate, "_input_derivatives", scaled)
     faulty = green_d3()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from l1net import evaluate
 from l1net import net as net_module
 from l1net.net import (
     Activation,
@@ -222,6 +223,10 @@ def test_batch_matches_single():
             f = forward_batch(net, X)
             G = grad_input_batch(net, X)
             lap = laplacian_batch(net, X)
+            # the finite-difference oracles' row-major value pass, apart from
+            # the input-derivative pass, gives the same bits
+            work = evaluate._fd_workspace(net.layer_sizes, 1)
+            assert f.tobytes() == evaluate._values(net.layers, act, X, work).tobytes()
             # the single-x routines are the one-row case of the same core,
             # but BLAS may block a one-row product differently, so the
             # last ulp can differ
@@ -236,6 +241,23 @@ def test_batch_matches_single():
                 )
 
 
+def _row_major_scores(layers, activation, X):
+    """Reference: outputs and the first hidden layer's backward signal from
+    (m, h) rows, a hidden pass then ``D_l = s'(z_l) * G_l``, ``G_{l-1} = D_l
+    theta_l`` from ``G_{L-1} = theta_L``."""
+    acts, fds = [X], []
+    for theta in layers[:-1]:
+        value, first, _ = net_module._act_terms(activation, acts[-1] @ theta.T, 1, value=True)
+        acts.append(value)
+        fds.append(first)
+    g = np.broadcast_to(layers[-1], fds[-1].shape)
+    for l in range(len(fds), 0, -1):
+        delta = fds[l - 1] * g
+        if l > 1:
+            g = delta @ layers[l - 1]
+    return (acts[-1] @ layers[-1].T)[:, 0], delta
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 @pytest.mark.parametrize("d", [5, 100])
 def test_stacked_core_matches_each_network(L, d):
@@ -246,9 +268,10 @@ def test_stacked_core_matches_each_network(L, d):
     nets = [_random_net(rng, d, 10, L) for _ in range(T)]
     X = rng.normal(size=(T, 1, d))
     layers = [np.stack(thetas) for thetas in zip(*(n.layers for n in nets))]
-    acts, fds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X, 1, last_value=True)
-    value = net_module._output(layers, acts)
-    grad, lap = net_module._input_derivatives(layers, Activation.SOFTPLUS, X, 2, gradient=True)
+    value, delta, lap = net_module._input_derivatives(
+        layers, Activation.SOFTPLUS, X, value=True, signal=True, laplacian=True)
+    grad = delta @ layers[0]
+    acts, fds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
     weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)))
     assert value.shape == lap.shape == (T, 1) and grad.shape == (T, 1, d)
     for t, net in enumerate(nets):
@@ -258,6 +281,15 @@ def test_stacked_core_matches_each_network(L, d):
         assert lap[t, 0] == laplacian_input(net, trace)
         for stacked, single in zip(weights, grad_params_batch(net, X[t, 0][None])):
             np.testing.assert_array_equal(stacked[t], single)
+    # at the sweep's test-set shape (10 000 rows), the feature-major value and
+    # signal keep the bits of the row-major pass
+    X = rng.normal(size=(10_000, d))
+    for activation in Activation:
+        net = _random_net(rng, d, 10, L, activation)
+        got = net_module._input_derivatives(net.layers, activation, X, value=True, signal=True,
+                                            laplacian=False)[:2]
+        for part, want in zip(got, _row_major_scores(net.layers, activation, X)):
+            assert part.tobytes() == want.tobytes()
 
 
 def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
@@ -266,9 +298,9 @@ def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
     rng = np.random.default_rng(12)
     net = _random_net(rng, 6, 5, 3)
     x = rng.normal(size=6)
-    grad, lap = net_module._input_derivatives(
-        net.layers, net.activation, x[None], 2, gradient=True)
-    grad, lap = grad[0], float(lap[0])
+    _, delta, lap = net_module._input_derivatives(
+        net.layers, net.activation, x[None], value=False, signal=True, laplacian=True)
+    grad, lap = (delta @ net.layers[0])[0], float(lap[0])
     for name in ("grad_input_batch", "laplacian_batch"):
         exact = getattr(net_module, name)
         monkeypatch.setattr(net_module, name, lambda f, X, exact=exact: 1.02 * exact(f, X))
@@ -321,7 +353,8 @@ def test_gram_laplacian_matches_jacobian_reference(widths, T, m):
 
 
 def _check_against_reference(layers, activation, X):
-    got = net_module._input_derivatives(layers, activation, X, 2, gradient=False)[1]
+    got = net_module._input_derivatives(layers, activation, X, value=False, signal=False,
+                                        laplacian=True)[2]
     want = _reference_laplacian(layers, *_reference_slopes(layers, activation, X))
     assert got.shape == want.shape == X.shape[:-1]
     if len(layers) == 2:  # no Jacobian factor at L = 2: the same arithmetic
@@ -473,7 +506,8 @@ def test_softplus_trace_derivative_ranges(monkeypatch):
     monkeypatch.setattr(net_module, "_act_terms", spy)
     for _ in range(50):
         X = (rng.normal(size=5) * 3)[None]
-        net_module._input_derivatives(net.layers, net.activation, X, 2, gradient=False)
+        net_module._input_derivatives(net.layers, net.activation, X, value=False, signal=False,
+                                      laplacian=True)
     assert len(slopes) == 50 * 2
     for d1, d2 in slopes:
         assert np.all(d1 > 0.0) and np.all(d1 < 1.0)

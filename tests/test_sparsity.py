@@ -310,7 +310,7 @@ def _reference_train(dataset, arch, cfg, radius, seed):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
             layers = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
-            acts, fds = _hidden_batch(layers, arch.activation, X, 1, last_value=True)
+            acts, fds = _hidden_batch(layers, arch.activation, X)
             resid = _output(layers, acts) - y
             grads = _grad_params_batch(layers, acts, fds, (2.0 / n) * resid)
             grad = np.concatenate([g.ravel() for g in grads])
