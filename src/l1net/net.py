@@ -324,12 +324,16 @@ def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
     product over every row.  The last hidden layer's value is taken only for
     ``f``, and every result is contracted from C-contiguous ``(m, h)`` rows.
     A Laplacian that overflows raises ValueError."""
+    order = 2 if laplacian else int(signal)
     fds, sds, a = [], [], X.swapaxes(-1, -2)
     for l, theta in enumerate(layers[:-1], 1):
-        a, first, second = _act_terms(activation, theta @ a, 2 if laplacian else int(signal),
-                                      value=value or l < len(layers) - 1)
-        fds.append(first)
-        sds.append(second)
+        if order:
+            a, first, second = _act_terms(activation, theta @ a, order,
+                                          value=value or l < len(layers) - 1)
+            fds.append(first)
+            sds.append(second)
+        else:  # values alone: each written over its layer's product, one scratch array
+            a = _act_value_in_place(activation, theta @ a, None)
     f = delta = lap = None
     if value:
         f = _output(layers, [np.ascontiguousarray(a.swapaxes(-1, -2))])

@@ -184,7 +184,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert cfg.train.iterations == 32 and type(cfg.train.iterations) is int
 
 
-@pytest.mark.parametrize("command, doc, flags, field", [
+_HUGE_SIZES = [
     (command, doc, flags, field)
     for commands, doc, flags, field in (
         (["run"], {"repeats": 1e300}, [], "repeats"),
@@ -195,20 +195,25 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         (["verify"], {"verify": {"trials": 1e30}}, [], "verify.trials"),
         (["verify"], {"verify": {"dims": [1e30]}}, [], "verify.dims"),
         (["verify"], {"verify": {"depths": [1e300]}}, [], "verify.depths"),
-        (["datagen"], {}, ["--n", str(2 ** 63 - 1)], "--n"),
-        (["datagen"], {}, ["--depth", str(2 ** 63 - 1)], "--depth"),
         # each field fits alone, but not a product of them
         (["bounds"], {"teacher": {"d": 1e18, "s": 1}}, [], "d * h"),
         (["run"], {"n_test": 1e17}, [], "n_test * d"),
+        # datagen's size flags, alone and in the products they shape
+        (["datagen"], {}, ["--n", str(2 ** 63 - 1)], "--n"),
+        (["datagen"], {}, ["--depth", str(2 ** 63 - 1)], "--depth"),
         (["datagen"], {}, ["--n", str(10 ** 17)], "--n * d"),
         (["datagen"], {"teacher": {"d": 5, "h": 1000}}, ["--n", str(10 ** 16)], "--n * h"),
     )
     for command in commands
-])
+]
+
+
+@pytest.mark.parametrize("command, doc, flags, field", _HUGE_SIZES, ids=[
+    f"{command}-doc{i}-{field}" for i, (command, _, _, field) in enumerate(_HUGE_SIZES)])
 def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, doc, flags,
                                                     field):
-    # Each used to end in an OverflowError, a numpy ValueError traceback or
-    # an empty MemoryError message
+    # Each used to end in an OverflowError or a numpy ValueError traceback,
+    # or in an empty "not enough memory:" line
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -1001,8 +1006,9 @@ def _scaled(fn, factor):
 # each side of the comparison, the exact derivative and its oracle: (module,
 # function, factor, the suite that must catch it and no other suite may
 # flag).  The input-derivative pass returns a value, a first-layer signal (the
-# gradient over theta_1) and a Laplacian, and takes one factor for each.  The Lipschitz and divergence audits have no
-# row: at this budget a halved bound passes both.
+# gradient over theta_1) and a Laplacian, and takes one factor for each.  The
+# Lipschitz and divergence audits have no row: at this budget a halved bound
+# passes both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
     (bounds, "sup_model_bound", 0.5, "bound_sup_model"),

@@ -251,8 +251,8 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
         z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
         a = net_module._act_terms(
             activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0, value=True)[0]
-        outs = net_module._output(layers[l:], net_module._hidden_batch(layers[l:], activation, a)[0])
-        outs = outs.reshape(lead + (2,) + theta.shape[-2:])
+        outs = net_module._hidden_batch(layers[l:], activation, a)[0]
+        outs = net_module._output(layers[l:], outs).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
     h_last = acts[-1]
     base = net_module._output(layers, acts)[..., np.newaxis]

@@ -282,14 +282,15 @@ def test_stacked_core_matches_each_network(L, d):
         for stacked, single in zip(weights, grad_params_batch(net, X[t, 0][None])):
             np.testing.assert_array_equal(stacked[t], single)
     # at the sweep's test-set shape (10 000 rows), the feature-major value and
-    # signal keep the bits of the row-major pass
+    # signal keep the bits of the row-major pass, and so does the value alone
     X = rng.normal(size=(10_000, d))
     for activation in Activation:
         net = _random_net(rng, d, 10, L, activation)
         got = net_module._input_derivatives(net.layers, activation, X, value=True, signal=True,
                                             laplacian=False)[:2]
-        for part, want in zip(got, _row_major_scores(net.layers, activation, X)):
-            assert part.tobytes() == want.tobytes()
+        want = _row_major_scores(net.layers, activation, X)
+        for part, ref in zip((*got, forward_batch(net, X)), (*want, want[0])):
+            assert part.tobytes() == ref.tobytes()
 
 
 def test_single_sample_routines_bypass_the_public_batch_names(monkeypatch):
