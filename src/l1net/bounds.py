@@ -271,7 +271,7 @@ class SuiteRow:
     worst_ratio: float
 
 
-def _tally(ratios: dict, slack: float = 0.0) -> list:
+def _tally(ratios: dict, slack: float) -> list:
     """One :class:`SuiteRow` per ``{suite: [observed/allowed ratio per
     trial]}`` entry: ratios above ``1 + slack``, or NaN, are violations, and
     ``worst_ratio`` is the largest ratio, floored at 0, or NaN if one is."""

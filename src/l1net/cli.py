@@ -668,7 +668,7 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         X = X[:, np.newaxis, :]
         work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest
         acts, fds = _hidden_batch(layers, arch.activation, X)
-        exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)))
+        exact = _grad_params_batch(layers, acts, fds, np.ones((len(X), 1)), out=None)
         approx = _fd_grad_params(layers, arch.activation, X, _FD_GRAD_STEP, work)
         num = np.max([np.abs(a - e).max(axis=(1, 2)) for a, e in zip(approx, exact)], 0)
         den = np.max([np.abs(e).max(axis=(1, 2)) for e in exact], 0)
@@ -685,7 +685,7 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
         )
         for bucket, err in zip(ratios.values(), errs):
             bucket.extend(err.tolist())
-    return _tally(ratios)
+    return _tally(ratios, 0.0)
 
 
 def _small_green_net(d: int, rng) -> Network:
@@ -724,7 +724,7 @@ def run_verification(cfg: ExperimentConfig) -> tuple:
             for a, b in ((f, g), (g, f)):
                 gap = green_identity_check(a, b, cfg.data, v.green_m, rng).rel_gap
                 gaps.append(gap / v.green_tol)
-    rows.extend(_tally(green))
+    rows.extend(_tally(green, 0.0))
     ok = all(row.violations == 0 for row in rows)
     return rows, ok
 

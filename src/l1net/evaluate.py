@@ -20,7 +20,7 @@ from .datagen import DataSpec, _accept, _propose
 from .net import (
     Activation,
     Network,
-    _act_value_in_place,
+    _act_terms,
     _check_batch,
     _hidden_batch,
     _input_derivatives,
@@ -233,7 +233,7 @@ def _values(layers, activation, X, work):
     for i, theta in enumerate(layers[:-1]):
         shape = X.shape[:-1] + theta.shape[-2:-1]
         z = np.matmul(X, theta.swapaxes(-1, -2), out=np.ndarray(shape, buffer=work[1 - i % 2]))
-        X = _act_value_in_place(activation, z, np.ndarray(shape, buffer=work[2]))
+        X = _act_terms(activation, z, 0, np.ndarray(shape, buffer=work[2]), value=True)[0]
     return _output(layers, [X])
 
 
@@ -283,8 +283,8 @@ def _fd_grad_params(layers, activation, X, step, work):
         z = np.stack([z_base + moved, z_base - moved], axis=-3,
                      out=np.ndarray(lead + (2, d_out, d_in), buffer=work[1]))
         rows = np.arange(d_out)
-        a[..., rows, :, rows] = np.moveaxis(
-            _act_value_in_place(activation, z, np.ndarray(z.shape, buffer=work[2])), -2, 0)
+        h = _act_terms(activation, z, 0, np.ndarray(z.shape, buffer=work[2]), value=True)[0]
+        a[..., rows, :, rows] = np.moveaxis(h, -2, 0)
         a = a.reshape(lead + (2 * d_out * d_in, d_out))
         outs = _values(layers[l:], activation, a, work).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))

@@ -26,12 +26,18 @@ Supported activations:
 
 * ``softplus``: ``s(z) = log(1 + exp(z)) - log 2``, shifted so ``s(0) = 0``.
   Its first derivative is the logistic sigmoid (inside ``[0, 1]``) and its
-  second derivative is ``sig(z) (1 - sig(z))`` (inside ``[0, 1/4]``).  One
-  fused kernel serves all three: with ``e = exp(-|z|)`` (never overflows),
-  ``s(z) = max(z, 0) + log1p(e) - log 2`` and
-  ``s'(z) = (1 if z >= 0 else e) / (1 + e)``, and ``s'' = s' (1 - s')``.
+  second derivative is ``sig(z) (1 - sig(z))`` (inside ``[0, 1/4]``).  With
+  ``e = exp(-|z|)`` (never overflows), ``s(z) = max(z, 0) + log1p(e) - log 2``
+  and ``s'(z) = (1 if z >= 0 else e) / (1 + e)``, and ``s'' = s' (1 - s')``.
 * ``relu``: ``s(z) = max(z, 0)`` with the subgradient convention
   ``s'(0) = 0`` and ``s'' = 0`` everywhere, so Laplacians are exactly zero.
+
+One kernel, :func:`_act_terms`, serves every hidden layer of every pass, on
+either layout.  It takes a layer's product ``z``, writes ``s(z)`` over it when
+the caller wants the value (``z`` is left as it was otherwise), and returns
+the slopes up to the order asked for; softplus keeps ``e`` in a caller's
+scratch array or a fresh one.  ``s(0)`` is exactly 0.0, so zero padding in a
+stack stays zero.
 """
 
 from __future__ import annotations
@@ -70,56 +76,36 @@ class Activation(enum.Enum):
     RELU = "relu"
 
 
-def _softplus_terms(z, order, value):
-    # One e = exp(-|z|) (which cannot overflow) serves every term:
-    # s = max(z, 0) + log1p(e) - log 2 and s' = exp(min(z, 0)) / (1 + e),
-    # whose numerator is 1 for z >= 0 and e otherwise.  Each step writes in
-    # place, so no array beyond e, value and first is allocated; without
-    # ``value`` the slopes take the same steps, so the same bits.
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    value, first = (np.log1p(e), np.maximum(z, 0.0)) if value else (None, None)
-    if value is not None:
-        value += first
-        value -= _LOG2
-    if order < 1:
-        return value, None, None
-    first = np.minimum(z, 0.0, out=first)
-    np.exp(first, out=first)
-    e += 1.0
-    first /= e
-    if order < 2:
-        return value, first, None
-    np.subtract(1.0, first, out=e)
-    e *= first
-    return value, first, e
-
-
-def _relu_terms(z, order, value):
-    first = (z > 0.0).astype(float) if order > 0 else None
-    return np.maximum(z, 0.0) if value else None, first, np.zeros_like(z) if order > 1 else None
-
-
-def _act_value_in_place(kind, z, e):
-    """``s(z)`` written over ``z``, with ``e`` (shaped like ``z``) as scratch:
-    the value operations of :func:`_act_terms`, so the same bits."""
+def _act_terms(kind, z, order, scratch, *, value):
+    """``(s(z), s'(z), s''(z))`` with the slopes above ``order`` None.  With
+    ``value``, ``s(z)`` is written over ``z`` and returned as ``z``; without
+    it ``z`` keeps its bytes and ``s(z)`` is None.  Softplus holds
+    ``exp(-|z|)``, then ``s''``, in ``scratch`` (None, or an array shaped like
+    ``z``)."""
     if kind is Activation.RELU:
-        return np.maximum(z, 0.0, out=z)
-    e = np.abs(z, out=e)
-    np.log1p(np.exp(np.negative(e, out=e), out=e), out=e)
-    np.add(np.maximum(z, 0.0, out=z), e, out=z)
-    return np.subtract(z, _LOG2, out=z)
-
-
-def _act_terms(kind, z, order, *, value):
-    """``(s(z), s'(z), s''(z))``; derivatives above ``order`` are None, and
-    so is ``s(z)`` unless ``value``."""
-    if kind is Activation.SOFTPLUS:
-        return _softplus_terms(z, order, value)
-    if kind is Activation.RELU:
-        return _relu_terms(z, order, value)
-    raise ValueError(f"unknown activation: {kind!r}")
+        first = (z > 0.0).astype(float) if order > 0 else None
+        second = np.zeros_like(z) if order > 1 else None
+        return np.maximum(z, 0.0, out=z) if value else None, first, second
+    if kind is not Activation.SOFTPLUS:
+        raise ValueError(f"unknown activation: {kind!r}")
+    # One e = exp(-|z|) serves every term (see the module docstring).  Each
+    # step writes in place; log1p(e) takes an array of its own only while s'
+    # still needs e.
+    e = np.abs(z, out=scratch)
+    np.exp(np.negative(e, out=e), out=e)
+    first = second = None
+    if order > 0:
+        first = np.minimum(z, 0.0)
+        np.exp(first, out=first)
+    if value:
+        np.add(np.maximum(z, 0.0, out=z), np.log1p(e, out=None if order else e), out=z)
+        z -= _LOG2
+    if order > 0:
+        e += 1.0
+        first /= e
+    if order > 1:
+        second = np.multiply(np.subtract(1.0, first, out=e), first, out=e)
+    return z if value else None, first, second
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -287,16 +273,17 @@ def _hidden_batch(layers, activation, X):
     ``(m, d_l)`` each; ``acts[0]`` is ``X``."""
     acts, fds = [X], []
     for theta in layers[:-1]:
-        value, first, _ = _act_terms(activation, acts[-1] @ theta.swapaxes(-1, -2), 1, value=True)
+        value, first, _ = _act_terms(activation, acts[-1] @ theta.swapaxes(-1, -2), 1, None,
+                                     value=True)
         fds.append(first)
         acts.append(value)
     return acts, fds
 
 
-def _grad_params_batch(layers, acts, fds, weights, *, out=None):
+def _grad_params_batch(layers, acts, fds, weights, *, out):
     """Gradient of ``sum_i weights_i f(x_i)`` w.r.t. every weight matrix,
-    written into the arrays of ``out`` (one per layer) when given, from the
-    row-major backward signals ``D_l = df/dz_l``: the output layer's is the
+    written into the arrays of ``out`` (one per layer) unless it is None, from
+    the row-major backward signals ``D_l = df/dz_l``: the output layer's is the
     weights themselves, then ``D_l = s'(z_l) * G_l`` with ``G_{L-1} = D_L
     theta_L`` and ``G_{l-1} = D_l theta_l``."""
     deltas = [weights[..., np.newaxis]]
@@ -327,13 +314,10 @@ def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
     order = 2 if laplacian else int(signal)
     fds, sds, a = [], [], X.swapaxes(-1, -2)
     for l, theta in enumerate(layers[:-1], 1):
-        if order:
-            a, first, second = _act_terms(activation, theta @ a, order,
-                                          value=value or l < len(layers) - 1)
-            fds.append(first)
-            sds.append(second)
-        else:  # values alone: each written over its layer's product, one scratch array
-            a = _act_value_in_place(activation, theta @ a, None)
+        a, first, second = _act_terms(activation, theta @ a, order, None,
+                                      value=value or l < len(layers) - 1)
+        fds.append(first)
+        sds.append(second)
     f = delta = lap = None
     if value:
         f = _output(layers, [np.ascontiguousarray(a.swapaxes(-1, -2))])
@@ -441,7 +425,7 @@ def grad_params_batch(net: Network, X) -> list:
     X = _check_batch(net, X)
     with _overflow_is_an_error("gradient pass"):
         acts, fds = _hidden_batch(net.layers, net.activation, X)
-        return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]))
+        return _grad_params_batch(net.layers, acts, fds, np.ones(X.shape[0]), out=None)
 
 
 def laplacian_batch(net: Network, X) -> np.ndarray:

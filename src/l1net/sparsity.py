@@ -226,6 +226,7 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     ns = [X.shape[0] for X in Xs]  # the sample count at each stack position
     # Buffers and layer views, written in place each step and cut down to the
     # live rows when a row diverges; the padding of Xb, yb, z and out stays zero
+    # (z takes s(z) in place each step, and s(0) is exactly 0.0)
     m = max(ns)
     Xb, yb = np.zeros((R, m, arch.layer_sizes[0])), np.zeros((R, m))
     for i in range(R):
@@ -242,7 +243,7 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
         for it in range(1, cfg.iterations + 1):
             for j, n in enumerate(ns):
                 np.matmul(Xb[j, :n], layers[0][j].T, out=z[j, :n])
-            h, fd, _ = _act_terms(arch.activation, z, 1, value=True)
+            h, fd, _ = _act_terms(arch.activation, z, 1, None, value=True)  # h is z
             acts, fds = _hidden_batch(layers[1:], arch.activation, h)
             for j, n in enumerate(ns):
                 np.matmul(acts[-1][j, :n], layers[-1][j].T, out=out[j, :n])

@@ -332,9 +332,9 @@ def test_draw_blocks_memory_does_not_grow_with_trials():
 
 def test_tally_counts_a_nan_ratio_as_a_violation():
     # NaN > 1 is false and max() skips it, so a NaN row would read clean
-    (row,) = _tally({"s": [math.nan, math.nan]})
+    (row,) = _tally({"s": [math.nan, math.nan]}, 0.0)
     assert row.violations == 2 and math.isnan(row.worst_ratio)
-    (row,) = _tally({"s": [0.5, math.nan, 3.0]})
+    (row,) = _tally({"s": [0.5, math.nan, 3.0]}, 0.0)
     assert row.violations == 2 and math.isnan(row.worst_ratio)
     assert _tally({"s": [0.5, 1.0 + 1e-10]}, 1e-9) == [SuiteRow("s", 2, 0, 1.0 + 1e-10)]
-    assert _tally({"s": []}) == [SuiteRow("s", 0, 0, 0.0)]
+    assert _tally({"s": []}, 0.0) == [SuiteRow("s", 0, 0, 0.0)]

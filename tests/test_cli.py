@@ -439,7 +439,7 @@ def test_fd_suite_memory_fits_cache_sized_stacks():
 @pytest.mark.parametrize("L, d", [(2, 5), (4, 5), (2, 100), (4, 100)])
 def test_fd_suite_substacks_move_no_bit(monkeypatch, L, d):
     # every draw's ratios, in 1-draw stacks and in whole 32-draw blocks
-    monkeypatch.setattr(cli, "_tally", lambda ratios: ratios)
+    monkeypatch.setattr(cli, "_tally", lambda ratios, slack: ratios)
     arch = Architecture.mlp(d, 10, L, Activation.SOFTPLUS)
     monkeypatch.setattr(net_module, "_BLOCK_ELEMS", 1)
     single = cli._fd_suite(ExperimentConfig(), arch, 40, 6)
@@ -1141,7 +1141,7 @@ def _serial_fd_suite(cfg, arch, trials, seed):
             abs(approx_l - exact_l) / max(1.0, abs(exact_l)) / 1e-4,
         )):
             bucket.append(err)
-    return _tally(ratios)
+    return _tally(ratios, 0.0)
 
 
 @pytest.mark.parametrize("L", [2, 3])

@@ -250,7 +250,7 @@ def _fd_grad_params_full_stack(layers, activation, X, step):
         z[..., 0, rows, :, rows] += step * h_prev[..., 0, :]
         z[..., 1, rows, :, rows] -= step * h_prev[..., 0, :]
         a = net_module._act_terms(
-            activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0, value=True)[0]
+            activation, z.reshape(lead + (2 * d_out * d_in, d_out)), 0, None, value=True)[0]
         outs = net_module._hidden_batch(layers[l:], activation, a)[0]
         outs = net_module._output(layers[l:], outs).reshape(lead + (2,) + theta.shape[-2:])
         grads.append((outs[..., 0, :, :] - outs[..., 1, :, :]) / (2.0 * step))
@@ -356,12 +356,12 @@ def test_passes_without_the_last_value_keep_their_bits(monkeypatch, activation, 
     values = []  # per hidden layer of every pass, row- or feature-major: whether it takes s(z)
     lean = net_module._act_terms
 
-    def spy(kind, z, order, *, value):
+    def spy(kind, z, order, scratch, *, value):
         values.append(value)
-        return lean(kind, z, order, value=value)
+        return lean(kind, z, order, scratch, value=value)
 
-    def every_value(kind, z, order, *, value):
-        return lean(kind, z, order, value=True)
+    def every_value(kind, z, order, scratch, *, value):
+        return lean(kind, z, order, scratch, value=True)
 
     def outputs_with(terms):
         monkeypatch.setattr(net_module, "_act_terms", terms)
@@ -386,9 +386,13 @@ def test_quantities_at_the_inputs_take_one_route(monkeypatch):
     # come from the feature-major pass: none of these callers reaches the
     # row-major hidden pass or the finite-difference oracles' value pass.
     # Weight gradients and the oracles still do, so the spy is seen to work.
+    # Every pass, on either layout, takes its hidden layers through the one
+    # activation kernel.
+    assert not any(hasattr(net_module, name) for name in
+                   ("_softplus_terms", "_relu_terms", "_act_value_in_place"))
     reached = []
     for module in (net_module, evaluate, bounds, cli, sparsity):
-        for name in ("_hidden_batch", "_values"):
+        for name in ("_hidden_batch", "_values", "_act_terms"):
             if hasattr(module, name):
                 def spy(*args, _inner=getattr(module, name), _name=name, **kwargs):
                     reached.append(_name)
@@ -413,9 +417,9 @@ def test_quantities_at_the_inputs_take_one_route(monkeypatch):
     def student():
         return sparsity.train(dataset, arch, cfg.train, cli._cell_data(cfg, 2, act)[1], seed)
 
-    assert routes(student) == {"_hidden_batch"}
-    assert routes(lambda: grad_params_batch(f, X)) == {"_hidden_batch"}
-    assert routes(lambda: finite_diff_gradient(f, X[0], 1e-4)) == {"_values"}
+    assert routes(student) == {"_hidden_batch", "_act_terms"}
+    assert routes(lambda: grad_params_batch(f, X)) == {"_hidden_batch", "_act_terms"}
+    assert routes(lambda: finite_diff_gradient(f, X[0], 1e-4)) == {"_values", "_act_terms"}
     model = student()
     cli._teacher_scores.cache_clear()  # so the teacher is scored under the spy
     for call in (
@@ -427,7 +431,7 @@ def test_quantities_at_the_inputs_take_one_route(monkeypatch):
         lambda: bounds.verify_bounds(arch, 5.0, 1, 7, input_sup=1.0, slack=1e-9),
         lambda: cli._score(cfg, 2, act, (20, 0), seed, dataset, model),
     ):
-        assert routes(call) == set()
+        assert routes(call) == {"_act_terms"}
 
 
 def test_green_identity_zero_network():

@@ -45,7 +45,7 @@ def _random_net(rng, d, h, L, activation=Activation.SOFTPLUS, scale=0.5):
 
 def _terms(kind, z):
     """``(s(z), s'(z), s''(z))`` at one point, from the activation kernel."""
-    return tuple(t[0] for t in net_module._act_terms(kind, np.array([z]), 2, value=True))
+    return tuple(t[0] for t in net_module._act_terms(kind, np.array([z]), 2, None, value=True))
 
 
 def test_softplus_at_zero_is_exact():
@@ -84,7 +84,7 @@ def test_softplus_kernel_matches_references():
         [709.8, 710.0, 744.4, 745.0, 1e10, 1e300],
     ])
     z = np.concatenate([mags, -mags])
-    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z, 2, value=True)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z.copy(), 2, None, value=True)
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     # The shift by log 2 cancels near z = 0 in both, so the value is
     # compared on the scale of the unshifted log(1 + e^z).
@@ -110,26 +110,49 @@ def test_relu_branches():
 
 def test_act_terms_array_matches_one_point():
     z = np.array([-1.5, -0.3, 0.0, 0.7, 2.25])
-    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z, 2, value=True)
+    v, d1, d2 = net_module._act_terms(Activation.SOFTPLUS, z.copy(), 2, None, value=True)
     for i, zi in enumerate(z):
         vi, d1i, d2i = _terms(Activation.SOFTPLUS, zi)
         assert v[i] == vi and d1[i] == d1i and d2[i] == d2i
 
 
+def _reference_terms(kind, z):
+    """``(s(z), s'(z), s''(z))`` step by step, each in fresh arrays."""
+    if kind is Activation.RELU:
+        return np.maximum(z, 0.0), (z > 0.0).astype(float), np.zeros_like(z)
+    e = np.exp(-np.abs(z))
+    first = np.exp(np.minimum(z, 0.0)) / (1.0 + e)
+    return np.log1p(e) + np.maximum(z, 0.0) - np.log(2.0), first, (1.0 - first) * first
+
+
 @pytest.mark.parametrize("kind", list(Activation))
 def test_slopes_without_the_value_keep_their_bits(kind):
+    # The kernel's contract at every order: with the value, s(z) is written
+    # over z and returned as z itself; without it z keeps its bytes; the
+    # slopes up to the order take the reference's bits either way; and a
+    # scratch array moves no bit.
     mags = np.array([0.0, 5e-324, 1e-300, 20.0, 745.0, 1e300])
     points = np.concatenate([mags, -mags])
     assert np.signbit(points[mags.size])  # -0.0 is covered
     stacks = np.random.default_rng(21).normal(0.0, 30.0, size=(4, 3, 7, 5))
     for z in (points, *stacks):
-        for order in (1, 2):
-            value, *full = net_module._act_terms(kind, z, order, value=True)
-            none, *slopes = net_module._act_terms(kind, z, order, value=False)
-            assert none is None and value is not None
-            for got, want in zip(slopes, full):
-                assert (got is None) == (want is None)
-                assert got is None or got.tobytes() == want.tobytes()
+        want = [term.tobytes() for term in _reference_terms(kind, z)]
+        for order in (0, 1, 2):
+            for scratch in (None, np.full_like(z, np.nan)):
+                before = z.tobytes()
+                none, *slopes = net_module._act_terms(kind, z, order, scratch, value=False)
+                assert none is None and z.tobytes() == before
+                z_in = z.copy()
+                value, *full = net_module._act_terms(kind, z_in, order, scratch, value=True)
+                assert value is z_in and value.tobytes() == want[0]
+                for k, (got, with_value) in enumerate(zip(slopes, full), 1):
+                    if k > order:
+                        assert got is None and with_value is None
+                    else:
+                        assert got.tobytes() == with_value.tobytes() == want[k]
+    # s(0.0) is exactly 0.0 in place, so a stack's zero padding stays zero
+    padding = net_module._act_terms(kind, np.zeros((3, 7, 5)), 1, None, value=True)[0]
+    assert padding.tobytes() == bytes(padding.nbytes)
 
 
 def test_network_validation():
@@ -247,7 +270,8 @@ def _row_major_scores(layers, activation, X):
     theta_l`` from ``G_{L-1} = theta_L``."""
     acts, fds = [X], []
     for theta in layers[:-1]:
-        value, first, _ = net_module._act_terms(activation, acts[-1] @ theta.T, 1, value=True)
+        value, first, _ = net_module._act_terms(activation, acts[-1] @ theta.T, 1, None,
+                                                value=True)
         acts.append(value)
         fds.append(first)
     g = np.broadcast_to(layers[-1], fds[-1].shape)
@@ -272,7 +296,7 @@ def test_stacked_core_matches_each_network(L, d):
         layers, Activation.SOFTPLUS, X, value=True, signal=True, laplacian=True)
     grad = delta @ layers[0]
     acts, fds = net_module._hidden_batch(layers, Activation.SOFTPLUS, X)
-    weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)))
+    weights = net_module._grad_params_batch(layers, acts, fds, np.ones((T, 1)), out=None)
     assert value.shape == lap.shape == (T, 1) and grad.shape == (T, 1, d)
     for t, net in enumerate(nets):
         trace = forward(net, X[t, 0])
@@ -315,7 +339,7 @@ def _reference_slopes(layers, activation, X):
     fds, sds = [], []
     for theta in layers[:-1]:
         X, first, second = net_module._act_terms(
-            activation, X @ theta.swapaxes(-1, -2), 2, value=True)
+            activation, X @ theta.swapaxes(-1, -2), 2, None, value=True)
         fds.append(first)
         sds.append(second)
     return fds, sds

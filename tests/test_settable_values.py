@@ -17,7 +17,7 @@ from pathlib import Path
 
 import l1net
 
-_LIMIT = 36
+_LIMIT = 34
 _NAMES_LIMIT = 62
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 

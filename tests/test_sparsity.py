@@ -312,7 +312,7 @@ def _reference_train(dataset, arch, cfg, radius, seed):
             layers = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
             acts, fds = _hidden_batch(layers, arch.activation, X)
             resid = _output(layers, acts) - y
-            grads = _grad_params_batch(layers, acts, fds, (2.0 / n) * resid)
+            grads = _grad_params_batch(layers, acts, fds, (2.0 / n) * resid, out=None)
             grad = np.concatenate([g.ravel() for g in grads])
             stepped = flat - cfg.step_size * grad
             if not np.isfinite(float(resid @ resid) / n) or not np.isfinite(stepped).all():
@@ -372,9 +372,9 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(monkeypatch):
     datasets[1] = dataclasses.replace(datasets[1], y=1e100 * datasets[1].y)
     stacked = []  # rows in each step's first-layer activation pass
 
-    def act_terms(kind, z, order, *, value):
+    def act_terms(kind, z, order, scratch, *, value):
         stacked.append(z.shape[0])
-        return _act_terms(kind, z, order, value=value)
+        return _act_terms(kind, z, order, scratch, value=value)
 
     monkeypatch.setattr(sparsity, "_act_terms", act_terms)
     models = _train_rows(datasets, arch, cfg, r, seeds)
