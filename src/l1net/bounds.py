@@ -23,6 +23,7 @@ from .net import (
     Architecture,
     _gaussian_layers,
     _input_derivatives,
+    _integral,
 )
 from .sparsity import _layer_views, project_l1
 
@@ -45,7 +46,7 @@ __all__ = [
 
 
 def _check_depth(L):
-    L = int(L)
+    L = _integral(L, "L", ValueError)
     if L < 2:
         raise ValueError("L must be at least 2")
     return L
@@ -136,12 +137,12 @@ class BoundInputs:
         if not np.isfinite(self.r) or self.r <= 0.0:
             raise ValueError("r must be positive and finite")
         object.__setattr__(self, "L", _check_depth(self.L))
-        if int(self.P) <= 1:
+        for name in ("P", "n"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, ValueError))
+        if self.P <= 1:
             raise ValueError("P must exceed 1")
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "P", int(self.P))
-        object.__setattr__(self, "n", int(self.n))
         if not np.isfinite(self.R) or self.R <= 0.0:
             raise ValueError("R must be positive and finite")
         for name in ("b0", "b1", "x_inf_sq"):
@@ -307,8 +308,8 @@ def _draw_blocks(seed, trials: int, draw):
     children, so they are those of one ``spawn(trials)``, and memory does not
     grow with ``trials``."""
     parent = np.random.SeedSequence(seed)
-    for start in range(0, int(trials), _DRAW_BLOCK):
-        streams = parent.spawn(min(_DRAW_BLOCK, int(trials) - start))
+    for start in range(0, trials, _DRAW_BLOCK):
+        streams = parent.spawn(min(_DRAW_BLOCK, trials - start))
         yield [draw(start + k, np.random.default_rng(stream)) for k, stream in enumerate(streams)]
 
 
@@ -354,7 +355,8 @@ def verify_bounds(arch: Architecture, r: float, trials: int, seed: int, *,
     evaluated as one stack of networks.  ``r = 0`` degenerates to all-zero
     networks whose outputs, gradients and Laplacians are exactly zero.
     """
-    if int(trials) < 1:
+    trials = _integral(trials, "trials", ValueError)
+    if trials < 1:
         raise ValueError("trials must be at least 1")
 
     def draw(index, rng):

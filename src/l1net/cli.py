@@ -47,7 +47,6 @@ from .datagen import (
     DataSpec,
     TeacherSpec,
     _expected_max_sq,
-    _integral,
     make_teacher,
     sample_truncated_normal,
     synthesize,
@@ -71,6 +70,7 @@ from .net import (
     _grad_params_batch,
     _hidden_batch,
     _input_derivatives,
+    _integral,
     _pieces,
     forward_batch,
     load_network,
@@ -131,6 +131,14 @@ def _store_integers(cfg, prefix: str, scalars, tuples):
             _integral(v, prefix + name, ConfigError) for v in getattr(cfg, name)))
 
 
+def _check_distinct(cfg, prefix: str, names):
+    """ConfigError naming the first tuple field of ``names`` that repeats an
+    entry, which would repeat its work and its rows."""
+    for name in names:
+        if len(set(getattr(cfg, name))) < len(getattr(cfg, name)):
+            raise ConfigError(f"{prefix}{name} must not repeat an entry")
+
+
 def _check_sizes(prefix: str, entries):
     """ConfigError naming the first key of ``entries`` (a field, or a product
     of fields) whose count, the length of the largest array or list it
@@ -175,6 +183,7 @@ class VerifyConfig:
             raise ConfigError("verify.depths must be non-empty with every L >= 2")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigError("verify.dims must be non-empty and positive")
+        _check_distinct(self, "verify.", ("depths", "dims"))
         if not 0.0 < self.green_tol < math.inf:
             raise ConfigError("verify.green_tol must be positive and finite")
         # a draw's largest finite-difference stack holds 2 h^2 d doubles
@@ -223,6 +232,7 @@ class ExperimentConfig:
             raise ConfigError("activations must be non-empty")
         if not self.depths or any(L < 2 for L in self.depths):
             raise ConfigError("depths must be non-empty with every L >= 2")
+        _check_distinct(self, "", ("activations", "depths"))
         if self.b1_exponent not in (1, 2):
             raise ConfigError("b1_exponent must be 1 or 2")
         if not np.isfinite(self.b0) or self.b0 < 0.0:
@@ -276,13 +286,11 @@ def _parse_activation(value) -> Activation:
 
 
 def _parse_number(value, default, key: str):
-    """A JSON number of ``default``'s type: no bools or strings, and only
-    integral values for an integer (``1e4`` but not ``2.5`` or ``Infinity``)."""
+    """A JSON number, no bool or string, as a float where ``default`` is one;
+    an integer field's dataclass checks that it is whole (``1e4``, not ``2.5``)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    if isinstance(default, int) and not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return type(default)(value)
+    return value if isinstance(default, int) else float(value)
 
 
 def _parse_value(default, value, key: str):
@@ -601,22 +609,12 @@ def _estimate_b0(cfg: ExperimentConfig, model: Network) -> float:
         raise ConfigError(f"cannot evaluate the model: {exc}") from None
 
 
-def report_bounds(cfg: ExperimentConfig, trained: Network = None,
-                  b0_override: float = None) -> list:
-    """Evaluate the full bound suite for every (depth, n) pair in the grid.
-
-    ``b0`` comes from the override when given, else from ``trained`` (max
-    absolute residual on a fresh test set), else from the config constant.
-    The radius matches the experiment's radius rule applied to the same
-    teacher the sweep would use.
+def report_bounds(cfg: ExperimentConfig) -> list:
+    """Evaluate the full bound suite for every (depth, n) pair in the grid,
+    with the config's ``b0``.  The radius matches the experiment's radius
+    rule applied to the same teacher the sweep would use.
     """
     x_inf_sq = _expected_max_sq(cfg.data, cfg.d)
-    if b0_override is not None:
-        b0, b0_source = float(b0_override), "override"
-    elif trained is not None:
-        b0, b0_source = _estimate_b0(cfg, trained), "estimated"
-    else:
-        b0, b0_source = cfg.b0, "config"
     entries = []
     for L in cfg.depths:
         radius = _cell_data(cfg, L, Activation.SOFTPLUS)[1]
@@ -624,13 +622,12 @@ def report_bounds(cfg: ExperimentConfig, trained: Network = None,
         for n in cfg.n_grid:
             inputs = BoundInputs(
                 r=radius, L=L, P=P, n=n, R=cfg.data.input_bound,
-                b0=b0, b1=cfg.data.score_bound, x_inf_sq=x_inf_sq,
+                b0=cfg.b0, b1=cfg.data.score_bound, x_inf_sq=x_inf_sq,
             )
             report = bound_report(inputs, cfg.b1_exponent)
             entries.append({
                 "L": L,
                 "n": n,
-                "b0_source": b0_source,
                 "inputs": dataclasses.asdict(inputs),
                 "report": report.to_dict(),
             })
@@ -840,9 +837,15 @@ def _cmd_bounds(args) -> int:
         model = load_network(args.model) if args.model else None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read the model: {exc}") from None
-    entries = report_bounds(cfg, trained=model, b0_override=args.b0)
-    for report in (entry["report"] for entry in entries):  # strict JSON has no inf
-        report.update({key: "inf" for key, v in report.items() if v == math.inf})
+    b0, source = cfg.b0, "config"
+    if args.b0 is not None:
+        b0, source = args.b0, "override"
+    elif model is not None:  # the model's largest residual on a fresh test set
+        b0, source = _estimate_b0(cfg, model), "estimated"
+    entries = report_bounds(dataclasses.replace(cfg, b0=b0))
+    for entry in entries:  # strict JSON has no inf
+        entry["b0_source"] = source
+        entry["report"].update({key: "inf" for key, v in entry["report"].items() if v == math.inf})
     path = _write(args.out, "bounds.json", {"reports": entries})
     print(f"wrote {len(entries)} bound reports to {path}")
     return 0

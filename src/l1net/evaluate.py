@@ -24,6 +24,7 @@ from .net import (
     _check_batch,
     _hidden_batch,
     _input_derivatives,
+    _integral,
     _output,
     _overflow_is_an_error,
     _pieces,
@@ -156,9 +157,9 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
         raise ValueError("green_identity_check requires softplus networks")
     if f.input_dim != g.input_dim:
         raise ValueError("f and g must share an input dimension")
-    if int(m) < 10_000:
+    m = _integral(m, "m", ValueError)
+    if m < 10_000:
         raise ValueError("m must be at least 10^4")
-    m = int(m)
     d = f.input_dim
     inv_var = 1.0 / (dspec.x_std ** 2)
     law = (dspec.mean, dspec.x_std, dspec.cutoff_factor, rng)
@@ -168,7 +169,7 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     rhs_sum = 0.0
     _propose(buffers[0], *law)
     for i, size in enumerate(sizes):
-        X = _check_batch(f, _accept(buffers[i % 2][:size], *law).reshape(-1, d))
+        X = _accept(buffers[i % 2][:size], *law).reshape(-1, d)
         join = (lambda: None) if i + 1 == len(sizes) else _fill_beside(
             buffers[(i + 1) % 2][:sizes[i + 1]], law)
         try:

@@ -38,6 +38,10 @@ the caller wants the value (``z`` is left as it was otherwise), and returns
 the slopes up to the order asked for; softplus keeps ``e`` in a caller's
 scratch array or a fresh one.  ``s(0)`` is exactly 0.0, so zero padding in a
 stack stays zero.
+
+Every count the package takes (a depth, width, sample size, seed or trial
+count) is checked by one rule, :func:`_integral`, kept here because every
+other module imports this one.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import contextlib
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +79,17 @@ class Activation(enum.Enum):
 
     SOFTPLUS = "softplus"
     RELU = "relu"
+
+
+def _integral(value, name: str, error):
+    """``value`` as an int; ``error`` naming the field ``name`` when it is a
+    bool, not a number, or not a finite whole number."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _act_terms(kind, z, order, scratch, *, value):
@@ -180,7 +196,7 @@ class Architecture:
     activation: Activation
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(_integral(s, "layer_sizes", ValueError) for s in self.layer_sizes)
         if len(sizes) < 3:
             raise ValueError("architecture needs at least two weight layers")
         if any(s < 1 for s in sizes):
@@ -194,8 +210,7 @@ class Architecture:
     @classmethod
     def mlp(cls, input_dim: int, hidden: int, depth: int, activation: Activation):
         """Uniform-width architecture with ``depth`` weight layers."""
-        if depth < 2:
-            raise ValueError("depth must be at least 2")
+        depth = _integral(depth, "depth", ValueError)
         return cls((input_dim,) + (hidden,) * (depth - 1) + (1,), activation)
 
     @property
@@ -236,10 +251,7 @@ def forward(net: Network, x) -> ForwardTrace:
             f"input must be a vector of length {net.input_dim}, got shape {x.shape}"
         )
     X = _freeze(_check_batch(net, x[np.newaxis, :]))
-    with _overflow_is_an_error("forward pass"):
-        f = _input_derivatives(net.layers, net.activation, X, value=True, signal=False,
-                               laplacian=False)[0]
-        return ForwardTrace(row=X, output=float(f[0]), network=net)
+    return ForwardTrace(row=X, output=float(_outputs(net, X)[0]), network=net)
 
 
 def _trace_row(net: Network, trace: ForwardTrace) -> np.ndarray:
@@ -385,6 +397,12 @@ def _check_batch(net, X):
     return X
 
 
+def _outputs(net, X):
+    with _overflow_is_an_error("forward pass"):
+        return _input_derivatives(net.layers, net.activation, X, value=True, signal=False,
+                                  laplacian=False)[0]
+
+
 def _input_gradients(net, X):
     grad = np.empty(X.shape)
     with _overflow_is_an_error("gradient pass"):
@@ -406,10 +424,7 @@ def _laplacians(net, X):
 
 def forward_batch(net: Network, X) -> np.ndarray:
     """Outputs ``f(x_i)`` for every row of X, shape (m,); ValueError on overflow."""
-    X = _check_batch(net, X)
-    with _overflow_is_an_error("forward pass"):
-        return _input_derivatives(net.layers, net.activation, X, value=True, signal=False,
-                                  laplacian=False)[0]
+    return _outputs(net, _check_batch(net, X))
 
 
 def grad_input_batch(net: Network, X) -> np.ndarray:

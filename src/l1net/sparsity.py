@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _integral
 from .net import (
     Architecture,
     Network,
     _act_terms,
     _grad_params_batch,
     _hidden_batch,
+    _integral,
 )
 
 __all__ = [
@@ -205,7 +205,8 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     """
     if not math.isfinite(radius) or radius <= 0.0:
         raise ValueError("radius must be positive and finite")
-    if any(int(seed) < 0 for seed in seeds):
+    seeds = [_integral(seed, "seed", ValueError) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
         raise ValueError("seed must be a non-negative integer")
     Xs, ys = [], []
     for dataset in datasets:
@@ -222,7 +223,7 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     R, r = len(Xs), radius
     flat = np.empty((R, arch.n_params))
     for i, seed in enumerate(seeds):
-        flat[i] = _init_flat(arch, r, np.random.default_rng(int(seed)))
+        flat[i] = _init_flat(arch, r, np.random.default_rng(seed))
     ns = [X.shape[0] for X in Xs]  # the sample count at each stack position
     # Buffers and layer views, written in place each step and cut down to the
     # live rows when a row diverges; the padding of Xb, yb, z and out stays zero

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from l1net import bounds, cli, datagen, evaluate
+from l1net import bounds, cli, datagen, evaluate, sparsity
 from l1net.bounds import SuiteRow, _tally
 from l1net.datagen import sample_truncated_normal
 from l1net import net as net_module
@@ -111,8 +112,47 @@ def _one_config_error(capsys):
     return line
 
 
+# One row per config rejection: a config document, datagen flags and the
+# message of the one config-error line.  A repeated entry would repeat its
+# work and its rows (trials.csv once held each trial four times).
+_BAD_CONFIGS = [
+    ({"radius_rule": {"bogus": 2.0}}, [], "unknown radius rule kind 'bogus'"),
+    ({"verify": {"depths": [1]}}, [], "verify.depths must be non-empty with every L >= 2"),
+    ({"verify": {"dims": [0]}}, [], "verify.dims must be non-empty and positive"),
+    ({"verify": {"green_tol": 0.0}}, [], "verify.green_tol must be positive and finite"),
+    ({"teacher": {"h": 0}}, [], "teacher d and h must be positive"),
+    ({"n_grid": []}, [], "n_grid must be non-empty"),
+    ({"n_grid": [60, 50]}, [], "n_grid must be strictly ascending"),
+    ({"n_grid": [0, 50]}, [], "n_grid entries must be positive"),
+    ({"n_test": 0}, [], "n_test must be at least 1"),
+    ({"activations": []}, [], "activations must be non-empty"),
+    ({"depths": [2, 1]}, [], "depths must be non-empty with every L >= 2"),
+    ({"b1_exponent": 3}, [], "b1_exponent must be 1 or 2"),
+    ({"b0": -1.0}, [], "b0 must be non-negative and finite"),
+    ({"data": [1.0]}, [], "data must be a JSON object"),
+    ({"radius_rule": {"absolute": 1.0, "teacher_multiplier": 2.0}}, [],
+     'radius_rule must be {"absolute": r} or {"teacher_multiplier": m}'),
+    ({}, ["--n", "0"], "--n must be at least 1"),
+    ({}, ["--depth", "1"], "--depth must be at least 2"),
+    ({"depths": [2, 2]}, [], "depths must not repeat an entry"),
+    ({"activations": ["relu", "relu"]}, [], "activations must not repeat an entry"),
+    ({"verify": {"depths": [2, 2]}}, [], "verify.depths must not repeat an entry"),
+    ({"verify": {"dims": [3, 3]}}, [], "verify.dims must not repeat an entry"),
+]
+
+
 def test_config_rejects_bad_values(tmp_path, capsys):
     path = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    for doc, flags, message in _BAD_CONFIGS:
+        path.write_text(json.dumps(doc))
+        if not flags:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_config(str(path))
+        capsys.readouterr()
+        assert main(["datagen", "--config", str(path), "--out", str(out), *flags]) == 1
+        assert _one_config_error(capsys) == f"l1net: config error: {message}"
+        assert not out.exists()
     path.write_text(json.dumps({"teacher": {"d": 5, "s": 9}}))
     with pytest.raises(ConfigError):
         load_config(str(path))
@@ -223,16 +263,46 @@ def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, d
 
 
 _TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3}
+_INPUTS = {"r": 2.0, "L": 3, "P": 100, "n": 50, "R": 10.0, "b0": 1.0, "b1": 10.0, "x_inf_sq": 9.0}
+_SMALL_ARCH = Architecture.mlp(2, 2, 2, Activation.SOFTPLUS)
+_SMALL_NETS = [Network(tuple(_gaussian_layers((1, 3, 1), np.random.default_rng(seed))),
+                       Activation.SOFTPLUS) for seed in (1, 2)]
+
+
+def _trained(seed):
+    dataset = datagen.Dataset(np.eye(2), np.ones(2), DataSpec())
+    net = sparsity.train(dataset, _SMALL_ARCH, TrainConfig(iterations=2), 1.0, seed)
+    return sparsity.flatten(net).tolist()
 
 
 @pytest.mark.parametrize("make, field, error", [
-    (lambda v: ExperimentConfig(repeats=v), "repeats", ConfigError),
-    (lambda v: ExperimentConfig(n_test=v), "n_test", ConfigError),
-    (lambda v: ExperimentConfig(d=v), "d", ConfigError),
-    (lambda v: ExperimentConfig(depths=(v,)), "depths", ConfigError),
-    (lambda v: cli.VerifyConfig(trials=v), "verify.trials", ConfigError),
-    (lambda v: TrainConfig(iterations=v), "iterations", ValueError),
-    (lambda v: datagen.TeacherSpec(**{**_TEACHER, "L": v}), "L", ValueError),
+    (lambda v: ExperimentConfig(repeats=v).repeats, "repeats", ConfigError),
+    (lambda v: ExperimentConfig(n_test=v).n_test, "n_test", ConfigError),
+    (lambda v: ExperimentConfig(d=v).d, "d", ConfigError),
+    (lambda v: ExperimentConfig(depths=(v,)).depths[0], "depths", ConfigError),
+    (lambda v: cli.VerifyConfig(trials=v).trials, "verify.trials", ConfigError),
+    (lambda v: TrainConfig(iterations=v).iterations, "iterations", ValueError),
+    (lambda v: datagen.TeacherSpec(**{**_TEACHER, "L": v}).L, "L", ValueError),
+    # every count the library takes goes through one check, net._integral
+    pytest.param(lambda v: bounds.grad_l1_bound(2.0, v), "L", ValueError, id="bound-L"),
+    pytest.param(lambda v: bounds.BoundInputs(**{**_INPUTS, "P": v}).P, "P", ValueError,
+                 id="BoundInputs-P"),
+    pytest.param(lambda v: bounds.BoundInputs(**{**_INPUTS, "n": v}).n, "n", ValueError,
+                 id="BoundInputs-n"),
+    pytest.param(lambda v: Architecture((v, 3, 1), Activation.RELU).layer_sizes[0],
+                 "layer_sizes", ValueError, id="Architecture-layer_sizes"),
+    pytest.param(lambda v: Architecture.mlp(3, 2, v, Activation.RELU).depth, "depth",
+                 ValueError, id="Architecture.mlp-depth"),
+    pytest.param(_trained, "seed", ValueError, id="train-seed"),
+    pytest.param(lambda v: datagen.synthesize(_SMALL_NETS[0], v, DataSpec(),
+                                              np.random.default_rng(0)).n,
+                 "n", ValueError, id="synthesize-n"),
+    pytest.param(lambda v: bounds.verify_bounds(_SMALL_ARCH, 1.0, v, 0, input_sup=1.0,
+                                                slack=0.0)[0].trials,
+                 "trials", ValueError, id="verify_bounds-trials"),
+    pytest.param(lambda v: evaluate.green_identity_check(*_SMALL_NETS, DataSpec(), v,
+                                                         np.random.default_rng(0)),
+                 "m", ValueError, id="green_identity_check-m"),
 ])
 def test_library_integer_fields_take_only_whole_numbers(make, field, error):
     # The JSON loader already rejected these; built in Python they used to be
@@ -241,10 +311,12 @@ def test_library_integer_fields_take_only_whole_numbers(make, field, error):
         with pytest.raises(error, match=f"^{field} must be an integer") as info:
             make(value)
         assert type(info.value) is error
-    for value in (8.0, np.int64(8), np.float64(8.0)):
-        stored = getattr(make(value), field.split(".")[-1])
-        first = stored[0] if isinstance(stored, tuple) else stored
-        assert stored in (8, (8,)) and type(first) is int
+    whole = 10_000 if field == "m" else 8
+    want = make(whole)
+    assert want == whole or not isinstance(want, int)
+    for value in (float(whole), np.int64(whole), np.float64(whole)):
+        got = make(value)
+        assert got == want and type(got) is type(want)
 
 
 def test_radius_rule_forms(tmp_path):

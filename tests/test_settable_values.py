@@ -17,7 +17,7 @@ from pathlib import Path
 
 import l1net
 
-_LIMIT = 34
+_LIMIT = 32
 _NAMES_LIMIT = 62
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 
