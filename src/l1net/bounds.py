@@ -110,7 +110,8 @@ def divergence_bound(r: float, L: int) -> float:
 
 
 def c1(R: float, r: float, L: int, P: int) -> float:
-    """The constant ``R / (6 r L^(3/2) sqrt(2 log P))``."""
+    """The constant ``R / (6 r L^(3/2) sqrt(2 log P))``, a formula in
+    ``log P``: ``P`` may be any real above 1, not only a parameter count."""
     L = _check_depth(L)
     if r <= 0.0:
         raise ValueError("r must be positive")

@@ -287,7 +287,8 @@ def _parse_activation(value) -> Activation:
 
 def _parse_number(value, default, key: str):
     """A JSON number, no bool or string, as a float where ``default`` is one;
-    an integer field's dataclass checks that it is whole (``1e4``, not ``2.5``)."""
+    an integer field's dataclass checks that it is whole (``1e4``, not ``2.5``),
+    and :func:`_parse_section` puts the section before its message."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return value if isinstance(default, int) else float(value)
@@ -312,10 +313,15 @@ def _parse_section(cls, obj, section: str):
     _check_keys(obj, section, [f.name for f in dataclasses.fields(cls)])
     defaults = cls()
     prefix = "" if cls is ExperimentConfig else f"{section}."
-    return cls(**{
-        key: _parse_value(getattr(defaults, key), value, prefix + key)
-        for key, value in obj.items()
-    })
+    values = {key: _parse_value(getattr(defaults, key), value, prefix + key)
+              for key, value in obj.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # a nested section's own check names the field alone
+        if isinstance(exc, ConfigError) or not prefix:
+            raise
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_config(path=None) -> ExperimentConfig:

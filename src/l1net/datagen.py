@@ -111,27 +111,25 @@ class TeacherSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Design matrix and labels, with the input law they were drawn from.
-    Each array is held read-only: as given where neither it nor an array it
-    views can be written, else as a copy."""
+    """Design matrix and labels, with the input law they were drawn from."""
 
     X: np.ndarray
     y: np.ndarray
     data_spec: DataSpec
 
     def __post_init__(self):
-        X, y = _read_only(self.X), _read_only(self.y)
+        X = np.array(np.asarray(self.X, dtype=float), order="C")
+        y = np.array(np.asarray(self.y, dtype=float), order="C")
         if X.ndim != 2:
             raise ValueError("X must be a matrix")
         if y.shape != (X.shape[0],):
             raise ValueError("y must be a vector with one entry per row of X")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        bound = self.data_spec.input_bound * (1.0 + 1e-12)
-        # rows an eighth of a block at a time, so the check's masks stay small beside X
-        if not all(_in_box(X[rows], self.data_spec.mean, bound).all()
-                   for rows in _pieces(len(X), 8 * X.shape[1] + 1)):
+        if not _in_box(X, self.data_spec.mean, self.data_spec.input_bound * (1.0 + 1e-12)).all():
             raise ValueError("X contains entries outside the truncation box")
+        X.flags.writeable = False
+        y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -142,20 +140,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-def _read_only(value) -> np.ndarray:
-    """``value`` as a read-only C-contiguous float array: itself where neither
-    it nor any array it views can be written (so no caller can change it),
-    else a copy."""
-    arr = base = np.asarray(value, dtype=float)
-    while arr.flags.c_contiguous and isinstance(base, np.ndarray) and not base.flags.writeable:
-        if base.base is None:
-            return arr
-        base = base.base
-    arr = np.array(arr, order="C")
-    arr.flags.writeable = False
-    return arr
 
 
 def _in_box(x, mean, bound) -> np.ndarray:
@@ -337,9 +321,7 @@ def write_dataset_csv(dataset: Dataset, path):
 
 def read_dataset_csv(path, data_spec: DataSpec) -> Dataset:
     """Parse a file written by :func:`write_dataset_csv` into one float
-    array; exact round trip.  Blank lines are skipped.  Once y is copied
-    out, X is moved to the front of that array's buffer a few rows at a
-    time, and the dataset holds that buffer: no second copy of X is made."""
+    array; exact round trip.  Blank lines are skipped."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "y" or header[:-1] != [f"x{i + 1}" for i in range(len(header) - 1)]:
@@ -352,11 +334,4 @@ def read_dataset_csv(path, data_spec: DataSpec) -> Dataset:
         arr = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2, comments=None)
     if arr.shape[1] != d + 1:
         raise ValueError("dataset CSV row has wrong arity")
-    y, n = arr[:, d].copy(), len(arr)
-    X = arr.reshape(-1)[:n * d].reshape(n, d)
-    # Each piece's rows land below their source; a piece is an eighth of a
-    # block, the most numpy holds aside where the two overlap.
-    for rows in _pieces(n, 8 * (d + 1)):
-        X[rows] = arr[rows, :d]
-    arr.flags.writeable = X.flags.writeable = y.flags.writeable = False
-    return Dataset(X, y, data_spec)
+    return Dataset(arr[:, :d], arr[:, d], data_spec)

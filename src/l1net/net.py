@@ -41,7 +41,8 @@ stack stays zero.
 
 Every count the package takes (a depth, width, sample size, seed or trial
 count) is checked by one rule, :func:`_integral`, kept here because every
-other module imports this one.
+other module imports this one.  ``bounds.c1`` is a formula in ``log P`` and
+takes its ``P`` as any real above 1.
 """
 
 from __future__ import annotations

@@ -138,6 +138,8 @@ _BAD_CONFIGS = [
     ({"activations": ["relu", "relu"]}, [], "activations must not repeat an entry"),
     ({"verify": {"depths": [2, 2]}}, [], "verify.depths must not repeat an entry"),
     ({"verify": {"dims": [3, 3]}}, [], "verify.dims must not repeat an entry"),
+    ({"train": {"iterations": 2.5}}, [], "train.iterations must be an integer, got 2.5"),
+    ({"data": {"x_std": 0.0}}, [], "data.x_std must be positive and finite"),
 ]
 
 
@@ -200,7 +202,6 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         with pytest.raises(ConfigError):
             load_config(str(path))
         assert main(["run", "--config", str(path), "--out", out]) == 1
-    # an integral float is still an integer
     # files that used to escape as UnicodeDecodeError and RecursionError
     # tracebacks (a UTF-16 byte-order mark, a 50 000-deep list), and tuple
     # fields given as a string or a number, once read letter by letter
