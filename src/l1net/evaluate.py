@@ -11,7 +11,6 @@ keep a near-teacher error accurate and identical networks' error exactly 0."""
 from __future__ import annotations
 
 import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -27,14 +26,13 @@ from .net import (
     _integral,
     _output,
     _overflow_is_an_error,
-    _pieces,
+    _piece_len,
     _row_blocks,
     forward_batch,
 )
 
 __all__ = [
     "GreenCheck",
-    "finite_diff_grad_params",
     "finite_diff_gradient",
     "finite_diff_laplacian",
     "green_identity_check",
@@ -135,8 +133,9 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     correct networks show gaps of 65-71% at 10^4 draws, so all three of
     ``verify``'s Green rows fail (worst ratios 1.86-2.03 at ``green_tol`` 0.35).
 
-    The draws are taken one ``net._pieces`` piece (2^17 doubles) at a time,
-    so memory does not grow with ``m``, and each piece's rows are evaluated
+    The draws are taken one ``net._piece_len`` piece (2^17 doubles) at a
+    time, each piece's size worked out when the loop reaches it, so memory
+    does not grow with ``m``, and each piece's rows are evaluated
     in cache-sized row blocks whose terms join the running sums at once.
     Each block makes one input-derivative pass per network: f's pass yields
     its gradient and Laplacian (it skips f's last hidden value, which nothing
@@ -144,8 +143,10 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     output, so the two networks' caches never coexist.
     Block size moves only the grouping of the sums, so the last digits.
 
-    The generator fills the next piece's proposals on a second thread while
-    this piece is evaluated (:func:`_fill_beside`).  Pieces are drawn as
+    One worker thread per call fills the next piece's proposals
+    (``datagen._propose``, which allocates no array and calls no public
+    function) while this piece is evaluated; the first piece's proposals and
+    every acceptance step run on the caller's thread.  Pieces are drawn as
     :func:`datagen.sample_truncated_normal` would draw them, one after the
     other from ``rng``, and nothing past the last piece, so the result and
     ``rng``'s state afterwards are those of a serial loop, bit for bit.
@@ -160,55 +161,34 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     m = _integral(m, "m", ValueError)
     if m < 10_000:
         raise ValueError("m must be at least 10^4")
+    from concurrent.futures import ThreadPoolExecutor  # only a Green check pays its import
+
     d = f.input_dim
     inv_var = 1.0 / (dspec.x_std ** 2)
     law = (dspec.mean, dspec.x_std, dspec.cutoff_factor, rng)
-    sizes = [(rows.stop - rows.start) * d for rows in _pieces(m, d)]  # doubles per piece
-    buffers = [np.empty(sizes[0]) for _ in sizes[:2]]
+    step = _piece_len(d)  # rows per piece
+    buffers = [np.empty(min(step, m) * d) for _ in range(1 + (m > step))]
     lhs_sum = 0.0
     rhs_sum = 0.0
     _propose(buffers[0], *law)
-    for i, size in enumerate(sizes):
-        X = _accept(buffers[i % 2][:size], *law).reshape(-1, d)
-        join = (lambda: None) if i + 1 == len(sizes) else _fill_beside(
-            buffers[(i + 1) % 2][:sizes[i + 1]], law)
-        try:
+    with ThreadPoolExecutor(max_workers=1) as worker:  # its exit waits for a running fill
+        for i, start in enumerate(range(0, m, step)):
+            X = _accept(buffers[i % 2][:min(step, m - start) * d], *law).reshape(-1, d)
+            later = m - start - step  # rows past this piece
+            fill = None if later <= 0 else worker.submit(
+                _propose, buffers[1 - i % 2][:min(step, later) * d], *law)
             for rows in _row_blocks(f.layers, len(X)):
                 x = X[rows]
                 gf, rhs_f = _green_f_terms(f, x, -(x - dspec.mean) * inv_var)
                 g_out, delta = _scores(g, x)
                 lhs_sum -= float(np.einsum("md,md->", gf, delta @ g.layers[0]))
                 rhs_sum += float(rhs_f @ g_out)
-        finally:
-            join()
+            if fill is not None:
+                fill.result()  # re-raises what the fill raised
     lhs = lhs_sum / m
     rhs = rhs_sum / m
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
     return GreenCheck(lhs, rhs, gap)
-
-
-def _fill_beside(out, law):
-    """Start ``datagen._propose(out, *law)`` on a new thread, and return a
-    function that waits for it and re-raises what it raised.  The thread
-    allocates no array, and it calls no public function, so a tracer that
-    wraps those with one span stack sees only the caller's thread."""
-    raised = []
-
-    def fill():
-        try:
-            _propose(out, *law)
-        except BaseException as exc:  # handed to the caller's thread by join
-            raised.append(exc)
-
-    thread = threading.Thread(target=fill)
-    thread.start()
-
-    def join():
-        thread.join()
-        if raised:
-            raise raised[0]
-
-    return join
 
 
 # -- finite-difference oracles -------------------------------------------------
@@ -269,6 +249,9 @@ def _fd_laplacian(layers, activation, X, step, work):
 
 
 def _fd_grad_params(layers, activation, X, step, work):
+    """Central differences of the output w.r.t. every weight entry: moving
+    ``theta_l[k, j]`` by ``+-step`` moves only ``z_l[k]``, by ``+-step h_{l-1}[j]``,
+    so a layer's moves run as one batch from that layer, only moved entries redone."""
     acts = _hidden_batch(layers, activation, X)[0]
     grads = []
     for l in range(1, len(layers)):
@@ -303,17 +286,3 @@ def finite_diff_gradient(net: Network, x, step: float) -> np.ndarray:
 def finite_diff_laplacian(net: Network, x, step: float) -> float:
     """``sum_i (f(x + h e_i) - 2 f(x) + f(x - h e_i)) / h^2``."""
     return float(_fd_laplacian(*_fd_args(net, x, step)))
-
-
-def finite_diff_grad_params(net: Network, x, step: float) -> list:
-    """Central differences of the output w.r.t. every weight entry.
-
-    Perturbing ``theta_l[k, j]`` by ``+-step`` shifts the preactivation
-    ``z_l[k]`` by ``+-step * h_{l-1}[j]`` and nothing else, so all
-    perturbations of one layer are propagated as a single batch from that
-    layer instead of re-running the full forward pass per entry; of each
-    perturbed ``h_l`` only the moved entry is evaluated again.  This is the
-    difference quotient of the perturbed output (up to one rounding in the
-    preactivation) and keeps the oracle fast enough for thousand-draw sweeps.
-    """
-    return _fd_grad_params(*_fd_args(net, x, step))

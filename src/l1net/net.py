@@ -363,9 +363,14 @@ def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
 _BLOCK_ELEMS = 2 ** 17
 
 
+def _piece_len(per_item):
+    """Items of ``per_item`` doubles in one piece: as many as fit ``_BLOCK_ELEMS``, at least one."""
+    return max(1, _BLOCK_ELEMS // per_item)
+
+
 def _pieces(n, per_item):
-    """Slices over ``range(n)``: as many items of ``per_item`` doubles as fit ``_BLOCK_ELEMS``."""
-    step = max(1, _BLOCK_ELEMS // per_item)
+    """Slices over ``range(n)``, ``_piece_len(per_item)`` items each."""
+    step = _piece_len(per_item)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 

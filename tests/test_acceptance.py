@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from l1net import evaluate
 from l1net.bounds import verify_bounds
 from l1net.cli import ExperimentConfig, report_bounds, run_experiment, trials_to_csv
 from l1net.datagen import DataSpec, sample_truncated_normal
 from l1net.evaluate import (
-    finite_diff_grad_params,
     finite_diff_gradient,
     finite_diff_laplacian,
     green_identity_check,
@@ -90,7 +90,7 @@ def test_criterion_1_derivative_correctness():
                 trace = forward(net, x)
 
                 exact_p = grad_params_batch(net, x[None])
-                approx_p = finite_diff_grad_params(net, x, 1e-4)
+                approx_p = evaluate._fd_grad_params(*evaluate._fd_args(net, x, 1e-4))
                 num = max(
                     float(np.abs(a - e).max()) for a, e in zip(approx_p, exact_p)
                 )

@@ -20,7 +20,6 @@ from l1net.bounds import SuiteRow, _tally
 from l1net.datagen import sample_truncated_normal
 from l1net import net as net_module
 from l1net.evaluate import (
-    finite_diff_grad_params,
     finite_diff_gradient,
     finite_diff_laplacian,
 )
@@ -1200,7 +1199,7 @@ def _serial_fd_suite(cfg, arch, trials, seed):
                                     cfg.data.cutoff_factor, rng, size=sizes[0])
         trace = forward(net, x)
         exact = grad_params_batch(net, x[None])
-        approx = finite_diff_grad_params(net, x, 1e-4)
+        approx = evaluate._fd_grad_params(*evaluate._fd_args(net, x, 1e-4))
         num = max(float(np.abs(a - e).max()) for a, e in zip(approx, exact))
         den = max(float(np.abs(e).max()) for e in exact)
         exact_g = grad_input(net, trace)
@@ -1247,8 +1246,8 @@ def test_run_verification_deterministic():
 def test_cli_import_leaves_the_process_pool_out():
     # concurrent.futures.process and multiprocessing cost every start about
     # 25 ms; only run_experiment(jobs > 1) imports them.  concurrent.futures
-    # alone costs 2.5 ms, so the Green check's prefetch thread uses threading,
-    # which numpy loads anyway
+    # alone costs 2.5 ms (and loads logging), so only a Green check pays its
+    # import, for its one fill worker
     code = ("import sys, l1net.cli; print(sorted(m for m in sys.modules if m in "
             "('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')))")
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -12,7 +12,6 @@ from l1net.cli import ExperimentConfig, VerifyConfig, _small_green_net, run_veri
 from l1net.datagen import DataSpec, TeacherSpec, make_teacher, sample_truncated_normal
 from l1net.evaluate import (
     GreenCheck,
-    finite_diff_grad_params,
     finite_diff_gradient,
     finite_diff_laplacian,
     green_identity_check,
@@ -226,7 +225,7 @@ def test_finite_diff_grad_params_close_to_exact():
         net = _random_net(rng, 7, 5, L)
         x = rng.uniform(-2.0, 2.0, size=7)
         exact = grad_params_batch(net, x[None])
-        approx = finite_diff_grad_params(net, x, 1e-4)
+        approx = evaluate._fd_grad_params(*evaluate._fd_args(net, x, 1e-4))
         for e, a in zip(exact, approx):
             scale = max(float(np.max(np.abs(e))), 1e-12)
             assert float(np.max(np.abs(a - e))) / scale <= 1e-7
@@ -628,6 +627,87 @@ def test_green_identity_prefetch_calls_public_functions_on_the_main_thread(monke
     run_verification(cfg)
     assert "l1net.evaluate.green_identity_check" in seen
     assert off_main == []
+    assert threading.active_count() == threads
+
+
+def test_green_identity_fills_later_pieces_on_one_worker(monkeypatch):
+    # five pieces at d = 2: the first is filled on the caller's thread, the
+    # other four on one worker thread, started once for the whole check
+    rng = np.random.default_rng(18)
+    f, g = _small_green_net(2, rng), _small_green_net(2, rng)
+    assert len(net_module._pieces(300_000, 2)) == 5
+    fills = []
+    propose = evaluate._propose
+
+    def spy(out, *law):
+        fills.append(threading.current_thread())
+        return propose(out, *law)
+
+    monkeypatch.setattr(evaluate, "_propose", spy)
+    threads = threading.active_count()
+    green_identity_check(f, g, DataSpec(), 300_000, np.random.default_rng(0))
+    assert len(fills) == 5 and fills[0] is threading.main_thread()
+    assert all(t is fills[1] for t in fills[1:]) and fills[1] is not fills[0]
+    assert threading.active_count() == threads
+
+
+def test_green_identity_memory_does_not_grow_with_the_piece_count(monkeypatch):
+    # m = 10^10 at d = 3 is 228,882 pieces; the sizes are worked out as the
+    # loop goes, so stopping at the third fill leaves a peak of the two
+    # buffers and one piece's terms, where a list of the pieces took 39.7 MB
+    rng = np.random.default_rng(19)
+    f, g = _small_green_net(3, rng), _small_green_net(3, rng)
+    green_identity_check(f, g, DataSpec(), 100_000, np.random.default_rng(0))
+    stop = RuntimeError("third fill")
+    propose = evaluate._propose
+    calls = []
+
+    def spy(out, *law):
+        calls.append(out.size)
+        if len(calls) == 3:
+            raise stop
+        return propose(out, *law)
+
+    monkeypatch.setattr(evaluate, "_propose", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError) as caught:
+            green_identity_check(f, g, DataSpec(), 10**10, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught.value is stop and calls == [net_module._piece_len(3) * 3] * 3
+    assert peak <= 4 * 2 ** 20
+
+
+def test_green_identity_surfaces_an_evaluation_error_during_a_fill(monkeypatch):
+    # the evaluation of the first piece fails while the second piece's fill
+    # runs: the caller gets the same exception once the fill has finished
+    rng = np.random.default_rng(20)
+    f, g = _small_green_net(2, rng), _small_green_net(2, rng)
+    boom = RuntimeError("evaluation failed")
+    started, release = threading.Event(), threading.Event()
+    propose, fills = evaluate._propose, []
+
+    def fill(out, *law):
+        if threading.current_thread() is not threading.main_thread():
+            started.set()
+            assert release.wait(10)
+        propose(out, *law)
+        fills.append(threading.current_thread() is threading.main_thread())
+
+    def failing(*args):
+        assert started.wait(10)
+        release.set()
+        raise boom
+
+    monkeypatch.setattr(evaluate, "_propose", fill)
+    monkeypatch.setattr(evaluate, "_scores", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        green_identity_check(f, g, DataSpec(), 200_000, np.random.default_rng(0))
+    assert caught.value is boom
+    assert fills == [True, False]  # the worker's fill ended before the caller saw the error
     assert threading.active_count() == threads
 
 
