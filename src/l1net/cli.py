@@ -53,6 +53,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .evaluate import (
+    _fd_draw_elems,
     _fd_grad_params,
     _fd_gradient,
     _fd_laplacian,
@@ -186,9 +187,9 @@ class VerifyConfig:
         _check_distinct(self, "verify.", ("depths", "dims"))
         if not 0.0 < self.green_tol < math.inf:
             raise ConfigError("verify.green_tol must be positive and finite")
-        # a draw's largest finite-difference stack holds 2 h^2 d doubles
+        # a draw's largest finite-difference array; deeper nets add only 2 h^3-double ones
         _check_sizes("verify.", {"trials": self.trials, "depths": max(self.depths),
-                                 "dims": 2 * _VERIFY_HIDDEN ** 2 * max(self.dims)})
+                                 "dims": _fd_draw_elems((max(self.dims), _VERIFY_HIDDEN, 1))})
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def _parse_section(cls, obj, section: str):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def load_config(path=None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Load a JSON config file; ``None`` gives the built-in defaults.
 
     Unknown keys anywhere in the document are rejected.
@@ -645,8 +646,8 @@ def report_bounds(cfg: ExperimentConfig) -> list:
 
 def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
     """Exact derivatives vs finite differences over random draws, evaluated
-    as stacks of networks whose largest perturbation stack (``2 h^2 d``
-    doubles a draw) fits ``_BLOCK_ELEMS``; a draw keeps its unstacked bits.
+    as stacks of networks whose largest array (``_fd_draw_elems`` doubles a
+    draw) fits ``_BLOCK_ELEMS``; a draw keeps its unstacked bits.
 
     Relative error for the two gradients is the worst entry deviation over
     the largest entry magnitude; the Laplacian (a scalar that can pass
@@ -663,10 +664,9 @@ def _fd_suite(cfg: ExperimentConfig, arch: Architecture, trials: int, seed):
             cfg.data.mean, cfg.data.x_std, cfg.data.cutoff_factor, rng, size=sizes[0],
         ))
 
-    per_draw = max(2 * sizes[l + 1] ** 2 * sizes[l] for l in range(len(sizes) - 2))
     work = None
     for stack in (block[piece] for block in _draw_blocks(seed, trials, draw)
-                  for piece in _pieces(len(block), per_draw)):
+                  for piece in _pieces(len(block), _fd_draw_elems(sizes))):
         *layers, X = (np.stack(part) for part in zip(*stack))
         X = X[:, np.newaxis, :]
         work = work or _fd_workspace(sizes, len(X))  # the first stack is the largest

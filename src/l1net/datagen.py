@@ -94,7 +94,7 @@ class TeacherSpec:
     s: int
     L: int
     h: int
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         for name in ("d", "s", "L", "h", "seed"):

@@ -200,11 +200,15 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
 # fresh arrays.  The public ones are its unstacked case, X (1, d).
 
 
+def _fd_draw_elems(sizes):
+    """Doubles in the largest stack any oracle builds for a network of widths ``sizes``."""
+    return max([(2 * sizes[0] + 1) * max(sizes[:-1])] + [
+        2 * sizes[l] * sizes[l - 1] * max(sizes[l:-1]) for l in range(1, len(sizes) - 1)])
+
+
 def _fd_workspace(sizes, draws):
     """Three flat buffers (see :func:`_values`) for any oracle's stacks of ``draws`` networks."""
-    stacks = [(2 * sizes[0] + 1) * max(sizes[:-1])] + [
-        2 * sizes[l] * sizes[l - 1] * max(sizes[l:-1]) for l in range(1, len(sizes) - 1)]
-    return tuple(np.empty(draws * max(stacks)) for _ in range(3))
+    return tuple(np.empty(draws * _fd_draw_elems(sizes)) for _ in range(3))
 
 
 def _values(layers, activation, X, work):

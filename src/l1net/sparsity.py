@@ -193,10 +193,10 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
 
     Row ``i`` trains on ``datasets[i]`` under ``cfg`` and ``radius`` from
     the random start of seed ``seeds[i]``, stepping on its full training
-    set.  Returns per row its trained network, or the
-    :class:`TrainingDivergenceError` that :func:`train` would raise; a
-    diverged row is frozen and dropped from the stacks while the others go
-    on, so every row gets the bits it would get alone.
+    set, and gets the bits it would get alone.  Returns per row its trained
+    network, or the :class:`TrainingDivergenceError` that :func:`train`
+    would raise; a diverged row stays in the stacks as the all-zero network,
+    whose loss gradient is exactly 0, so every later step leaves it there.
 
     Each row's training set sits zero-padded in an ``(R, m, d)`` buffer:
     padding is exact, since s(0) = 0 and a zero residual add exact zeros to
@@ -224,10 +224,9 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     flat = np.empty((R, arch.n_params))
     for i, seed in enumerate(seeds):
         flat[i] = _init_flat(arch, r, np.random.default_rng(seed))
-    ns = [X.shape[0] for X in Xs]  # the sample count at each stack position
-    # Buffers and layer views, written in place each step and cut down to the
-    # live rows when a row diverges; the padding of Xb, yb, z and out stays zero
-    # (z takes s(z) in place each step, and s(0) is exactly 0.0)
+    ns = [X.shape[0] for X in Xs]  # the sample count of each row
+    # Buffers and layer views, allocated once and written in place each step; the
+    # padding of Xb, yb, z and out stays zero (z takes s(z) in place, and s(0) is 0.0)
     m = max(ns)
     Xb, yb = np.zeros((R, m, arch.layer_sizes[0])), np.zeros((R, m))
     for i in range(R):
@@ -238,7 +237,6 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
     layers = _layer_views(flat, arch.layer_sizes)
     grads = _layer_views(grad, arch.layer_sizes)
     diverged = np.zeros(R, dtype=int)
-    rows = list(range(R))  # the trial in each stack position, while it trains
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for it in range(1, cfg.iterations + 1):
@@ -256,22 +254,11 @@ def _train_rows(datasets, arch: Architecture, cfg: TrainConfig, radius: float, s
             top = np.abs(stepped, out=grad).max(axis=1)
             ok = np.isfinite(np.einsum("ij,ij->i", resid, resid)) & (np.spacing(top) <= r)
             if not ok.all():
-                diverged[np.array(rows)[~ok]] = it
-                rows = [i for i, good in zip(rows, ok) if good]
-                ns = [n for n, good in zip(ns, ok) if good]
-                if not rows:
+                diverged[~ok & (diverged == 0)] = it
+                if diverged.all():
                     break
-                flat, stepped, Xb, yb, z, out, scale = (
-                    buf[ok] for buf in (flat, stepped, Xb, yb, z, out, scale)
-                )
-                grad = np.empty_like(flat)
-                layers = _layer_views(flat, arch.layer_sizes)
-                grads = _layer_views(grad, arch.layer_sizes)
+                stepped[~ok] = 0.0
             flat[...] = project_l1(stepped, r)
 
-    trained = dict(zip(rows, flat))
-    return [
-        TrainingDivergenceError(int(at)) if at
-        else unflatten(trained[i], arch)
-        for i, at in enumerate(diverged)
-    ]
+    return [TrainingDivergenceError(int(at)) if at else unflatten(row, arch)
+            for at, row in zip(diverged, flat)]

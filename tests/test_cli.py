@@ -262,7 +262,7 @@ def test_sizes_numpy_cannot_index_are_config_errors(tmp_path, capsys, command, d
     assert not out.exists()
 
 
-_TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3}
+_TEACHER = {"d": 5, "s": 2, "L": 2, "h": 3, "seed": 0}
 _INPUTS = {"r": 2.0, "L": 3, "P": 100, "n": 50, "R": 10.0, "b0": 1.0, "b1": 10.0, "x_inf_sq": 9.0}
 _SMALL_ARCH = Architecture.mlp(2, 2, 2, Activation.SOFTPLUS)
 _SMALL_NETS = [Network(tuple(_gaussian_layers((1, 3, 1), np.random.default_rng(seed))),
@@ -506,6 +506,21 @@ def test_fd_suite_memory_fits_cache_sized_stacks():
     rows, peak = _traced_peak(lambda: cli._fd_suite(ExperimentConfig(), arch, 40, 5))
     assert peak <= 10 * 2 ** 20
     assert all(row.violations == 0 for row in rows)
+
+
+def test_fd_suite_axis_stacks_fit_the_block_budget(monkeypatch):
+    # at d = 200 the (2d+1)-row axis stack of one draw holds 80 200 doubles
+    d = 200
+    draws = []
+    for name in ("_fd_grad_params", "_fd_gradient", "_fd_laplacian"):
+        def spy(layers, activation, X, step, work, oracle=getattr(cli, name)):
+            draws.append(len(X))
+            return oracle(layers, activation, X, step, work)
+        monkeypatch.setattr(cli, name, spy)
+    arch = Architecture.mlp(d, 10, 2, Activation.SOFTPLUS)
+    rows = cli._fd_suite(ExperimentConfig(), arch, 4, 5)
+    assert all(n * (2 * d + 1) * d <= net_module._BLOCK_ELEMS for n in draws)
+    assert sum(draws) == 3 * 4 and all(row.violations == 0 for row in rows)
 
 
 @pytest.mark.parametrize("L, d", [(2, 5), (4, 5), (2, 100), (4, 100)])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import l1net
 
-_LIMIT = 32
+_LIMIT = 30
 _NAMES_LIMIT = 61
 _MODULES = ("bounds", "cli", "datagen", "evaluate", "net", "sparsity")
 

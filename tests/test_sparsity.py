@@ -384,8 +384,40 @@ def test_diverged_row_leaves_the_rest_of_its_block_serial(monkeypatch):
                 _reference_train(dataset, arch, cfg, r, seed)
             assert isinstance(model, TrainingDivergenceError)
             assert model.iteration == info.value.iteration > 1
-            # from the step after it froze, the row is no longer computed
-            assert stacked == [4] * model.iteration + [3] * (40 - model.iteration)
+            # the row stays in the stack as the all-zero network
+            assert stacked == [4] * 40
         else:
             want = _reference_train(dataset, arch, cfg, r, seed)
             assert flatten(model).tobytes() == want.tobytes()
+
+
+def test_diverged_rows_report_their_first_iteration_and_stop_the_block(monkeypatch):
+    datasets, arch, cfg, r, seeds = _ragged_block(Activation.SOFTPLUS, 2, 1e200)
+    # Row 1's zero-network squared residual overflows at every step, so it
+    # diverges again each step after its first
+    huge = list(datasets)
+    huge[1] = dataclasses.replace(datasets[1], y=1e160 * datasets[1].y)
+    model = _train_rows(huge, arch, cfg, r, seeds)[1]
+    with pytest.raises(TrainingDivergenceError) as info:
+        _reference_train(huge[1], arch, cfg, r, seeds[1])
+    assert isinstance(model, TrainingDivergenceError)
+    assert model.iteration == info.value.iteration == 1
+
+    # Every row diverges at its own iteration, and the loop ends after the last
+    scaled = [dataclasses.replace(ds, y=k * ds.y)
+              for ds, k in zip(datasets, (1e100, 1e160, 1e100, 1e90))]
+    calls = []
+
+    def act_terms(kind, z, order, scratch, *, value):
+        calls.append(z.shape[0])
+        return _act_terms(kind, z, order, scratch, value=value)
+
+    monkeypatch.setattr(sparsity, "_act_terms", act_terms)
+    models = _train_rows(scaled, arch, cfg, r, seeds)
+    want = []
+    for dataset, seed in zip(scaled, seeds):
+        with pytest.raises(TrainingDivergenceError) as info:
+            _reference_train(dataset, arch, cfg, r, seed)
+        want.append(info.value.iteration)
+    assert [model.iteration for model in models] == want
+    assert len(calls) == max(want) < cfg.iterations
