@@ -23,6 +23,7 @@ from .net import (
     _check_batch,
     _hidden_batch,
     _input_derivatives,
+    _input_pass,
     _integral,
     _output,
     _overflow_is_an_error,
@@ -103,12 +104,20 @@ class GreenCheck(NamedTuple):
     rel_gap: float
 
 
-def _green_f_terms(f: Network, X, score):
-    """``grad f`` and ``lap f + grad f . score`` per row, from one pass."""
-    _, delta, lap = _input_derivatives(f.layers, f.activation, X, value=False, signal=True,
-                                       laplacian=True)
-    gf = delta @ f.layers[0]
-    return gf, lap + np.einsum("md,md->m", gf, score)
+def _green_terms(f: Network, g: Network, XT, mean, inv_var):
+    """``(sum grad f . grad g, sum (lap f + grad f . score) g)`` over the rows ``XT``
+    (d, m), in :func:`net._input_pass`'s layout; ValueError where f's Laplacian overflows."""
+    _, delta, lap = _input_pass(f.layers, f.activation, XT, value=False, signal=True,
+                                laplacian=True)
+    gf = f.layers[0].T @ delta
+    lap = np.einsum("j,jm->m", f.layers[-1][0], lap)
+    if not np.all(np.isfinite(lap)):
+        raise ValueError("input Laplacian overflows float64")
+    rhs_f = lap + np.einsum("dm,dm->m", gf, -(XT - mean) * inv_var)
+    a, delta, _ = _input_pass(g.layers, g.activation, XT, value=True, signal=True,
+                              laplacian=False)
+    dot = np.einsum("md,md->", gf.T.copy(), (g.layers[0].T @ delta).T.copy())
+    return float(dot), float(rhs_f @ np.einsum("j,jm->m", g.layers[-1][0], a))
 
 
 def _scores(net: Network, X) -> tuple:
@@ -137,11 +146,13 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     time, each piece's size worked out when the loop reaches it, so memory
     does not grow with ``m``, and each piece's rows are evaluated
     in cache-sized row blocks whose terms join the running sums at once.
-    Each block makes one input-derivative pass per network: f's pass yields
-    its gradient and Laplacian (it skips f's last hidden value, which nothing
-    reads), reduced to per-row terms before g's pass yields its signal and
-    output, so the two networks' caches never coexist.
-    Block size moves only the grouping of the sums, so the last digits.
+    Each block is copied feature-major and contracted in the layout of one
+    :func:`net._input_pass` per network, f's before g's pass runs, so the two
+    networks' caches never coexist; the lhs is summed in row order.  Block
+    size moves only the grouping of the sums, so the last digits (and at
+    d = 1 the gradients' last bits: the output layer is contracted by einsum,
+    the gradients by BLAS, whose matrix-vector bits depend on a row's place in
+    its block).  A check that overflows float64 raises ValueError.
 
     One worker thread per call fills the next piece's proposals
     (``datagen._propose``, which allocates no array and calls no public
@@ -171,18 +182,17 @@ def green_identity_check(f: Network, g: Network, dspec: DataSpec, m: int,
     lhs_sum = 0.0
     rhs_sum = 0.0
     _propose(buffers[0], *law)
-    with ThreadPoolExecutor(max_workers=1) as worker:  # its exit waits for a running fill
+    # the worker's exit waits for a running fill
+    with _overflow_is_an_error("Green check"), ThreadPoolExecutor(max_workers=1) as worker:
         for i, start in enumerate(range(0, m, step)):
             X = _accept(buffers[i % 2][:min(step, m - start) * d], *law).reshape(-1, d)
             later = m - start - step  # rows past this piece
             fill = None if later <= 0 else worker.submit(
                 _propose, buffers[1 - i % 2][:min(step, later) * d], *law)
             for rows in _row_blocks(f.layers, len(X)):
-                x = X[rows]
-                gf, rhs_f = _green_f_terms(f, x, -(x - dspec.mean) * inv_var)
-                g_out, delta = _scores(g, x)
-                lhs_sum -= float(np.einsum("md,md->", gf, delta @ g.layers[0]))
-                rhs_sum += float(rhs_f @ g_out)
+                dot, rhs = _green_terms(f, g, X[rows].T.copy(), dspec.mean, inv_var)
+                lhs_sum -= dot
+                rhs_sum += rhs
             if fill is not None:
                 fill.result()  # re-raises what the fill raised
     lhs = lhs_sum / m

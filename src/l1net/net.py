@@ -18,9 +18,12 @@ gradient), and a Laplacian propagated forward layer by layer together with
 a factor ``J`` of ``w = min(d, h_1)`` columns whose ``J J^T`` is the Gram
 matrix of the input Jacobian (second-order Taylor-mode differentiation, the
 "Forward Laplacian").  Every contraction is a matrix multiply and there is
-no autodiff tape.  The single-sample routines (``forward``, which returns a
-:class:`ForwardTrace`, then ``grad_input`` and ``laplacian_input``) evaluate
-that trace's one input row through the same pass.
+no autodiff tape.  The pass (:func:`_input_pass`) leaves the output layer to
+its caller; :func:`_input_derivatives` contracts its caches from ``(m, h)``
+rows, the Green check in :mod:`evaluate` as they are.  The single-sample
+routines (``forward``, which returns a :class:`ForwardTrace`, then
+``grad_input`` and ``laplacian_input``) evaluate that trace's one input row
+through the same pass.
 
 Supported activations:
 
@@ -314,31 +317,25 @@ def _output(layers, acts):
     return (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
 
 
-def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
-    """``(f, delta, lap)``: outputs ``(..., m)`` when ``value``, the first
-    hidden layer's backward signal as C-contiguous ``(..., m, h_1)`` rows when
-    ``signal`` (times ``theta_1``, the input gradients), and input Laplacians
-    ``(..., m)`` when ``laplacian`` (see :func:`laplacian_batch`), None where
-    not asked, from one feature-major pass: every cache is ``(..., h, m)``
-    with rows last and ``J`` is ``(..., w, h, m)``, so each step is one matrix
-    product over every row.  The last hidden layer's value is taken only for
-    ``f``, and every result is contracted from C-contiguous ``(m, h)`` rows.
-    A Laplacian that overflows raises ValueError."""
+def _input_pass(layers, activation, XT, *, value, signal, laplacian):
+    """``(a, delta, lap)``: the last hidden layer's value, the first hidden
+    layer's backward signal (``theta_1^T delta``, the input gradient) and the
+    last one's Laplacian cache (``theta_L lap``, see :func:`laplacian_batch`),
+    each ``(..., h, m)`` and None where not asked, from one pass over the inputs
+    ``XT`` ``(..., d, m)``; ``J`` is ``(..., w, h, m)``, so each step is one
+    matrix product over every row.  The output layer is left to the caller."""
     order = 2 if laplacian else int(signal)
-    fds, sds, a = [], [], X.swapaxes(-1, -2)
+    fds, sds, a = [], [], XT
     for l, theta in enumerate(layers[:-1], 1):
         a, first, second = _act_terms(activation, theta @ a, order, None,
                                       value=value or l < len(layers) - 1)
         fds.append(first)
         sds.append(second)
-    f = delta = lap = None
-    if value:
-        f = _output(layers, [np.ascontiguousarray(a.swapaxes(-1, -2))])
+    delta = lap = None
     if signal:
         delta = fds[-1] * layers[-1].swapaxes(-1, -2)
         for theta, first in zip(layers[-2:0:-1], fds[-2::-1]):
             delta = first * (theta.swapaxes(-1, -2) @ delta)
-        delta = np.ascontiguousarray(delta.swapaxes(-1, -2))
     if laplacian:
         lap = sds[0] * np.einsum("...jd,...jd->...j", layers[0], layers[0])[..., np.newaxis]
         for k in range(1, len(layers) - 1):
@@ -352,6 +349,19 @@ def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
                 jac *= fds[k - 1][..., np.newaxis, :, :]
                 jac = theta @ jac
             lap = fds[k] * (layers[k] @ lap) + sds[k] * np.square(jac).sum(axis=-3)
+    return a, delta, lap
+
+
+def _input_derivatives(layers, activation, X, *, value, signal, laplacian):
+    """:func:`_input_pass` on the rows of ``X`` ``(..., m, d)``, contracted from
+    C-contiguous ``(m, h)`` rows: outputs and input Laplacians ``(..., m)``, and
+    ``delta`` as ``(..., m, h_1)`` rows (times ``theta_1``, the input gradients);
+    ValueError where a Laplacian overflows."""
+    a, delta, lap = _input_pass(layers, activation, X.swapaxes(-1, -2), value=value,
+                                signal=signal, laplacian=laplacian)
+    f = None if a is None else _output(layers, [np.ascontiguousarray(a.swapaxes(-1, -2))])
+    delta = None if delta is None else np.ascontiguousarray(delta.swapaxes(-1, -2))
+    if laplacian:
         lap = _output(layers, [np.ascontiguousarray(lap.swapaxes(-1, -2))])
         if not np.all(np.isfinite(lap)):
             raise ValueError("input Laplacian overflows float64")

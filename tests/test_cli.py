@@ -1093,9 +1093,11 @@ def _scaled(fn, factor):
 # each side of the comparison, the exact derivative and its oracle: (module,
 # function, factor, the suite that must catch it and no other suite may
 # flag).  The input-derivative pass returns a value, a first-layer signal (the
-# gradient over theta_1) and a Laplacian, and takes one factor for each.  The
-# Lipschitz and divergence audits have no row: at this budget a halved bound
-# passes both.
+# gradient over theta_1) and a Laplacian, and takes one factor for each; so
+# does the feature-major pass under it, whose Laplacian is the last hidden
+# layer's cache (the Green check's Laplacian over theta_L).  The Lipschitz
+# and divergence audits have no row: at this budget a halved bound passes
+# both.
 FAULTS = [
     (bounds, "grad_l1_bound", 0.5, "bound_grad_l1"),
     (bounds, "sup_model_bound", 0.5, "bound_sup_model"),
@@ -1105,7 +1107,7 @@ FAULTS = [
     (cli, "_fd_grad_params", 1.001, "fd_grad_params"),
     (cli, "_fd_gradient", 1.001, "fd_grad_input"),
     (cli, "_fd_laplacian", 1.02, "fd_laplacian_input"),
-    (evaluate, "_input_derivatives", (1.0, 1.0, -1.0), "green_identity_d3"),
+    (evaluate, "_input_pass", (1.0, 1.0, -1.0), "green_identity_d3"),
 ]
 
 

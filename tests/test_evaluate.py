@@ -386,12 +386,15 @@ def test_quantities_at_the_inputs_take_one_route(monkeypatch):
     # row-major hidden pass or the finite-difference oracles' value pass.
     # Weight gradients and the oracles still do, so the spy is seen to work.
     # Every pass, on either layout, takes its hidden layers through the one
-    # activation kernel.
+    # activation kernel.  The Green check contracts the feature-major pass's
+    # caches itself; every other caller takes its rows from the row-major
+    # wrapper, ``_input_derivatives``.
     assert not any(hasattr(net_module, name) for name in
                    ("_softplus_terms", "_relu_terms", "_act_value_in_place"))
     reached = []
     for module in (net_module, evaluate, bounds, cli, sparsity):
-        for name in ("_hidden_batch", "_values", "_act_terms"):
+        for name in ("_hidden_batch", "_values", "_act_terms", "_input_derivatives",
+                     "_input_pass"):
             if hasattr(module, name):
                 def spy(*args, _inner=getattr(module, name), _name=name, **kwargs):
                     reached.append(_name)
@@ -426,11 +429,13 @@ def test_quantities_at_the_inputs_take_one_route(monkeypatch):
         lambda: grad_input(f, trace), lambda: grad_input_batch(f, X),
         lambda: laplacian_input(f, trace), lambda: laplacian_batch(f, X),
         lambda: l2_prediction_error(f, g, X), lambda: l2_gradient_error(f, g, X),
-        lambda: green_identity_check(f, g, DataSpec(), 10 ** 4, np.random.default_rng(3)),
         lambda: bounds.verify_bounds(arch, 5.0, 1, 7, input_sup=1.0, slack=1e-9),
         lambda: cli._score(cfg, 2, act, (20, 0), seed, dataset, model),
     ):
-        assert routes(call) == {"_act_terms"}
+        assert routes(call) == {"_input_derivatives", "_input_pass", "_act_terms"}
+    green = routes(lambda: green_identity_check(f, g, DataSpec(), 10 ** 4,
+                                                np.random.default_rng(3)))
+    assert green == {"_input_pass", "_act_terms"}
 
 
 def test_green_identity_zero_network():
@@ -487,8 +492,9 @@ def test_green_identity_chunking_consistent(monkeypatch):
 
 def test_green_identity_row_blocks_move_no_bit(monkeypatch):
     # the per-row terms the check sums (grad f, lap f + grad f . score, g and
-    # grad g) are the same bits in 7-row blocks as in the default blocks, so
-    # block size moves only the grouping of the sums
+    # grad g), contracted from the feature-major pass as ``_green_terms``
+    # contracts them, are the same bits in 7-row blocks as in the default
+    # blocks, so block size moves only the grouping of the sums
     rng = np.random.default_rng(14)
     f = _random_net(rng, 2, 4, 2)
     g = _random_net(rng, 2, 4, 2)
@@ -499,11 +505,17 @@ def test_green_identity_row_blocks_move_no_bit(monkeypatch):
     def row_terms():
         blocks = []
         for rows in net_module._row_blocks(f.layers, len(X)):
-            x = X[rows]
-            gf, rhs_f = evaluate._green_f_terms(f, x, -(x - dspec.mean) / dspec.x_std ** 2)
-            g_out, delta = evaluate._scores(g, x)
-            blocks.append((gf, rhs_f, g_out, delta @ g.layers[0]))
-        return [np.concatenate(parts) for parts in zip(*blocks)]
+            XT = np.ascontiguousarray(X[rows].T)
+            _, delta, lap = net_module._input_pass(f.layers, f.activation, XT, value=False,
+                                                   signal=True, laplacian=True)
+            gf = f.layers[0].T @ delta
+            rhs_f = np.einsum("j,jm->m", f.layers[-1][0], lap) + np.einsum(
+                "dm,dm->m", gf, -(XT - dspec.mean) / dspec.x_std ** 2)
+            a, delta, _ = net_module._input_pass(g.layers, g.activation, XT, value=True,
+                                                 signal=True, laplacian=False)
+            blocks.append((gf, rhs_f, np.einsum("j,jm->m", g.layers[-1][0], a),
+                           g.layers[0].T @ delta))
+        return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
 
     one = row_terms()
     assert len(net_module._row_blocks(f.layers, len(X))) == 1
@@ -538,11 +550,10 @@ def _serial_green(f, g, dspec, m, rng):
         X = sample_truncated_normal(dspec.mean, dspec.x_std, dspec.cutoff_factor, rng,
                                     size=(piece.stop - piece.start, d))
         for rows in net_module._row_blocks(f.layers, len(X)):
-            x = X[rows]
-            gf, rhs_f = evaluate._green_f_terms(f, x, -(x - dspec.mean) * (1.0 / dspec.x_std ** 2))
-            g_out, delta = evaluate._scores(g, x)
-            lhs_sum -= float(np.einsum("md,md->", gf, delta @ g.layers[0]))
-            rhs_sum += float(rhs_f @ g_out)
+            dot, rhs = evaluate._green_terms(f, g, np.ascontiguousarray(X[rows].T), dspec.mean,
+                                             1.0 / dspec.x_std ** 2)
+            lhs_sum -= dot
+            rhs_sum += rhs
     return lhs_sum / m, rhs_sum / m
 
 
@@ -702,7 +713,7 @@ def test_green_identity_surfaces_an_evaluation_error_during_a_fill(monkeypatch):
         raise boom
 
     monkeypatch.setattr(evaluate, "_propose", fill)
-    monkeypatch.setattr(evaluate, "_scores", failing)
+    monkeypatch.setattr(evaluate, "_green_terms", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
         green_identity_check(f, g, DataSpec(), 200_000, np.random.default_rng(0))
@@ -726,15 +737,55 @@ def test_green_identity_catches_scaled_laplacian(monkeypatch, factor):
 
     clean = green_d3()
     assert clean.violations == 0
-    exact = evaluate._input_derivatives
+    exact = evaluate._input_pass
 
     def scaled(*args, **kwargs):
         value, delta, lap = exact(*args, **kwargs)
         return value, delta, None if lap is None else factor * lap
 
-    monkeypatch.setattr(evaluate, "_input_derivatives", scaled)
+    monkeypatch.setattr(evaluate, "_input_pass", scaled)
     faulty = green_d3()
     assert faulty.violations == faulty.trials == 2
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_green_identity_overflow_raises(side):
+    # g's weights x1e160 made NaN sums under RuntimeWarnings; f's first layer
+    # x1e160 overflows f's Laplacian.  Either is one ValueError, no warning.
+    rng = np.random.default_rng(22)
+    f, g = _small_green_net(2, rng), _small_green_net(2, rng)
+    if side == "f":
+        f = Network((1e160 * f.layers[0],) + f.layers[1:], f.activation)
+    else:
+        g = Network(tuple(1e160 * theta for theta in g.layers), g.activation)
+    with pytest.raises(ValueError, match="overflows float64"):
+        green_identity_check(f, g, DataSpec(), 10 ** 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 1.0, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_green_terms_match_the_row_major_terms(L, d, cutoff):
+    # _green_terms contracts the feature-major caches itself; its two sums
+    # differ from the same sums over the row-major wrapper's per-row terms
+    # only by rounding, bounded by the terms' absolute sum (the lhs may
+    # cancel towards 0)
+    rng = np.random.default_rng(30 + 10 * L + d)
+    f, g = _random_net(rng, d, 6, L), _random_net(rng, d, 6, L)
+    dspec = DataSpec(x_std=1.3, mean=0.2, cutoff_factor=cutoff)
+    X = sample_truncated_normal(dspec.mean, dspec.x_std, cutoff, np.random.default_rng(23),
+                                size=(3_000, d))
+    inv_var = 1.0 / dspec.x_std ** 2
+    _, delta, lap = net_module._input_derivatives(f.layers, f.activation, X, value=False,
+                                                  signal=True, laplacian=True)
+    gf = delta @ f.layers[0]
+    g_out, delta = net_module._input_derivatives(g.layers, g.activation, X, value=True,
+                                                 signal=True, laplacian=False)[:2]
+    lhs_terms = np.einsum("md,md->m", gf, delta @ g.layers[0])
+    rhs_terms = (lap + np.einsum("md,md->m", gf, -(X - dspec.mean) * inv_var)) * g_out
+    dot, rhs = evaluate._green_terms(f, g, np.ascontiguousarray(X.T), dspec.mean, inv_var)
+    assert abs(dot - lhs_terms.sum()) <= 1e-13 * np.abs(lhs_terms).sum()
+    assert abs(rhs - rhs_terms.sum()) <= 1e-13 * np.abs(rhs_terms).sum()
 
 
 def test_green_identity_input_validation():
